@@ -16,7 +16,7 @@ uses the invariant-factor decomposition, Ext(Z/d, B) = B/dB.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import SizeBoundError, ValidationError, Violation
 from .linalg import (
@@ -342,9 +342,6 @@ class Subquotient:
             rel_cols.append(c)
         self.group = FgAbGroup(IntMatrix.from_columns(rel_cols, rows=self.basis.cols))
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self._basis_snf.solve(vec) is not None
-
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         c = self._basis_snf.solve(vec)
         if c is None:
@@ -353,6 +350,11 @@ class Subquotient:
 
     def representative(self, coords: Sequence[int]) -> tuple[int, ...]:
         return self.basis.apply(self.group.lift(coords))
+
+    def generator_representatives(self) -> list[tuple[int, ...]]:
+        """Representatives of the canonical generators, one per coordinate."""
+        width = len(self.group.coordinate_moduli())
+        return [self.representative([int(i == j) for j in range(width)]) for i in range(width)]
 
 
 def kernel_subgroup(f: AbHom) -> Subquotient:
@@ -416,14 +418,8 @@ def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
     eval_matrix = kronecker(rels.transpose(), IntMatrix.identity(b.ngens))
     f = AbHom(bm, br, eval_matrix)
     sub = kernel_subgroup(f)
-    gens = []
-    width = len(sub.group.coordinate_moduli())
-    for idx in range(width):
-        coords = [0] * width
-        coords[idx] = 1
-        flat = sub.representative(coords)
-        gens.append(AbHom(a, b, _unflatten(flat, b.ngens, m)))
-    return HomGroup(a, b, sub.group, tuple(gens), sub)
+    gens = tuple(AbHom(a, b, _unflatten(flat, b.ngens, m)) for flat in sub.generator_representatives())
+    return HomGroup(a, b, sub.group, gens, sub)
 
 
 def ext_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .groups import DEFAULT_MAX_AUT_ORDER, FiniteGroup, GModule
+from .groups import DEFAULT_MAX_AUT_ORDER, DEFAULT_MAX_GROUP_ORDER, FiniteGroup, GModule
 from .linalg import IntMatrix
 from .moduli import ModuliReport, moduli_case_a, moduli_case_b
 from .pialgebra import (
@@ -46,8 +46,6 @@ from .pialgebra import (
 __all__ = ["main", "parse_input", "render_moduli"]
 
 EXIT_CODES = {"E_PARSE": 2, "E_VALIDATION": 3, "E_SIZE": 4, "E_INTERNAL": 5}
-
-DEFAULT_MAX_GROUP_ORDER = 16
 
 
 class Bounds:
@@ -355,23 +353,46 @@ def _render_cohomology(module: GModule, lo: int, hi: int, bounds: Bounds, use_or
     if use_oracle:
         lines.append("")
         lines.append("oracle cross-check (exhaustive enumeration):")
-        for k in range(lo, hi + 1):
-            tuples = (module.group.order - 1) ** k
-            count = module.base.order ** tuples
-            if count > bounds.max_enumeration:
+        for k, count, factors in _oracle_check(ladder[lo:], bounds.max_enumeration):
+            if factors is None:
                 lines.append(
                     f"  H^{k}: skipped (would enumerate {count} cochains, bound {bounds.max_enumeration})"
                 )
-                continue
-            got = oracle_cohomology(module, k, max_enumeration=bounds.max_enumeration)
-            want = ladder[k].group.invariant_factors
-            if got != want:
-                raise InternalConsistencyError(
-                    f"oracle disagrees at degree {k}: enumeration {list(got)}, matrix route {list(want)}"
-                )
-            lines.append(f"  H^{k}: ok (enumerated {count} cochains)")
+            else:
+                lines.append(f"  H^{k}: ok (enumerated {count} cochains)")
     lines.append("")
     return "\n".join(lines)
+
+
+# -- oracle cross-check ------------------------------------------------------
+
+
+class OracleDisagreement(InternalConsistencyError):
+    """The enumeration oracle and the matrix route differ in one degree."""
+
+    def __init__(self, degree: int, enumerated, matrix_route):
+        self.degree = degree
+        self.detail = f"enumeration {list(enumerated)}, matrix route {list(matrix_route)}"
+        super().__init__(f"oracle disagrees at degree {degree}: {self.detail}")
+
+
+def _oracle_check(ladder, bound: int):
+    """Recompute each cohomology group of ``ladder`` by enumeration.
+
+    Yields (k, cochains, factors) per degree: the oracle's invariant
+    factors and the size of C^k, or None and the enumeration size the
+    oracle refused as over ``bound``.  Raises OracleDisagreement at the
+    first degree where the two routes differ.
+    """
+    for h in ladder:
+        try:
+            got = oracle_cohomology(h.module, h.degree, max_enumeration=bound)
+        except SizeBoundError as e:
+            yield h.degree, e.requested, None
+            continue
+        if got != h.group.invariant_factors:
+            raise OracleDisagreement(h.degree, got, h.group.invariant_factors)
+        yield h.degree, h.differential.source.order, got
 
 
 # -- commands ----------------------------------------------------------------
@@ -380,7 +401,8 @@ def _render_cohomology(module: GModule, lo: int, hi: int, bounds: Bounds, use_or
 def _cmd_moduli(algebra, bounds: Bounds, args) -> tuple[int, str]:
     if isinstance(algebra, TwoStageDim1N):
         if args.oracle:
-            _oracle_sweep(algebra.an, algebra.n + 1, bounds)
+            ladder = cohomology_range(algebra.an, algebra.n + 1, max_rank=bounds.max_rank)
+            list(_oracle_check(ladder, bounds.max_enumeration))  # raises on a disagreement
         report = moduli_case_a(
             algebra,
             max_rank=bounds.max_rank,
@@ -390,21 +412,6 @@ def _cmd_moduli(algebra, bounds: Bounds, args) -> tuple[int, str]:
     else:
         report = moduli_case_b(algebra, max_endos=bounds.max_endos)
     return 0, render_moduli(report)
-
-
-def _oracle_sweep(module: GModule, kmax: int, bounds: Bounds):
-    ladder = cohomology_range(module, kmax, max_rank=bounds.max_rank)
-    for k in range(kmax + 1):
-        tuples = (module.group.order - 1) ** k
-        count = module.base.order ** tuples
-        if count > bounds.max_enumeration:
-            continue
-        got = oracle_cohomology(module, k, max_enumeration=bounds.max_enumeration)
-        if got != ladder[k].group.invariant_factors:
-            raise InternalConsistencyError(
-                f"oracle disagrees at degree {k}: enumeration {list(got)}, "
-                f"matrix route {list(ladder[k].group.invariant_factors)}"
-            )
 
 
 def _cmd_cohomology(algebra, bounds: Bounds, args) -> tuple[int, str]:
@@ -436,22 +443,17 @@ def _cmd_check(text: str, args) -> tuple[int, str]:
         lines.append("oracle equivalence (bounded):")
         ladder = cohomology_range(algebra.an, min(2, algebra.n + 1), max_rank=bounds.max_rank)
         checked = 0
-        for k in range(len(ladder)):
-            tuples = (algebra.a1.order - 1) ** k
-            count = algebra.an.base.order ** tuples
-            if count > bounds.max_enumeration:
-                lines.append(f"  H^{k}: skipped (enumeration {count} over bound)")
-                continue
-            got = oracle_cohomology(algebra.an, k, max_enumeration=bounds.max_enumeration)
-            want = ladder[k].group.invariant_factors
-            if got != want:
-                lines.append(
-                    f"  H^{k}: FAILED (enumeration {list(got)}, matrix route {list(want)})"
-                )
-                lines.append("")
-                return EXIT_CODES["E_INTERNAL"], "\n".join(lines)
-            lines.append(f"  H^{k}: ok ({ladder[k].group.symbol()})")
-            checked += 1
+        try:
+            for k, count, factors in _oracle_check(ladder, bounds.max_enumeration):
+                if factors is None:
+                    lines.append(f"  H^{k}: skipped (enumeration {count} over bound)")
+                    continue
+                lines.append(f"  H^{k}: ok ({ladder[k].group.symbol()})")
+                checked += 1
+        except OracleDisagreement as e:
+            lines.append(f"  H^{e.degree}: FAILED ({e.detail})")
+            lines.append("")
+            return EXIT_CODES["E_INTERNAL"], "\n".join(lines)
         lines.append("")
         lines.append(f"result: all checks passed ({checked} degrees cross-checked)")
     else:

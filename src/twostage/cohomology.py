@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .abelian import AbHom, CochainComplex, FgAbGroup, Subquotient, direct_sum, homology_at, kernel_subgroup
+from .abelian import AbHom, CochainComplex, Subquotient, direct_sum, homology_at, kernel_subgroup
 from .errors import InternalConsistencyError, SizeBoundError
 from .groups import GModule
 from .linalg import IntMatrix
@@ -169,27 +169,21 @@ def _differential_matrix(module: GModule, k: int) -> IntMatrix:
 
 
 class CohomologyGroup:
-    """H^k(G; M) with exact class coordinates and cocycle representatives."""
+    """H^k(G; M) with exact class coordinates and cocycle representatives;
+    ``differential`` is d: C^k -> C^(k+1) of the normalized complex."""
 
-    __slots__ = ("module", "degree", "group", "representatives", "_sub", "_d_out", "_next_group")
+    __slots__ = ("module", "degree", "group", "representatives", "differential", "_sub")
 
-    def __init__(self, module: GModule, degree: int, sub: Subquotient, d_out: AbHom):
+    def __init__(self, module: GModule, degree: int, sub: Subquotient, differential: AbHom):
         self.module = module
         self.degree = degree
         self.group = sub.group
+        self.differential = differential
         self._sub = sub
-        self._d_out = d_out
-        self._next_group = d_out.target
-        width = len(sub.group.coordinate_moduli())
-        reps = []
-        for i in range(width):
-            coords = [0] * width
-            coords[i] = 1
-            reps.append(Cocycle(module, degree, sub.representative(coords)))
-        self.representatives = tuple(reps)
+        self.representatives = tuple(Cocycle(module, degree, v) for v in sub.generator_representatives())
 
     def is_cocycle(self, z: Cocycle) -> bool:
-        return self._next_group.is_zero(self._d_out(z.vector))
+        return self.differential.target.is_zero(self.differential(z.vector))
 
     def class_of(self, z: Cocycle) -> tuple[int, ...]:
         """Canonical coordinates of the class [z]; additive, kills exactly
@@ -236,22 +230,12 @@ class Derivations:
     with explicit representatives.  This is the full cocycle group, not
     its quotient by principal derivations."""
 
-    __slots__ = ("module", "group", "representatives", "_sub")
+    __slots__ = ("module", "group", "representatives")
 
     def __init__(self, module: GModule, sub: Subquotient):
         self.module = module
         self.group = sub.group
-        self._sub = sub
-        width = len(sub.group.coordinate_moduli())
-        reps = []
-        for i in range(width):
-            coords = [0] * width
-            coords[i] = 1
-            reps.append(Cocycle(module, 1, sub.representative(coords)))
-        self.representatives = tuple(reps)
-
-    def coords_of(self, z: Cocycle) -> tuple[int, ...]:
-        return self._sub.class_coords(z.vector)
+        self.representatives = tuple(Cocycle(module, 1, v) for v in sub.generator_representatives())
 
     def __repr__(self):
         return f"Derivations({self.group.symbol()})"
@@ -288,8 +272,11 @@ def oracle_cohomology(
     group = module.group
     base = module.base
     n = group.order
-    size = base.order
     domain = list(range(1, n)) if normalized else list(range(n))
+    # Size both enumerations, degree k and then k-1, before building any.
+    for count in (base.order ** (len(domain) ** j) for j in (k, k - 1) if j >= 0):
+        if count > max_enumeration:
+            raise SizeBoundError("oracle enumeration too large", requested=count, bound=max_enumeration)
 
     elems = base.element_coords()
     moduli = base.coordinate_moduli()
@@ -310,9 +297,6 @@ def oracle_cohomology(
 
     tuples_k = list(itertools.product(domain, repeat=k))
     tuples_km1 = list(itertools.product(domain, repeat=k - 1)) if k >= 1 else []
-    count = size ** len(tuples_k)
-    if count > max_enumeration:
-        raise SizeBoundError("oracle enumeration too large", requested=count, bound=max_enumeration)
 
     def coboundary(f: dict, deg: int) -> tuple:
         """df as a tuple of values aligned with the (deg+1)-tuple list."""
@@ -343,9 +327,6 @@ def oracle_cohomology(
     if k == 0:
         boundaries = {tuple([zero] * len(tuples_k))}
     else:
-        km1_count = size ** len(tuples_km1)
-        if km1_count > max_enumeration:
-            raise SizeBoundError("oracle enumeration too large", requested=km1_count, bound=max_enumeration)
         boundaries = set()
         for values in itertools.product(elems, repeat=len(tuples_km1)):
             f = dict(zip(tuples_km1, values))

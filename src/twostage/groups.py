@@ -13,8 +13,7 @@ the same generators always give the same table.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .abelian import AbHom, FgAbGroup
 from .errors import SizeBoundError, ValidationError, Violation
@@ -22,7 +21,7 @@ from .linalg import IntMatrix
 
 __all__ = ["FiniteGroup", "GModule", "automorphism_group"]
 
-DEFAULT_MAX_GROUP_ORDER = 512
+DEFAULT_MAX_GROUP_ORDER = 16
 DEFAULT_MAX_AUT_ORDER = 64
 
 
@@ -167,19 +166,12 @@ class FiniteGroup:
 
     # -- queries -----------------------------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def element_order(self, i: int) -> int:
         k, x = 1, i
         while x != 0:
             x = self.table[x][i]
             k += 1
         return k
-
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i + 1, n))
 
     def generators(self) -> tuple[int, ...]:
         return _greedy_generators(self.table)
@@ -195,24 +187,6 @@ class FiniteGroup:
             for j in range(n):
                 new[perm[i]][perm[j]] = perm[self.table[i][j]]
         return FiniteGroup(new)
-
-    def abelianization(self) -> FgAbGroup:
-        """G made abelian: generators are the non-identity elements, one
-        relation g + h - gh per pair."""
-        n = self.order
-        if n == 1:
-            return FgAbGroup.trivial()
-        cols = []
-        for i in range(1, n):
-            for j in range(1, n):
-                col = [0] * (n - 1)
-                col[i - 1] += 1
-                col[j - 1] += 1
-                p = self.table[i][j]
-                if p != 0:
-                    col[p - 1] -= 1
-                cols.append(col)
-        return FgAbGroup(IntMatrix.from_columns(cols, rows=n - 1))
 
     def __repr__(self):
         return f"FiniteGroup(order {self.order})"

@@ -27,7 +27,6 @@ __all__ = [
     "integer_kernel",
     "row_hermite",
     "column_hermite",
-    "determinant",
     "kronecker",
     "block_diag",
     "solve",
@@ -121,9 +120,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -184,12 +180,6 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError(f"row count mismatch: {a.shape} vs {b.shape}")
     return IntMatrix.from_rows([list(ra) + list(rb) for ra, rb in zip(a.data, b.data)], cols=a.cols + b.cols)
-
-
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError(f"column count mismatch: {a.shape} vs {b.shape}")
-    return IntMatrix.from_rows(a.to_rows() + b.to_rows(), cols=a.cols)
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -503,27 +493,3 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     basis = IntMatrix.from_columns(cols, rows=m.cols)
     return column_hermite(basis)
 
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, ext_group, hom_group
-from .cohomology import cohomology_range, derivations
+from .cohomology import DEFAULT_MAX_RANK, cohomology_range, derivations
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
 from .pialgebra import (
@@ -127,7 +127,7 @@ def _require(condition: bool, message: str):
 
 def moduli_case_a(
     algebra: TwoStageDim1N,
-    max_rank: int = 20_000,
+    max_rank: int = DEFAULT_MAX_RANK,
     max_group_aut: int = DEFAULT_MAX_AUT_ORDER,
     max_endos: int = DEFAULT_MAX_ENDOS,
 ) -> ModuliReport:

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .groups import DEFAULT_MAX_AUT_ORDER, FiniteGroup, GModule, automorphism_group
+from .groups import DEFAULT_MAX_AUT_ORDER, GModule, automorphism_group
 from .linalg import IntMatrix
 
 __all__ = [
@@ -281,7 +281,7 @@ class PiAut:
     """The finite group of compatible automorphism pairs, with its
     composition table; identity at a known index."""
 
-    __slots__ = ("case", "elements", "table", "identity_index", "_index")
+    __slots__ = ("case", "elements", "table", "identity_index")
 
     def __init__(self, case: str, elements: Sequence):
         elements = sorted(elements, key=lambda p: p.key())
@@ -300,7 +300,6 @@ class PiAut:
         self.case = case
         self.elements = tuple(elements)
         self.table = tuple(table)
-        self._index = index
         ident = None
         n = len(elements)
         for i in range(n):
@@ -323,9 +322,6 @@ class PiAut:
             if self.table[i][j] == self.identity_index:
                 return j
         raise InternalConsistencyError("element without inverse in automorphism group")
-
-    def index_of(self, pair) -> int:
-        return self._index[pair.key()]
 
     def __repr__(self):
         return f"PiAut(case {self.case}, order {self.order})"
@@ -379,25 +375,17 @@ def _pi_aut_case_b(algebra: TwoStageDimNN1, max_endos: int) -> PiAut | SymbolicA
         return SymbolicAut(_symbolic_description(algebra))
     autos_n = abelian_automorphisms(an, max_endos=max_endos)
     autos_n1 = abelian_automorphisms(an1, max_endos=max_endos)
+    # (f, g) is kept when g q = q f.  For n = 2, q is quadratic and is
+    # compared on every element of A_n; for n >= 3 it is additive, so the
+    # generators of A_n suffice.
+    points = an.elements() if algebra.n == 2 else IntMatrix.identity(an.ngens).data
+    q_points = [q(x) for x in points]
     pairs = []
-    if algebra.n == 2:
-        els = an.elements()
-        for f in autos_n:
-            images = [f(x) for x in els]
-            for g in autos_n1:
-                if all(
-                    an1.reduce(g(q(x))) == an1.reduce(q(fx))
-                    for x, fx in zip(els, images)
-                ):
-                    pairs.append(AutPairB(f, g))
-    else:
-        mod2 = q.source
-        for f in autos_n:
-            f_bar = AbHom(mod2, mod2, f.matrix)
-            lhs = q @ f_bar
-            for g in autos_n1:
-                if (g @ q).equals(lhs):
-                    pairs.append(AutPairB(f, g))
+    for f in autos_n:
+        q_f = [an1.reduce(q(f(x))) for x in points]
+        for g in autos_n1:
+            if all(an1.reduce(g(qx)) == y for qx, y in zip(q_points, q_f)):
+                pairs.append(AutPairB(f, g))
     return PiAut("B", pairs)
 
 

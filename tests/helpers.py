@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+from twostage.abelian import FgAbGroup
 from twostage.linalg import IntMatrix
 
 
@@ -278,3 +279,28 @@ def brute_force_automorphisms(group) -> set:
         if all(phi[table[i][j]] == table[phi[i]][phi[j]] for i in range(n) for j in range(n)):
             out.add(phi)
     return out
+
+
+def is_abelian(group) -> bool:
+    n = group.order
+    table = group.table
+    return all(table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def abelianization(group) -> FgAbGroup:
+    """G made abelian: generators are the non-identity elements, one
+    relation g + h - gh per pair."""
+    n = group.order
+    if n == 1:
+        return FgAbGroup.trivial()
+    cols = []
+    for i in range(1, n):
+        for j in range(1, n):
+            col = [0] * (n - 1)
+            col[i - 1] += 1
+            col[j - 1] += 1
+            p = group.table[i][j]
+            if p != 0:
+                col[p - 1] -= 1
+            cols.append(col)
+    return FgAbGroup(IntMatrix.from_columns(cols, rows=n - 1))

@@ -204,6 +204,83 @@ def test_check_passes_on_valid_inputs(capsys):
     assert "result: all checks passed" in out
 
 
+class TestOracleCrossCheck:
+    @pytest.mark.parametrize("name", ["two_types_z2", "orbits_z3"])
+    def test_moduli_oracle_keeps_the_golden_report(self, name, capsys):
+        status, out, err = run_cli(["moduli", SAMPLES / f"{name}.json", "--oracle"], capsys)
+        assert status == 0
+        assert err == ""
+        assert out == (GOLDEN / f"{name}.moduli.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "two_types_z2.json", "--oracle"],
+            ["moduli", "two_types_z2.json", "--oracle"],
+        ],
+        ids=["cohomology", "moduli"],
+    )
+    def test_disagreement_is_an_internal_error(self, argv, monkeypatch, capsys):
+        import twostage.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "oracle_cohomology", lambda *a, **kw: (999,))
+        status, out, err = run_cli([argv[0], SAMPLES / argv[1], *argv[2:]], capsys)
+        assert status == EXIT_CODES["E_INTERNAL"]
+        assert out == ""
+        assert "oracle disagrees at degree" in err
+
+    def test_check_reports_disagreement_on_stdout(self, monkeypatch, capsys):
+        import twostage.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "oracle_cohomology", lambda *a, **kw: (999,))
+        status, out, _ = run_cli(["check", SAMPLES / "two_types_z2.json"], capsys)
+        assert status == EXIT_CODES["E_INTERNAL"]
+        assert "FAILED (enumeration" in out
+
+    # Degree 1 of the trivial group has a single cochain, but checking it
+    # enumerates the |M| = 5 cochains of degree 0, over the bound of 3.
+    TRIVIAL_GROUP = {
+        "case": "A",
+        "n": 2,
+        "group": {"cyclic_factors": []},
+        "module": {"coefficients": {"cyclic_factors": [5]}},
+        "bounds": {"max_enumeration": 3},
+    }
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["check"],
+                [
+                    "  H^0: skipped (enumeration 5 over bound)",
+                    "  H^1: skipped (enumeration 5 over bound)",
+                    "  H^2: ok (0)",
+                    "result: all checks passed (1 degrees cross-checked)",
+                ],
+            ),
+            (
+                ["cohomology", "--degrees", "0..2", "--oracle"],
+                [
+                    "  H^0: skipped (would enumerate 5 cochains, bound 3)",
+                    "  H^1: skipped (would enumerate 5 cochains, bound 3)",
+                    "  H^2: ok (enumerated 1 cochains)",
+                ],
+            ),
+            (["moduli", "--oracle"], ["pi_0 = 1   [orbits of Aut(A) on H^(n+1)(A_1; A_n)]"]),
+        ],
+        ids=["check", "cohomology", "moduli"],
+    )
+    def test_trivial_group_skips_degrees_over_bound(self, argv, expected, tmp_path, capsys):
+        path = write_doc(tmp_path, self.TRIVIAL_GROUP)
+        status, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+        assert status == 0
+        assert err == ""
+        lines = out.splitlines()
+        for line in expected:
+            assert line in lines
+
+
 def test_exit_code_table_is_stable():
     assert EXIT_CODES == {
         "E_PARSE": 2,

@@ -17,6 +17,8 @@ from twostage.errors import SizeBoundError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
 
+from helpers import abelianization
+
 
 def cyclic_module(group, size, multiplier):
     """Z/size with a chosen generator of the group acting by multiplication.
@@ -257,7 +259,7 @@ def test_h1_with_trivial_action_is_homs_from_abelianization():
     ]
     for group, base in pairs:
         H = cohomology(GModule.trivial(group, base), 1)
-        expected = hom_group(group.abelianization(), base)
+        expected = hom_group(abelianization(group), base)
         assert H.group.normal_form == expected.group.normal_form
 
 
@@ -320,6 +322,24 @@ def test_oracle_size_bound():
     m = GModule.trivial(FiniteGroup.cyclic(4), FgAbGroup.cyclic(4))
     with pytest.raises(SizeBoundError):
         oracle_cohomology(m, 3, max_enumeration=1000)
+
+
+def test_oracle_refuses_before_enumerating(monkeypatch):
+    import itertools
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("enumeration started before the size check")
+
+    monkeypatch.setattr(itertools, "product", no_product)
+    m = GModule.trivial(FiniteGroup.cyclic(3), FgAbGroup.cyclic(2))
+    with pytest.raises(SizeBoundError) as info:
+        oracle_cohomology(m, 12, max_enumeration=2 ** 20)
+    assert info.value.requested == 2 ** (2 ** 12)
+    # Degree 1 of the trivial group has one cochain, but 5 in degree 0.
+    trivial = GModule.trivial(FiniteGroup.trivial(), FgAbGroup.cyclic(5))
+    with pytest.raises(SizeBoundError) as info:
+        oracle_cohomology(trivial, 1, max_enumeration=3)
+    assert info.value.requested == 5
 
 
 # -- invariance ------------------------------------------------------------

@@ -5,7 +5,7 @@ from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, automorphism_group
 from twostage.linalg import IntMatrix
 
-from helpers import brute_force_automorphisms, totient
+from helpers import abelianization, brute_force_automorphisms, is_abelian, totient
 
 
 def quaternion_group() -> FiniteGroup:
@@ -65,7 +65,7 @@ class TestFromPermutations:
     def test_symmetric_group_order_and_determinism(self):
         g = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)])
         assert g.order == 6
-        assert not g.is_abelian()
+        assert not is_abelian(g)
         again = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)])
         assert g.table == again.table
 
@@ -99,14 +99,14 @@ class TestRelabelAndAbelianization:
 
     def test_abelianization_of_s3(self):
         s3 = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)])
-        assert s3.abelianization().normal_form == (0, (2,))
+        assert abelianization(s3).normal_form == (0, (2,))
 
     def test_abelianization_of_abelian_group(self):
-        assert FiniteGroup.cyclic(4).abelianization().normal_form == (0, (4,))
-        assert FiniteGroup.from_cyclic_factors([2, 2]).abelianization().normal_form == (0, (2, 2))
+        assert abelianization(FiniteGroup.cyclic(4)).normal_form == (0, (4,))
+        assert abelianization(FiniteGroup.from_cyclic_factors([2, 2])).normal_form == (0, (2, 2))
 
     def test_abelianization_of_quaternions(self):
-        assert quaternion_group().abelianization().normal_form == (0, (2, 2))
+        assert abelianization(quaternion_group()).normal_form == (0, (2, 2))
 
 
 class TestAutomorphismGroup:

@@ -7,14 +7,12 @@ from twostage.linalg import (
     IntMatrix,
     block_diag,
     column_hermite,
-    determinant,
     hstack,
     integer_kernel,
     kronecker,
     row_hermite,
     smith_normal_form,
     solve,
-    vstack,
 )
 
 from helpers import (
@@ -62,7 +60,6 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[1, 2]])
         b = IntMatrix.from_rows([[3, 4]])
         assert hstack(a, b).row(0) == (1, 2, 3, 4)
-        assert vstack(a, b).column(0) == (1, 3)
 
     def test_kronecker_shape_and_values(self):
         a = IntMatrix.from_rows([[1, 2]])
@@ -74,18 +71,6 @@ class TestIntMatrix:
     def test_block_diag(self):
         d = block_diag([IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])])
         assert d.to_rows() == [[2, 0], [0, 3]]
-
-
-class TestDeterminant:
-    def test_agrees_with_leibniz_on_random(self):
-        rng = random.Random(7)
-        for _ in range(120):
-            n = rng.randint(0, 5)
-            m = IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
-            assert determinant(m) == det_leibniz(m)
-
-    def test_singular(self):
-        assert determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
 
 
 class TestSmithNormalForm:
