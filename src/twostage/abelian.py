@@ -8,6 +8,17 @@ invariant-factor normal form, canonical coordinates for elements, and an
 explicit change of basis in both directions, which is what makes quotient
 constructions (homology, cohomology classes) exact rather than heuristic.
 
+Kernels and homology share one numerator: the lattice of vectors a map
+sends into the target's relation lattice, as its column Hermite basis.
+When the target is finite of exponent E, that lattice contains E * Z^m and
+is cut out by one congruence per coordinate slot of the target, read off
+the rows of its Smith form; the basis is then computed mod E
+(``linalg.congruence_kernel``).  A target with Z summands (the stable case
+with free groups) goes through ``integer_kernel`` of [F | -R] instead.  The
+Hermite basis of a lattice is unique and the class coordinates come from
+the Smith form of the subquotient's presentation, so the route taken does
+not change a single coordinate.
+
 Hom and Ext are computed honestly from presentations: Hom(A, B) is the
 kernel of the induced map B^m -> B^r evaluated on A's relations, and Ext
 uses the invariant-factor decomposition, Ext(Z/d, B) = B/dB.
@@ -23,6 +34,7 @@ from .linalg import (
     IntMatrix,
     block_diag,
     column_hermite,
+    congruence_kernel,
     hstack,
     integer_kernel,
     kronecker,
@@ -70,8 +82,8 @@ class FgAbGroup:
         self._coord_slots = tuple(i for i, d in enumerate(diag) if d != 1)
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
-        self._u_rows = _sparse_rows(dec.u)
-        self._uinv_rows = _sparse_rows(dec.u_inv)
+        self._u_rows = dec.u.nonzero_rows()
+        self._uinv_rows = dec.u_inv.nonzero_rows()
 
     # -- constructors --------------------------------------------------
 
@@ -190,10 +202,6 @@ class FgAbGroup:
         if d < 1:
             raise ValueError("modulus must be positive")
         return FgAbGroup(hstack(self.presentation, IntMatrix.identity(self.ngens).scale(d)))
-
-
-def _sparse_rows(m: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x != 0) for row in m.data)
 
 
 def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
@@ -318,38 +326,69 @@ def _apply_sparse(m: IntMatrix, vec: Sequence[int]) -> list[int]:
 class Subquotient:
     """A subquotient L/K of an ambient Z^m, with exact coordinates both ways.
 
-    ``basis`` holds a Hermite basis of the numerator lattice L as columns;
+    ``basis`` holds the column Hermite basis of the numerator lattice L;
     ``group`` presents L/K on those basis columns.  ``class_coords`` sends
     any ambient vector lying in L to canonical coordinates of its class,
     and ``representative`` lifts canonical coordinates back to an ambient
     vector.  Together these are the sections that make cohomology classes
     and k-invariant transport concrete.
+
+    The basis comes from ``_preimage_basis`` (computed mod the exponent
+    when the target is finite, over Z otherwise) or is the identity, and is
+    in Hermite form either way.  Coordinates in the basis come from forward
+    substitution on the Hermite pivots: each column is zero above its pivot
+    row, so the pivot rows, taken top down, fix the coefficients one at a
+    time.  The columns are independent, so this is the one solution any
+    exact solver finds, and the presentation of ``group`` does not depend
+    on how it was found.
     """
 
-    __slots__ = ("ambient_rank", "basis", "group", "_basis_snf")
+    __slots__ = ("ambient_rank", "basis", "group", "_columns")
 
-    def __init__(self, ambient_rank: int, numerator: IntMatrix, denominator: IntMatrix):
-        if numerator.rows != ambient_rank or denominator.rows != ambient_rank:
+    def __init__(self, ambient_rank: int, basis: IntMatrix, denominator: IntMatrix):
+        if basis.rows != ambient_rank or denominator.rows != ambient_rank:
             raise ValueError("numerator and denominator must live in the ambient space")
         self.ambient_rank = ambient_rank
-        self.basis = column_hermite(numerator)
-        self._basis_snf = smith_normal_form(self.basis)
+        self.basis = basis
+        self._columns = basis.nonzero_columns()
         rel_cols = []
         for j in range(denominator.cols):
-            c = self._basis_snf.solve(denominator.column(j))
+            c = self.coefficients(denominator.column(j))
             if c is None:
                 raise ValueError("denominator lattice is not contained in the numerator lattice")
             rel_cols.append(c)
-        self.group = FgAbGroup(IntMatrix.from_columns(rel_cols, rows=self.basis.cols))
+        self.group = FgAbGroup(IntMatrix.from_columns(rel_cols, rows=basis.cols))
+
+    def coefficients(self, vec: Sequence[int]) -> tuple[int, ...] | None:
+        """The c with basis @ c == vec, or None when vec is not in L."""
+        if len(vec) != self.ambient_rank:
+            raise ValueError(f"vector of length {len(vec)} outside ambient rank {self.ambient_rank}")
+        rest = list(vec)
+        coeffs = []
+        for col in self._columns:
+            pivot_row, pivot = col[0]
+            c, r = divmod(rest[pivot_row], pivot)
+            if r:
+                return None
+            if c:
+                for i, x in col:
+                    rest[i] -= c * x
+            coeffs.append(c)
+        return None if any(rest) else tuple(coeffs)
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        c = self._basis_snf.solve(vec)
+        c = self.coefficients(vec)
         if c is None:
             raise ValueError("vector does not lie in the numerator lattice")
         return self.group.reduce(c)
 
     def representative(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return self.basis.apply(self.group.lift(coords))
+        out = [0] * self.ambient_rank
+        for c, col in zip(self.group.lift(coords), self._columns):
+            if c:
+                for i, x in col:
+                    out[i] += c * x
+        return tuple(out)
 
     def generator_representatives(self) -> list[tuple[int, ...]]:
         """Representatives of the canonical generators, one per coordinate."""
@@ -357,17 +396,38 @@ class Subquotient:
         return [self.representative([int(i == j) for j in range(width)]) for i in range(width)]
 
 
+def _preimage_basis(f: AbHom) -> IntMatrix:
+    """Hermite basis of {x : f(x) = 0 in the target}, the numerator of
+    kernels and of homology.
+
+    A finite target gives one congruence u_i . F x = 0 mod d_i per
+    coordinate slot, u_i a row of its Smith form, and the basis is
+    computed mod the target's exponent (``congruence_kernel``).  An
+    infinite target (Z summands) projects the integer kernel of [F | -R]
+    instead.  Both give the one Hermite basis of the same lattice.
+    """
+    target = f.target
+    if target.is_finite:
+        congruences = []
+        for slot in target._coord_slots:
+            row = [0] * f.source.ngens
+            for j, u in target._u_rows[slot]:
+                for col, x in enumerate(f.matrix.data[j]):
+                    if x:
+                        row[col] += u * x
+            congruences.append((row, target._diag[slot]))
+        return congruence_kernel(congruences, f.source.ngens)
+    full = integer_kernel(hstack(f.matrix, -target.presentation))
+    return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
+
+
 def kernel_subgroup(f: AbHom) -> Subquotient:
     """ker(f) as a subquotient of the source's generator space.
 
     The numerator is the preimage of the target relation lattice under the
-    matrix of f, computed as the projection of an integer kernel; the
-    denominator is the source relation lattice.
+    matrix of f; the denominator is the source relation lattice.
     """
-    stacked = hstack(f.matrix, -f.target.presentation)
-    full = integer_kernel(stacked)
-    proj = IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols)
-    return Subquotient(f.source.ngens, proj, f.source.presentation)
+    return Subquotient(f.source.ngens, _preimage_basis(f), f.source.presentation)
 
 
 class HomGroup:
@@ -475,10 +535,7 @@ def homology_at(complex_: CochainComplex, k: int) -> Subquotient:
         raise ValueError(f"slot {k} outside complex of length {len(complex_.groups)}")
     g = complex_.groups[k]
     if k < len(complex_.maps):
-        f = complex_.maps[k]
-        stacked = hstack(f.matrix, -f.target.presentation)
-        full = integer_kernel(stacked)
-        numerator = IntMatrix.from_rows(full.to_rows()[: g.ngens], cols=full.cols)
+        numerator = _preimage_basis(complex_.maps[k])
     else:
         numerator = IntMatrix.identity(g.ngens)
     denominator = g.presentation

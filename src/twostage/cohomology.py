@@ -172,7 +172,7 @@ class CohomologyGroup:
     """H^k(G; M) with exact class coordinates and cocycle representatives;
     ``differential`` is d: C^k -> C^(k+1) of the normalized complex."""
 
-    __slots__ = ("module", "degree", "group", "representatives", "differential", "_sub")
+    __slots__ = ("module", "degree", "group", "representatives", "differential", "_sub", "_d_rows")
 
     def __init__(self, module: GModule, degree: int, sub: Subquotient, differential: AbHom):
         self.module = module
@@ -180,10 +180,13 @@ class CohomologyGroup:
         self.group = sub.group
         self.differential = differential
         self._sub = sub
+        self._d_rows = differential.matrix.nonzero_rows()
         self.representatives = tuple(Cocycle(module, degree, v) for v in sub.generator_representatives())
 
     def is_cocycle(self, z: Cocycle) -> bool:
-        return self.differential.target.is_zero(self.differential(z.vector))
+        v = z.vector
+        image = [sum(x * v[j] for j, x in row) for row in self._d_rows]
+        return self.differential.target.is_zero(image)
 
     def class_of(self, z: Cocycle) -> tuple[int, ...]:
         """Canonical coordinates of the class [z]; additive, kills exactly
@@ -205,7 +208,8 @@ class CohomologyGroup:
 
 
 def cohomology(module: GModule, k: int, max_rank: int = DEFAULT_MAX_RANK) -> CohomologyGroup:
-    """H^k(G; M) by Smith reduction of the normalized complex."""
+    """H^k(G; M) from the normalized complex: cocycles as a lattice computed
+    mod the exponent of M, classes from the Smith form of Z^k / B^k."""
     if k < 0:
         raise ValueError("degree must be non-negative")
     complex_ = bar_complex(module, k + 1, max_rank=max_rank)

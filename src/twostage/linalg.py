@@ -14,10 +14,20 @@ Conventions:
 * ``integer_kernel(m)`` returns a matrix whose columns are a lattice basis
   of ``{x : m @ x = 0}``, in column Hermite form, so equal kernels produce
   byte-identical bases.
+* ``congruence_kernel(congruences, n)`` returns the column Hermite basis of
+  ``{x in Z^n : r . x = 0 mod d}`` over the given ``(r, d)``.  The lattice
+  contains ``E * Z^n`` for E the lcm of the moduli, so the basis is found
+  with every entry below E, by one Hermite pass mod E that carries its
+  column transform along.  This is the route for kernels into finite
+  groups, where the Smith form over Z of the stacked matrix grows entries
+  without bound; ``integer_kernel`` stays the route when the target has Z
+  summands.  A lattice has exactly one Hermite basis, so both routes give
+  the same matrix wherever both apply.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -25,6 +35,7 @@ __all__ = [
     "SnfDecomposition",
     "smith_normal_form",
     "integer_kernel",
+    "congruence_kernel",
     "row_hermite",
     "column_hermite",
     "kronecker",
@@ -116,6 +127,14 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(r) for r in self.data]
+
+    def nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row as its ``(column, entry)`` pairs with nonzero entry."""
+        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.data)
+
+    def nonzero_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each column as its ``(row, entry)`` pairs with nonzero entry, top first."""
+        return self.transpose().nonzero_rows()
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -493,3 +512,111 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     basis = IntMatrix.from_columns(cols, rows=m.cols)
     return column_hermite(basis)
 
+
+# -- lattices cut out by congruences -----------------------------------------
+
+
+def congruence_kernel(congruences: Sequence[tuple[Sequence[int], int]], ncols: int) -> IntMatrix:
+    """Column Hermite basis of {x in Z^ncols : r . x = 0 mod d for each (r, d)}.
+
+    Let E be the lcm of the moduli and C the matrix of the k rows, each
+    scaled to modulus E.  Then x lies in the lattice exactly when (C x, x)
+    lies in the lattice M spanned by the columns of [C; I] and
+    E * Z^(k + ncols).  M contains E * Z^(k + ncols), so its Hermite basis
+    has every entry below E and is computed with all arithmetic mod E
+    (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8).  The vectors of M
+    that vanish on the first k rows are spanned by its basis columns
+    pivoting below them, so those columns, cut to their last ncols rows,
+    are the answer: entry for entry the ``column_hermite`` of the same
+    lattice.
+    """
+    exponent = 1
+    for row, d in congruences:
+        if d < 1:
+            raise ValueError(f"congruence modulus must be positive, got {d}")
+        if len(row) != ncols:
+            raise ValueError(f"congruence of length {len(row)}, expected {ncols}")
+        exponent = math.lcm(exponent, d)
+    top = len(congruences)
+    rows = [[x * (exponent // d) % exponent for x in row] for row, d in congruences]
+    generators = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+    for j, g in enumerate(generators):
+        g[top + j] = 1
+    echelon = _echelon_mod(generators, top + ncols, exponent)
+    basis = [{i - top: x for i, x in col.items()} for col in echelon[top:]]
+    # Reduce each entry left of a pivot into [0, pivot), as row_hermite does.
+    for i, bi in enumerate(basis):
+        d = bi[i]
+        below = {k: y for k, y in bi.items() if k != i}
+        for bj in basis[:i]:
+            x = bj.get(i, 0)
+            if x >= d:
+                _axpy(bj, -(x // d), below, exponent)
+                if x % d:
+                    bj[i] = x % d
+                else:
+                    del bj[i]
+    return IntMatrix.from_columns([[col.get(k, 0) for k in range(ncols)] for col in basis], rows=ncols)
+
+
+def _axpy(target: dict, f: int, source: dict, e: int) -> None:
+    """target += f * source, entries mod e, zeros dropped."""
+    for i, y in source.items():
+        z = (target.get(i, 0) + f * y) % e
+        if z:
+            target[i] = z
+        else:
+            target.pop(i, None)
+
+
+def _echelon_mod(generators: list[dict], m: int, e: int) -> list[dict]:
+    """Lower echelon basis, one column pivoting in each row, of the lattice
+    spanned by ``generators`` (sparse columns) and e * Z^m, all arithmetic
+    mod e (reducing mod e is free, since e * Z^m lies in the lattice).
+
+    Row i folds the columns whose first nonzero entry is in row i into one
+    by gcd steps and adjoins e * e_i: the pivot is the gcd d_i, and
+    (e / d_i) times the folded column goes on down.
+    """
+    pending = [[] for _ in range(m)]
+    for g in generators:
+        g = _scaled(g, 1, e)
+        if g:
+            pending[min(g)].append(g)
+    basis = []
+    for i in range(m):
+        hits = pending[i]
+        if not hits:
+            basis.append({i: e})
+            continue
+        w = hits[0]
+        for x in hits[1:]:
+            a, b = w[i], x[i]
+            if b % a == 0:
+                _axpy(x, -(b // a), w, e)
+            else:
+                g, s, t = _xgcd(a, b)
+                w, x = _combine(w, s, x, t, e), _combine(w, -(b // g), x, a // g, e)
+            if x:
+                pending[min(x)].append(x)
+        d, s, _ = _xgcd(w[i], e)
+        rest = _scaled(w, e // d, e)
+        rest.pop(i, None)
+        if rest:
+            pending[min(rest)].append(rest)
+        col = _scaled(w, s, e)
+        col[i] = d
+        basis.append(col)
+    return basis
+
+
+def _scaled(a: dict, s: int, e: int) -> dict:
+    """s * a, entries mod e, zeros dropped."""
+    return {i: s * x % e for i, x in a.items() if s * x % e}
+
+
+def _combine(a: dict, s: int, b: dict, t: int, e: int) -> dict:
+    """s * a + t * b, entries mod e, zeros dropped."""
+    out = _scaled(a, s, e)
+    _axpy(out, t, b, e)
+    return out

@@ -15,9 +15,9 @@ from twostage.abelian import (
     kernel_subgroup,
 )
 from twostage.errors import SizeBoundError, ValidationError
-from twostage.linalg import IntMatrix, smith_normal_form
+from twostage.linalg import IntMatrix, column_hermite, hstack, integer_kernel, smith_normal_form
 
-from helpers import enumerate_homs_bruteforce, homology_bruteforce
+from helpers import enumerate_homs_bruteforce, homology_bruteforce, random_unimodular
 
 
 def test_snf_permutation_fast_path():
@@ -294,6 +294,77 @@ class TestCochainComplex:
                 )
                 assert fast.free_rank == 0
             built += 1
+
+
+def _numerator_over_z(f: AbHom) -> IntMatrix:
+    """The preimage lattice by the Z route: project ker [F | -R], then Hermite."""
+    full = integer_kernel(hstack(f.matrix, -f.target.presentation))
+    return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
+
+
+def _finite_target(rng, exponent):
+    """A finite group of the given exponent on a random, mostly non-diagonal, relation basis."""
+    divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
+    factors = sorted([exponent] + [rng.choice(divisors) for _ in range(rng.randint(0, 2))])
+    n = len(factors)
+    diag = IntMatrix.from_rows([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+    return FgAbGroup(random_unimodular(rng, n) @ diag @ random_unimodular(rng, n))
+
+
+class TestModularNumerator:
+    """The numerator of kernels and homology, computed mod the target's
+    exponent, is the Hermite basis the Z route gives, entry for entry, and
+    its forward substitution agrees with a Smith solve."""
+
+    def _check(self, f: AbHom, rng) -> None:
+        sub = kernel_subgroup(f)
+        assert sub.basis == _numerator_over_z(f)
+        dec = smith_normal_form(sub.basis)
+        m = f.source.ngens
+        vectors = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(4)]
+        vectors += [sub.basis.apply([rng.randint(-3, 3) for _ in range(sub.basis.cols)]) for _ in range(2)]
+        for v in vectors:
+            expected = dec.solve(v)
+            got = sub.coefficients(v)
+            assert (got is None) == (expected is None), v
+            if got is not None:
+                assert got == expected
+
+    def test_matches_the_integer_route(self):
+        rng = random.Random(7)
+        cases = 0
+        for exponent in (2, 4, 8, 6, 12):
+            for trial in range(44):
+                target = _finite_target(rng, exponent)
+                m = rng.randint(0, 5)
+                if trial % 6 == 0:
+                    matrix = IntMatrix.zeros(target.ngens, m)
+                else:
+                    matrix = IntMatrix(target.ngens, m, [rng.randint(-exponent, exponent) for _ in range(target.ngens * m)])
+                self._check(AbHom(FgAbGroup.free(m), target, matrix), rng)
+                cases += 1
+        rebased = FgAbGroup(IntMatrix.from_columns([[-2, 0], [2, 2]]))
+        trivial_targets = [FgAbGroup.trivial(), FgAbGroup(IntMatrix.from_rows([[1, 1], [0, 1]]))]
+        # Z summands take the integer route; its bases are not of full rank.
+        infinite_targets = [FgAbGroup.from_cyclic_factors([0, 4]), FgAbGroup.free(1)]
+        for trial in range(24):
+            m = trial % 4
+            for target in [rebased, *trivial_targets, *infinite_targets]:
+                matrix = IntMatrix(target.ngens, m, [rng.randint(-3, 3) for _ in range(target.ngens * m)])
+                self._check(AbHom(FgAbGroup.free(m), target, matrix), rng)
+                cases += 1
+        assert cases >= 200
+
+    def test_edge_shapes(self):
+        rng = random.Random(0)
+        z2 = FgAbGroup.cyclic(2)
+        sub = kernel_subgroup(AbHom(FgAbGroup.free(0), z2, IntMatrix.zeros(1, 0)))
+        assert sub.basis.shape == (0, 0) and sub.group.is_trivial
+        sub = kernel_subgroup(AbHom(FgAbGroup.free(3), FgAbGroup.trivial(), IntMatrix.zeros(0, 3)))
+        assert sub.basis == IntMatrix.identity(3)
+        sub = kernel_subgroup(AbHom.zero(FgAbGroup.free(2), FgAbGroup.cyclic(12)))
+        assert sub.basis == IntMatrix.identity(2)
+        self._check(AbHom(FgAbGroup.free(2), z2, IntMatrix.from_rows([[1, 1]])), rng)
 
 
 class TestDirectSum:

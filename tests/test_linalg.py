@@ -7,6 +7,7 @@ from twostage.linalg import (
     IntMatrix,
     block_diag,
     column_hermite,
+    congruence_kernel,
     hstack,
     integer_kernel,
     kronecker,
@@ -165,6 +166,25 @@ class TestIntegerKernel:
             m = IntMatrix(r, c, [rng.randint(-5, 5) for _ in range(r * c)])
             p = random_unimodular(rng, r)
             assert integer_kernel(m) == integer_kernel(p @ m)
+
+
+class TestCongruenceKernel:
+    def test_worked_example(self):
+        # x + y even and 3y = 0 mod 6 (y even) leave x and y both even.
+        k = congruence_kernel([([1, 1], 2), ([0, 3], 6)], 2)
+        assert k == IntMatrix.from_columns([[2, 0], [0, 2]])
+        k = congruence_kernel([([1, 1], 2)], 2)
+        assert k == IntMatrix.from_columns([[1, 1], [0, 2]])
+
+    def test_no_congruences_and_no_columns(self):
+        assert congruence_kernel([], 3) == IntMatrix.identity(3)
+        assert congruence_kernel([((), 4)], 0).shape == (0, 0)
+
+    def test_rejects_bad_congruences(self):
+        with pytest.raises(ValueError):
+            congruence_kernel([([1, 1], 0)], 2)
+        with pytest.raises(ValueError):
+            congruence_kernel([([1], 2)], 2)
 
 
 class TestHermite:
