@@ -506,9 +506,8 @@ class CochainComplex:
             if not f.source.same_presentation(groups[k]) or not f.target.same_presentation(groups[k + 1]):
                 raise ValueError(f"map {k} does not connect group {k} to group {k + 1}")
         for k in range(len(maps) - 1):
-            composite = maps[k + 1].matrix @ maps[k].matrix
-            for j in range(composite.cols):
-                if not groups[k + 2].is_zero(composite.column(j)):
+            for j in range(maps[k].matrix.cols):
+                if not groups[k + 2].is_zero(_apply_sparse(maps[k + 1].matrix, maps[k].matrix.column(j))):
                     raise ValidationError(
                         Violation(
                             "complex.maps",

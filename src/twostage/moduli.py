@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, ext_group, hom_group
-from .cohomology import DEFAULT_MAX_RANK, cohomology_range, derivations
+from .abelian import FgAbGroup, ext_group, hom_group, kernel_subgroup
+from .cohomology import DEFAULT_MAX_RANK, Derivations, cohomology_range
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
 from .pialgebra import (
@@ -141,7 +141,7 @@ def moduli_case_a(
     n = algebra.n
     module = algebra.an
     ladder = cohomology_range(module, n + 1, max_rank=max_rank)
-    der = derivations(module, max_rank=max_rank)
+    der = Derivations(module, kernel_subgroup(ladder[1].differential))
     aut = pi_aut(algebra, max_group_aut=max_group_aut, max_endos=max_endos)
 
     top = ladder[n + 1]

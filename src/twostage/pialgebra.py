@@ -8,7 +8,9 @@ n+1 (n >= 2), glued by the map q induced by precomposition with the Hopf
 map: a homomorphism out of A_n/2A_n in the stable range n >= 3, and a
 quadratic function on elements when n = 2.
 
-``pi_aut`` computes the group of compatible automorphism pairs, and
+``pi_aut`` computes the group of compatible automorphism pairs, each
+held as one permutation of the stages' elements, so that bijectivity,
+compatibility and composition are all read off permutations; and
 ``act_on_kinvariants`` transports cohomology classes along a pair, which
 is the action whose orbits count homotopy types.
 """
@@ -16,6 +18,7 @@ is the action whose orbits count homotopy types.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,16 +83,7 @@ class QuadraticMap:
         values: Sequence[Sequence[int]],
         max_order: int = DEFAULT_MAX_QUADRATIC_ORDER,
     ):
-        if not source.is_finite:
-            raise ValidationError(
-                Violation("q.source", "quadratic maps require a finite source group")
-            )
-        if source.order > max_order:
-            raise SizeBoundError(
-                "source too large for exhaustive quadratic validation",
-                requested=source.order,
-                bound=max_order,
-            )
+        _check_enumerable(source, max_order)
         coords_list = source.element_coords()
         if len(values) != len(coords_list):
             raise ValidationError(
@@ -109,36 +103,17 @@ class QuadraticMap:
         self.source = source
         self.target = target
         self.values = tuple(vals)
-        moduli = source.coordinate_moduli()
-        strides = [0] * len(moduli)
-        acc = 1
-        for i in range(len(moduli) - 1, -1, -1):
-            strides[i] = acc
-            acc *= moduli[i]
-        self._strides = tuple(strides)
+        self._strides = _strides(source)
         self._check_cross_effect()
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup, max_order: int = DEFAULT_MAX_QUADRATIC_ORDER) -> "QuadraticMap":
-        if not source.is_finite:
-            raise ValidationError(
-                Violation("q.source", "quadratic maps require a finite source group")
-            )
-        count = source.order
-        if count > max_order:
-            raise SizeBoundError(
-                "source too large for exhaustive quadratic validation",
-                requested=count,
-                bound=max_order,
-            )
-        return cls(source, target, [(0,) * target.ngens] * count, max_order=max_order)
-
-    def _index(self, coords: Sequence[int]) -> int:
-        return sum(c * s for c, s in zip(coords, self._strides))
+        _check_enumerable(source, max_order)
+        return cls(source, target, [(0,) * target.ngens] * source.order, max_order=max_order)
 
     def __call__(self, vec: Sequence[int]) -> tuple[int, ...]:
         """q(x) in target generator coordinates; x in source generator coordinates."""
-        return self.values[self._index(self.source.reduce(vec))]
+        return self.values[sum(c * s for c, s in zip(self.source.reduce(vec), self._strides))]
 
     def cross_effect(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         s = [a + b for a, b in zip(x, y)]
@@ -175,6 +150,16 @@ class QuadraticMap:
 
     def __repr__(self):
         return f"QuadraticMap({self.source.symbol()} -> {self.target.symbol()})"
+
+
+def _check_enumerable(source: FgAbGroup, max_order: int):
+    """Refuse a source that exhaustive validation of q cannot go through."""
+    if not source.is_finite:
+        raise ValidationError(Violation("q.source", "quadratic maps require a finite source group"))
+    if source.order > max_order:
+        raise SizeBoundError(
+            "source too large for exhaustive quadratic validation", requested=source.order, bound=max_order
+        )
 
 
 class TwoStageDimNN1:
@@ -231,42 +216,73 @@ class TwoStageDimNN1:
 
 class AutPairA:
     """(phi, psi): a group automorphism and a compatible coefficient
-    automorphism, psi(g.m) = phi(g).psi(m)."""
+    automorphism, psi(g.m) = phi(g).psi(m).  As one permutation,
+    ``points`` is phi on A_1, then psi on A_n numbered from |A_1| on."""
 
-    __slots__ = ("phi", "psi")
+    __slots__ = ("phi", "psi", "points")
 
     def __init__(self, phi: tuple[int, ...], psi: AbHom):
         self.phi = tuple(phi)
         self.psi = psi
+        self.points = self.phi + tuple(len(self.phi) + y for y in _element_map(psi))
 
     def key(self):
         return (self.phi, self.psi.canonical_key())
 
-    def compose(self, other: "AutPairA") -> "AutPairA":
-        phi = tuple(self.phi[g] for g in other.phi)
-        return AutPairA(phi, self.psi @ other.psi)
+    def generator_points(self) -> tuple[int, ...]:
+        # all of A_1, then the canonical generators of A_n
+        k = len(self.phi)
+        return tuple(range(k)) + tuple(k + s for s in _strides(self.psi.source))
 
     def __repr__(self):
         return f"AutPairA(phi={self.phi}, psi={self.psi.canonical_key()})"
 
 
 class AutPairB:
-    """(psi_n, psi_n1): automorphisms of the two stages commuting with q."""
+    """(psi_n, psi_n1): automorphisms of the two stages commuting with q.
+    As one permutation, ``points`` is psi_n on A_n, then psi_n1 on
+    A_(n+1) numbered from |A_n| on."""
 
-    __slots__ = ("psi_n", "psi_n1")
+    __slots__ = ("psi_n", "psi_n1", "points")
 
     def __init__(self, psi_n: AbHom, psi_n1: AbHom):
         self.psi_n = psi_n
         self.psi_n1 = psi_n1
+        self.points = _element_map(psi_n) + tuple(psi_n.source.order + y for y in _element_map(psi_n1))
 
     def key(self):
         return (self.psi_n.canonical_key(), self.psi_n1.canonical_key())
 
-    def compose(self, other: "AutPairB") -> "AutPairB":
-        return AutPairB(self.psi_n @ other.psi_n, self.psi_n1 @ other.psi_n1)
+    def generator_points(self) -> tuple[int, ...]:
+        # the canonical generators of A_n, then those of A_(n+1)
+        an = self.psi_n.source
+        return _strides(an) + tuple(an.order + s for s in _strides(self.psi_n1.source))
 
     def __repr__(self):
         return f"AutPairB({self.psi_n.canonical_key()}, {self.psi_n1.canonical_key()})"
+
+
+def _strides(group: FgAbGroup) -> tuple[int, ...]:
+    """Place values of canonical coordinates in ``element_coords()`` order;
+    the i-th is the position of the i-th canonical generator."""
+    factors = group.invariant_factors
+    return tuple(math.prod(factors[i + 1 :]) for i in range(len(factors)))
+
+
+def _element_map(f: AbHom) -> tuple[int, ...]:
+    """A homomorphism of finite groups as the positions, in the target's
+    ``element_coords()`` order, of the images of the source's elements in
+    that order.  The elements run through their coordinates in mixed
+    radix, so adding each canonical generator's image, one factor at a
+    time, lists every image: only the generators are mapped."""
+    source, target = f.source, f.target
+    moduli = target.invariant_factors
+    images = [(0,) * len(moduli)]
+    for d, unit in zip(source.invariant_factors, IntMatrix.identity(len(source.invariant_factors)).data):
+        step = target.reduce(f(source.lift(unit)))
+        images = [tuple((a + k * b) % m for a, b, m in zip(c, step, moduli)) for c in images for k in range(d)]
+    strides = _strides(target)
+    return tuple(sum(a * s for a, s in zip(c, strides)) for c in images)
 
 
 @dataclass(frozen=True)
@@ -279,33 +295,34 @@ class SymbolicAut:
 
 class PiAut:
     """The finite group of compatible automorphism pairs, with its
-    composition table; identity at a known index."""
+    composition table; identity at a known index.
+
+    Pairs compose as permutations of the stages' elements, (p s)(x) =
+    p.points[s.points[x]].  A pair and its permutation determine each
+    other, and so do its images of the stages' generators
+    (``generator_points``); composites are looked up by those.  So the
+    duplicate, closure and identity checks keep their meaning.
+    """
 
     __slots__ = ("case", "elements", "table", "identity_index")
 
     def __init__(self, case: str, elements: Sequence):
         elements = sorted(elements, key=lambda p: p.key())
-        index = {p.key(): i for i, p in enumerate(elements)}
+        gens = elements[0].generator_points() if elements else ()
+        keys = [tuple([p.points[x] for x in gens]) for p in elements]
+        index = {k: i for i, k in enumerate(keys)}
         if len(index) != len(elements):
             raise InternalConsistencyError("duplicate automorphism pairs")
         table = []
         for p in elements:
-            row = []
-            for s in elements:
-                k = p.compose(s).key()
-                if k not in index:
-                    raise InternalConsistencyError("automorphism pairs are not closed under composition")
-                row.append(index[k])
-            table.append(tuple(row))
+            row = tuple([index.get(tuple([p.points[x] for x in k])) for k in keys])
+            if None in row:
+                raise InternalConsistencyError("automorphism pairs are not closed under composition")
+            table.append(row)
         self.case = case
         self.elements = tuple(elements)
         self.table = tuple(table)
-        ident = None
-        n = len(elements)
-        for i in range(n):
-            if all(self.table[i][j] == j and self.table[j][i] == j for j in range(n)):
-                ident = i
-                break
+        ident = next((i for i, p in enumerate(elements) if p.points == tuple(range(len(p.points)))), None)
         if ident is None:
             raise InternalConsistencyError("no identity among the automorphism pairs")
         self.identity_index = ident
@@ -318,23 +335,20 @@ class PiAut:
         return self.table[i][j]
 
     def inverse(self, i: int) -> int:
-        for j in range(len(self.elements)):
-            if self.table[i][j] == self.identity_index:
-                return j
-        raise InternalConsistencyError("element without inverse in automorphism group")
+        # closure makes every row a permutation of the pairs
+        return self.table[i].index(self.identity_index)
 
     def __repr__(self):
         return f"PiAut(case {self.case}, order {self.order})"
 
 
 def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) -> list[AbHom]:
-    """All automorphisms of a finite abelian group, sorted canonically."""
+    """All automorphisms of a finite abelian group, sorted canonically:
+    the endomorphisms that permute its elements."""
     if not group.is_finite:
         raise SizeBoundError("cannot enumerate automorphisms of an infinite group")
     endos = hom_group(group, group).all_homs(max_endos)
-    autos = [f for f in endos if f.is_bijective()]
-    autos.sort(key=lambda f: f.canonical_key())
-    return autos
+    return sorted((f for f in endos if len(set(_element_map(f))) == group.order), key=AbHom.canonical_key)
 
 
 def pi_aut(
@@ -355,16 +369,17 @@ def pi_aut(
 
 
 def _pi_aut_case_a(algebra: TwoStageDim1N, max_group_aut: int, max_endos: int) -> PiAut:
-    group = algebra.a1
-    module = algebra.an
-    base = module.base
-    group_autos = automorphism_group(group, max_order=max_group_aut)
-    base_autos = abelian_automorphisms(base, max_endos=max_endos)
-    action = [AbHom(base, base, m) for m in module.action]
+    base = algebra.an.base
+    group_autos = automorphism_group(algebra.a1, max_order=max_group_aut)
+    # (phi, psi) is kept when psi g = phi(g) psi on every element of A_n.
+    actions = [_element_map(AbHom(base, base, m)) for m in algebra.an.action]
     pairs = []
-    for phi in group_autos:
-        for psi in base_autos:
-            if all((psi @ action[g]).equals(action[phi[g]] @ psi) for g in range(group.order)):
+    for psi in abelian_automorphisms(base, max_endos=max_endos):
+        points = _element_map(psi)
+        psi_g = [[points[y] for y in a] for a in actions]
+        g_psi = [[a[y] for y in points] for a in actions]
+        for phi in group_autos:
+            if all(psi_g[g] == g_psi[h] for g, h in enumerate(phi)):
                 pairs.append(AutPairA(phi, psi))
     return PiAut("A", pairs)
 
@@ -373,19 +388,16 @@ def _pi_aut_case_b(algebra: TwoStageDimNN1, max_endos: int) -> PiAut | SymbolicA
     an, an1, q = algebra.an, algebra.an1, algebra.q
     if not (an.is_finite and an1.is_finite):
         return SymbolicAut(_symbolic_description(algebra))
+    # (f, g) is kept when g q = q f on every element of A_n, quadratic q or not.
+    strides = _strides(an1)
+    q_points = [sum(a * s for a, s in zip(an1.reduce(q(x)), strides)) for x in an.elements()]
     autos_n = abelian_automorphisms(an, max_endos=max_endos)
-    autos_n1 = abelian_automorphisms(an1, max_endos=max_endos)
-    # (f, g) is kept when g q = q f.  For n = 2, q is quadratic and is
-    # compared on every element of A_n; for n >= 3 it is additive, so the
-    # generators of A_n suffice.
-    points = an.elements() if algebra.n == 2 else IntMatrix.identity(an.ngens).data
-    q_points = [q(x) for x in points]
+    q_f = [[q_points[y] for y in _element_map(f)] for f in autos_n]
     pairs = []
-    for f in autos_n:
-        q_f = [an1.reduce(q(f(x))) for x in points]
-        for g in autos_n1:
-            if all(an1.reduce(g(qx)) == y for qx, y in zip(q_points, q_f)):
-                pairs.append(AutPairB(f, g))
+    for g in abelian_automorphisms(an1, max_endos=max_endos):
+        points = _element_map(g)
+        g_q = [points[y] for y in q_points]
+        pairs.extend(AutPairB(f, g) for f, qf in zip(autos_n, q_f) if qf == g_q)
     return PiAut("B", pairs)
 
 
@@ -418,36 +430,26 @@ def act_on_kinvariants(
     """
     if coh.module is not algebra.an:
         raise ValueError("cohomology group does not belong to this algebra's module")
-    group = algebra.a1
-    n = group.order
-    phi = pair.phi
-    phi_inv = [0] * n
-    for g, image in enumerate(phi):
-        phi_inv[image] = g
-    psi_matrix = pair.psi.matrix
+    phi_inv = sorted(range(algebra.a1.order), key=pair.phi.__getitem__)
     classes = coh.classes()
     position = {c: i for i, c in enumerate(classes)}
-    degree = coh.degree
     images = []
     for c in classes:
-        z = coh.cocycle_at(c)
-        moved = _transport_cocycle(z, phi_inv, psi_matrix, n, degree)
-        if not coh.is_cocycle(moved):
+        moved = _transport_cocycle(coh.cocycle_at(c), phi_inv, pair.psi.matrix)
+        try:
+            images.append(position[coh.class_of(moved)])
+        except ValueError:
             raise InternalConsistencyError(
                 "transported representative is not a cocycle; transport is broken"
-            )
-        images.append(position[coh.class_of(moved)])
+            ) from None
     perm = tuple(images)
     if sorted(perm) != list(range(len(classes))):
         raise InternalConsistencyError("transport did not permute the classes")
     return perm
 
 
-def _transport_cocycle(
-    z: Cocycle, phi_inv: Sequence[int], psi_matrix: IntMatrix, n: int, degree: int
-) -> Cocycle:
+def _transport_cocycle(z: Cocycle, phi_inv: Sequence[int], psi_matrix: IntMatrix) -> Cocycle:
     out = []
-    for t in itertools.product(range(1, n), repeat=degree):
-        source = tuple(phi_inv[g] for g in t)
-        out.extend(psi_matrix.apply(z.value(source)))
-    return Cocycle(z.module, degree, out)
+    for t in itertools.product(range(1, len(phi_inv)), repeat=z.degree):
+        out.extend(psi_matrix.apply(z.value(tuple(phi_inv[g] for g in t))))
+    return Cocycle(z.module, z.degree, out)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from twostage.abelian import FgAbGroup
+from twostage.abelian import AbHom, FgAbGroup, hom_group
+from twostage.groups import automorphism_group
 from twostage.linalg import IntMatrix
+from twostage.pialgebra import TwoStageDim1N
 
 
 def det_leibniz(m: IntMatrix) -> int:
@@ -304,3 +306,56 @@ def abelianization(group) -> FgAbGroup:
                 col[p - 1] -= 1
             cols.append(col)
     return FgAbGroup(IntMatrix.from_columns(cols, rows=n - 1))
+
+
+def reference_abelian_automorphisms(group, max_endos: int = 4096) -> list:
+    """Automorphisms of a finite abelian group by the Smith-form test:
+    the endomorphisms whose cokernel and kernel are trivial."""
+    endos = hom_group(group, group).all_homs(max_endos)
+    return sorted((f for f in endos if f.is_bijective()), key=lambda f: f.canonical_key())
+
+
+def reference_pi_aut(algebra) -> tuple[list, list, int]:
+    """(sorted pair keys, composition table, identity index) of the
+    compatible automorphism pairs, by homomorphism products throughout:
+    compatibility by ``AbHom`` products compared with ``equals``, the
+    table by composing pairs and looking up their keys, and the identity
+    by a scan of the table."""
+    if isinstance(algebra, TwoStageDim1N):
+        base = algebra.an.base
+        action = [AbHom(base, base, m) for m in algebra.an.action]
+        pairs = [
+            (phi, psi)
+            for phi in automorphism_group(algebra.a1)
+            for psi in reference_abelian_automorphisms(base)
+            if all((psi @ action[g]).equals(action[h] @ psi) for g, h in enumerate(phi))
+        ]
+
+        def key(pair):
+            return (pair[0], pair[1].canonical_key())
+
+        def compose(p, s):
+            return (tuple(p[0][g] for g in s[0]), p[1] @ s[1])
+    else:
+        an, an1, q = algebra.an, algebra.an1, algebra.q
+        elements = an.elements()
+        pairs = [
+            (f, g)
+            for f in reference_abelian_automorphisms(an)
+            for g in reference_abelian_automorphisms(an1)
+            if all(an1.reduce(g(q(x))) == an1.reduce(q(f(x))) for x in elements)
+        ]
+
+        def key(pair):
+            return (pair[0].canonical_key(), pair[1].canonical_key())
+
+        def compose(p, s):
+            return (p[0] @ s[0], p[1] @ s[1])
+
+    pairs.sort(key=key)
+    keys = [key(p) for p in pairs]
+    index = {k: i for i, k in enumerate(keys)}
+    table = [[index[key(compose(p, s))] for s in pairs] for p in pairs]
+    n = len(pairs)
+    identity = next(i for i in range(n) if all(table[i][j] == j == table[j][i] for j in range(n)))
+    return keys, table, identity

@@ -225,6 +225,19 @@ class TestCochainComplex:
         with pytest.raises(ValidationError):
             CochainComplex([z, z, z], [ident, ident])
 
+    def test_nonzero_composite_names_its_position_and_generator(self):
+        z2 = FgAbGroup.cyclic(2)
+        z4 = FgAbGroup.cyclic(4)
+        zero = AbHom.zero(z2, z2)
+        double = AbHom(z2, z4, IntMatrix.from_rows([[2]]))
+        ident = AbHom.identity(z4)
+        with pytest.raises(ValidationError) as info:
+            CochainComplex([z2, z2, z4, z4], [zero, double, ident])
+        violation = info.value.violations[0]
+        assert violation.field == "complex.maps"
+        assert violation.message == "d2 after d1 is nonzero"
+        assert violation.witness == {"position": 1, "generator": 0}
+
     def test_multiplication_by_two(self):
         z = FgAbGroup.free(1)
         doubling = AbHom(z, z, IntMatrix.from_rows([[2]]))

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from twostage.abelian import FgAbGroup, hom_group
+from twostage.abelian import FgAbGroup, hom_group, kernel_subgroup
 from twostage.cohomology import (
     Cocycle,
+    Derivations,
     bar_complex,
     cohomology,
+    cohomology_range,
     derivations,
     oracle_cohomology,
 )
@@ -357,3 +359,20 @@ def test_cohomology_invariant_under_relabeling():
     tw_rel = relabel_module(tw, (0, 2, 1))
     for k in range(3):
         assert cohomology(tw, k).group.normal_form == cohomology(tw_rel, k).group.normal_form
+
+
+def test_derivations_from_a_ladder_differential_match_derivations():
+    # moduli_case_a reads Der off the ladder's d1 instead of building a
+    # second complex; the kernel must come out the same.
+    modules = [
+        cyclic_module(FiniteGroup.cyclic(2), 3, 2),
+        cyclic_module(FiniteGroup.cyclic(3), 3, 1),
+        cyclic_module(FiniteGroup.cyclic(4), 5, 2),
+        GModule.trivial(FiniteGroup.from_cyclic_factors([2, 2]), FgAbGroup.from_cyclic_factors([2, 2])),
+    ]
+    for m in modules:
+        ladder = cohomology_range(m, 3)
+        got = Derivations(m, kernel_subgroup(ladder[1].differential))
+        want = derivations(m)
+        assert got.group.same_presentation(want.group)
+        assert [z.vector for z in got.representatives] == [z.vector for z in want.representatives]

@@ -3,12 +3,16 @@ k-invariant classes."""
 
 import pytest
 
+from twostage import pialgebra
 from twostage.abelian import AbHom, FgAbGroup
-from twostage.cohomology import cohomology
-from twostage.errors import SizeBoundError, ValidationError
+from twostage.cohomology import Cocycle, cohomology
+from twostage.errors import InternalConsistencyError, SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
 from twostage.pialgebra import (
+    AutPairA,
+    AutPairB,
+    PiAut,
     QuadraticMap,
     SymbolicAut,
     TwoStageDim1N,
@@ -17,6 +21,8 @@ from twostage.pialgebra import (
     act_on_kinvariants,
     pi_aut,
 )
+
+from helpers import reference_abelian_automorphisms, reference_pi_aut
 
 
 def trivial_alg(group_order, base_order, n=2):
@@ -255,3 +261,164 @@ def test_action_requires_matching_module():
     aut = pi_aut(alg)
     with pytest.raises(ValueError):
         act_on_kinvariants(alg, aut.elements[0], H_other)
+
+
+# -- pairs as permutations of elements ----------------------------------------
+
+
+def klein_alg(base_factors, action=None):
+    """C2 x C2 over a module; ``action`` maps an element to its matrix."""
+    group = FiniteGroup.from_cyclic_factors([2, 2])
+    base = FgAbGroup.from_cyclic_factors(base_factors)
+    if action is None:
+        return TwoStageDim1N(2, GModule.trivial(group, base))
+    return TwoStageDim1N(2, GModule(group, base, [action(g) for g in range(group.order)]))
+
+
+def swap_outside(h):
+    """C2 x C2 on (Z/2)^2: the elements outside {0, h} swap the factors."""
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    return lambda g: IntMatrix.identity(2) if g in (0, h) else swap
+
+
+def power_action_alg():
+    """C4 on Z/5, the generator acting by 2, a faithful action."""
+    return TwoStageDim1N(
+        2, GModule(FiniteGroup.cyclic(4), FgAbGroup.cyclic(5), [IntMatrix.from_rows([[2**k]]) for k in range(4)])
+    )
+
+
+def swap_two_alg():
+    """C2 on (Z/2)^3 swapping the first two factors; the centralizer of
+    the swap in GL_3(F_2) is not abelian."""
+    swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    return TwoStageDim1N(
+        2, GModule(FiniteGroup.cyclic(2), FgAbGroup.from_cyclic_factors([2, 2, 2]), [IntMatrix.identity(3), swap])
+    )
+
+
+def stable_alg(n, an, an1, q=None):
+    an, an1 = FgAbGroup.from_cyclic_factors(an), FgAbGroup.from_cyclic_factors(an1)
+    if q is not None:
+        q = QuadraticMap(an, an1, q) if n == 2 else AbHom(an.modulo(2), an1, IntMatrix.from_rows(q))
+    return TwoStageDimNN1(n, an, an1, q)
+
+
+PAIR_CASES = {
+    "A trivial C3 Z/3": lambda: trivial_alg(3, 3),
+    "A trivial C4 Z/2": lambda: trivial_alg(4, 2),
+    "A negation C2 Z/3": negation_alg,
+    "A trivial C2xC2 (Z/2)^2": lambda: klein_alg([2, 2]),
+    "A swap C2xC2 (Z/2)^2": lambda: klein_alg([2, 2], swap_outside(1)),
+    "A power C4 Z/5": power_action_alg,
+    "A swap C2 (Z/2)^3": swap_two_alg,
+    "A trivial C2 Z/4xZ/2": lambda: TwoStageDim1N(
+        2, GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.from_cyclic_factors([4, 2]))
+    ),
+    "B n=2 q on Z/2 into Z/4": lambda: stable_alg(2, [2], [4], [(0,), (1,)]),
+    "B n=2 q = xy on (Z/2)^2": lambda: stable_alg(2, [2, 2], [2], [(0,), (0,), (0,), (1,)]),
+    "B n=2 zero q on Z/4": lambda: stable_alg(2, [4], [2]),
+    "B n=3 reduction Z/4 to Z/2": lambda: stable_alg(3, [4], [2], [[1]]),
+    "B n=3 first coordinate of (Z/2)^3": lambda: stable_alg(3, [2, 2, 2], [2], [[1, 0, 0]]),
+    "B n=3 identity on (Z/2)^2": lambda: stable_alg(3, [2, 2], [2, 2], [[1, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+def test_pi_aut_matches_the_homomorphism_reference(name):
+    alg = PAIR_CASES[name]()
+    aut = pi_aut(alg)
+    keys, table, identity = reference_pi_aut(alg)
+    assert [p.key() for p in aut.elements] == keys
+    assert [list(row) for row in aut.table] == table
+    assert aut.identity_index == identity
+
+
+def element_positions(group, f):
+    """Where f sends each element of a finite abelian group, found by
+    lifting, mapping and reducing every element."""
+    coords = group.element_coords()
+    position = {c: i for i, c in enumerate(coords)}
+    return [position[group.reduce(f(group.lift(c)))] for c in coords]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+def test_points_are_the_pairs_on_elements(name):
+    alg = PAIR_CASES[name]()
+    aut = pi_aut(alg)
+    for pair in aut.elements:
+        if isinstance(pair, AutPairA):
+            first, second = list(pair.phi), element_positions(alg.an.base, pair.psi)
+        else:
+            first, second = element_positions(alg.an, pair.psi_n), element_positions(alg.an1, pair.psi_n1)
+        assert pair.points == tuple(first + [len(first) + y for y in second])
+        assert sorted(pair.points) == list(range(len(pair.points)))
+    for i, p in enumerate(aut.elements):
+        for j, s in enumerate(aut.elements):
+            composite = tuple(p.points[x] for x in s.points)
+            assert aut.elements[aut.compose(i, j)].points == composite
+
+
+def test_pi_aut_composes_in_order_where_it_is_not_abelian():
+    # Aut(C2 x C2) x GL_2(F_2) = S3 x S3, a centralizer in GL_3(F_2) and
+    # the stabilizer GL_2(F_2) of q = identity: reading the table with the
+    # composition order swapped gives a different table.
+    for alg in (klein_alg([2, 2]), swap_two_alg(), stable_alg(3, [2, 2], [2, 2], [[1, 0], [0, 1]])):
+        aut = pi_aut(alg)
+        swapped = [[aut.table[j][i] for j in range(aut.order)] for i in range(aut.order)]
+        assert swapped != [list(row) for row in aut.table]
+        assert [list(row) for row in aut.table] == reference_pi_aut(alg)[1]
+    assert pi_aut(klein_alg([2, 2])).order == 36
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        FgAbGroup.cyclic(12),
+        FgAbGroup.from_cyclic_factors([4, 2]),
+        FgAbGroup.from_cyclic_factors([2, 2, 2]),
+        FgAbGroup(IntMatrix.from_rows([[-2, 0], [2, 2]])),
+    ],
+    ids=["Z/12", "Z/4xZ/2", "(Z/2)^3", "relations [[-2, 0], [2, 2]]"],
+)
+def test_abelian_automorphisms_match_the_smith_form_filter(group):
+    got = [f.canonical_key() for f in abelian_automorphisms(group)]
+    assert got == [f.canonical_key() for f in reference_abelian_automorphisms(group)]
+
+
+def test_pi_aut_rejects_duplicate_pairs():
+    a = pi_aut(trivial_alg(3, 3)).elements
+    with pytest.raises(InternalConsistencyError, match="^duplicate automorphism pairs$"):
+        PiAut("A", list(a) + [AutPairA(a[1].phi, a[1].psi)])
+    b = pi_aut(stable_alg(3, [4], [2])).elements
+    with pytest.raises(InternalConsistencyError, match="^duplicate automorphism pairs$"):
+        PiAut("B", list(b) + [AutPairB(b[1].psi_n, b[1].psi_n1)])
+
+
+def test_pi_aut_rejects_pairs_not_closed_under_composition():
+    # The identity and a pair p with p p != 1: Aut(Z/5) is cyclic of
+    # order 4, and the stabilizer of the identity q is GL_2(F_2) = S3.
+    for case, alg in (("A", trivial_alg(1, 5)), ("B", stable_alg(3, [2, 2], [2, 2], [[1, 0], [0, 1]]))):
+        aut = pi_aut(alg)
+        p = next(i for i in range(aut.order) if aut.compose(i, i) != aut.identity_index)
+        with pytest.raises(InternalConsistencyError, match="^automorphism pairs are not closed under composition$"):
+            PiAut(case, [aut.elements[aut.identity_index], aut.elements[p]])
+
+
+def test_pi_aut_without_pairs_has_no_identity():
+    with pytest.raises(InternalConsistencyError, match="^no identity among the automorphism pairs$"):
+        PiAut("A", [])
+
+
+def test_transport_to_a_non_cocycle_is_an_internal_error(monkeypatch):
+    alg = trivial_alg(3, 3)
+    H = cohomology(alg.an, 3)
+    width = len(H.cocycle_at((0,)).vector)
+    units = (Cocycle(alg.an, 3, [int(i == j) for j in range(width)]) for i in range(width))
+    broken = next(z for z in units if not H.is_cocycle(z))
+    monkeypatch.setattr(pialgebra, "_transport_cocycle", lambda *args: broken)
+    aut = pi_aut(alg)
+    with pytest.raises(
+        InternalConsistencyError, match="^transported representative is not a cocycle; transport is broken$"
+    ):
+        act_on_kinvariants(alg, aut.elements[aut.identity_index], H)
