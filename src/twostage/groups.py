@@ -173,6 +173,9 @@ class FiniteGroup:
             k += 1
         return k
 
+    def generators(self) -> tuple[int, ...]:
+        return _greedy_generators(self.table)
+
     def relabel(self, perm: Sequence[int]) -> "FiniteGroup":
         """The isomorphic group with element i renamed to perm[i]."""
         n = self.order

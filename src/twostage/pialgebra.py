@@ -111,9 +111,12 @@ class QuadraticMap:
         _check_enumerable(source, max_order)
         return cls(source, target, [(0,) * target.ngens] * source.order, max_order=max_order)
 
+    def _index(self, coords: Sequence[int]) -> int:
+        return sum(c * s for c, s in zip(coords, self._strides))
+
     def __call__(self, vec: Sequence[int]) -> tuple[int, ...]:
         """q(x) in target generator coordinates; x in source generator coordinates."""
-        return self.values[sum(c * s for c, s in zip(self.source.reduce(vec), self._strides))]
+        return self.values[self._index(self.source.reduce(vec))]
 
     def cross_effect(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         s = [a + b for a, b in zip(x, y)]
@@ -215,8 +218,8 @@ class TwoStageDimNN1:
 
 
 class AutPairA:
-    """(phi, psi): a group automorphism and a compatible coefficient
-    automorphism, psi(g.m) = phi(g).psi(m).  As one permutation,
+    """(phi, psi): a group automorphism and a compatible automorphism of
+    the finite A_n, psi(g.m) = phi(g).psi(m).  As one permutation,
     ``points`` is phi on A_1, then psi on A_n numbered from |A_1| on."""
 
     __slots__ = ("phi", "psi", "points")
@@ -239,7 +242,7 @@ class AutPairA:
 
 
 class AutPairB:
-    """(psi_n, psi_n1): automorphisms of the two stages commuting with q.
+    """(psi_n, psi_n1): automorphisms of the two finite stages commuting with q.
     As one permutation, ``points`` is psi_n on A_n, then psi_n1 on
     A_(n+1) numbered from |A_n| on."""
 
@@ -274,15 +277,18 @@ def _element_map(f: AbHom) -> tuple[int, ...]:
     ``element_coords()`` order, of the images of the source's elements in
     that order.  The elements run through their coordinates in mixed
     radix, so adding each canonical generator's image, one factor at a
-    time, lists every image: only the generators are mapped."""
+    time, lists every image: only the generators are mapped.  Each
+    canonical coordinate of the images is listed in turn."""
     source, target = f.source, f.target
-    moduli = target.invariant_factors
-    images = [(0,) * len(moduli)]
-    for d, unit in zip(source.invariant_factors, IntMatrix.identity(len(source.invariant_factors)).data):
-        step = target.reduce(f(source.lift(unit)))
-        images = [tuple((a + k * b) % m for a, b, m in zip(c, step, moduli)) for c in images for k in range(d)]
-    strides = _strides(target)
-    return tuple(sum(a * s for a, s in zip(c, strides)) for c in images)
+    units = IntMatrix.identity(len(source.invariant_factors)).data
+    steps = [target.reduce(f(source.lift(unit))) for unit in units]
+    positions = [0] * source.order
+    for i, (m, stride) in enumerate(zip(target.invariant_factors, _strides(target))):
+        coord = [0]
+        for d, step in zip(source.invariant_factors, steps):
+            coord = [(c + k * step[i]) % m for c in coord for k in range(d)]
+        positions = [p + stride * c for p, c in zip(positions, coord)]
+    return tuple(positions)
 
 
 @dataclass(frozen=True)
@@ -335,8 +341,10 @@ class PiAut:
         return self.table[i][j]
 
     def inverse(self, i: int) -> int:
-        # closure makes every row a permutation of the pairs
-        return self.table[i].index(self.identity_index)
+        for j in range(len(self.elements)):
+            if self.table[i][j] == self.identity_index:
+                return j
+        raise InternalConsistencyError("element without inverse in automorphism group")
 
     def __repr__(self):
         return f"PiAut(case {self.case}, order {self.order})"
@@ -348,7 +356,9 @@ def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) 
     if not group.is_finite:
         raise SizeBoundError("cannot enumerate automorphisms of an infinite group")
     endos = hom_group(group, group).all_homs(max_endos)
-    return sorted((f for f in endos if len(set(_element_map(f))) == group.order), key=AbHom.canonical_key)
+    autos = [f for f in endos if len(set(_element_map(f))) == group.order]
+    autos.sort(key=lambda f: f.canonical_key())
+    return autos
 
 
 def pi_aut(
@@ -369,17 +379,21 @@ def pi_aut(
 
 
 def _pi_aut_case_a(algebra: TwoStageDim1N, max_group_aut: int, max_endos: int) -> PiAut:
-    base = algebra.an.base
-    group_autos = automorphism_group(algebra.a1, max_order=max_group_aut)
+    group = algebra.a1
+    module = algebra.an
+    base = module.base
+    group_autos = automorphism_group(group, max_order=max_group_aut)
+    base_autos = abelian_automorphisms(base, max_endos=max_endos)
     # (phi, psi) is kept when psi g = phi(g) psi on every element of A_n.
-    actions = [_element_map(AbHom(base, base, m)) for m in algebra.an.action]
+    # The bound on base_autos bounds these lists: |A_n| <= |End(A_n)|.
+    action = [_element_map(AbHom(base, base, m)) for m in module.action]
     pairs = []
-    for psi in abelian_automorphisms(base, max_endos=max_endos):
+    for psi in base_autos:
         points = _element_map(psi)
-        psi_g = [[points[y] for y in a] for a in actions]
-        g_psi = [[a[y] for y in points] for a in actions]
+        psi_g = [[points[y] for y in a] for a in action]
+        g_psi = [[a[y] for y in points] for a in action]
         for phi in group_autos:
-            if all(psi_g[g] == g_psi[h] for g, h in enumerate(phi)):
+            if all(psi_g[g] == g_psi[phi[g]] for g in range(group.order)):
                 pairs.append(AutPairA(phi, psi))
     return PiAut("A", pairs)
 
@@ -388,13 +402,15 @@ def _pi_aut_case_b(algebra: TwoStageDimNN1, max_endos: int) -> PiAut | SymbolicA
     an, an1, q = algebra.an, algebra.an1, algebra.q
     if not (an.is_finite and an1.is_finite):
         return SymbolicAut(_symbolic_description(algebra))
-    # (f, g) is kept when g q = q f on every element of A_n, quadratic q or not.
+    autos_n = abelian_automorphisms(an, max_endos=max_endos)
+    autos_n1 = abelian_automorphisms(an1, max_endos=max_endos)
+    # (f, g) is kept when g q = q f on every element of A_n, quadratic q or
+    # not.  The bound on autos_n bounds these lists: |A_n| <= |End(A_n)|.
     strides = _strides(an1)
     q_points = [sum(a * s for a, s in zip(an1.reduce(q(x)), strides)) for x in an.elements()]
-    autos_n = abelian_automorphisms(an, max_endos=max_endos)
     q_f = [[q_points[y] for y in _element_map(f)] for f in autos_n]
     pairs = []
-    for g in abelian_automorphisms(an1, max_endos=max_endos):
+    for g in autos_n1:
         points = _element_map(g)
         g_q = [points[y] for y in q_points]
         pairs.extend(AutPairB(f, g) for f, qf in zip(autos_n, q_f) if qf == g_q)
@@ -430,12 +446,20 @@ def act_on_kinvariants(
     """
     if coh.module is not algebra.an:
         raise ValueError("cohomology group does not belong to this algebra's module")
-    phi_inv = sorted(range(algebra.a1.order), key=pair.phi.__getitem__)
+    group = algebra.a1
+    n = group.order
+    phi = pair.phi
+    phi_inv = [0] * n
+    for g, image in enumerate(phi):
+        phi_inv[image] = g
+    psi_matrix = pair.psi.matrix
     classes = coh.classes()
     position = {c: i for i, c in enumerate(classes)}
+    degree = coh.degree
     images = []
     for c in classes:
-        moved = _transport_cocycle(coh.cocycle_at(c), phi_inv, pair.psi.matrix)
+        z = coh.cocycle_at(c)
+        moved = _transport_cocycle(z, phi_inv, psi_matrix, n, degree)
         try:
             images.append(position[coh.class_of(moved)])
         except ValueError:
@@ -448,8 +472,11 @@ def act_on_kinvariants(
     return perm
 
 
-def _transport_cocycle(z: Cocycle, phi_inv: Sequence[int], psi_matrix: IntMatrix) -> Cocycle:
+def _transport_cocycle(
+    z: Cocycle, phi_inv: Sequence[int], psi_matrix: IntMatrix, n: int, degree: int
+) -> Cocycle:
     out = []
-    for t in itertools.product(range(1, len(phi_inv)), repeat=z.degree):
-        out.extend(psi_matrix.apply(z.value(tuple(phi_inv[g] for g in t))))
-    return Cocycle(z.module, z.degree, out)
+    for t in itertools.product(range(1, n), repeat=degree):
+        source = tuple(phi_inv[g] for g in t)
+        out.extend(psi_matrix.apply(z.value(source)))
+    return Cocycle(z.module, degree, out)

@@ -422,3 +422,21 @@ def test_transport_to_a_non_cocycle_is_an_internal_error(monkeypatch):
         InternalConsistencyError, match="^transported representative is not a cocycle; transport is broken$"
     ):
         act_on_kinvariants(alg, aut.elements[aut.identity_index], H)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        TwoStageDimNN1(3, FgAbGroup.cyclic(10**6), FgAbGroup.cyclic(2)),
+        TwoStageDim1N(2, GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.cyclic(10**6))),
+    ],
+    ids=["B", "A"],
+)
+def test_pi_aut_refuses_a_large_stage_before_listing_its_elements(alg, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed the elements of a stage before the max_endos bound")
+
+    monkeypatch.setattr(pialgebra, "_element_map", refuse)
+    monkeypatch.setattr(FgAbGroup, "elements", refuse)
+    with pytest.raises(SizeBoundError):
+        pi_aut(alg)
