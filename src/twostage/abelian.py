@@ -283,29 +283,6 @@ class AbHom:
     def is_injective(self) -> bool:
         return kernel_subgroup(self).group.is_trivial
 
-    def is_bijective(self) -> bool:
-        return self.is_surjective() and self.is_injective()
-
-    def inverse(self) -> "AbHom":
-        """The two-sided inverse of an isomorphism.
-
-        Solves f(x_j) = e_j for each target generator over the lattice
-        spanned by the matrix columns and the target relations; a right
-        inverse of an injective map is automatically two-sided.
-        """
-        if not self.is_bijective():
-            raise ValueError("homomorphism is not invertible")
-        dec = smith_normal_form(hstack(self.matrix, self.target.presentation))
-        cols = []
-        for j in range(self.target.ngens):
-            e = [0] * self.target.ngens
-            e[j] = 1
-            sol = dec.solve(e)
-            if sol is None:
-                raise ValueError("homomorphism is not invertible")
-            cols.append(sol[: self.source.ngens])
-        return AbHom(self.target, self.source, IntMatrix.from_columns(cols, rows=self.source.ngens))
-
     def __repr__(self):
         return f"AbHom({self.source.symbol()} -> {self.target.symbol()})"
 

@@ -44,11 +44,6 @@ DEFAULT_MAX_RANK = 20_000
 DEFAULT_MAX_ENUMERATION = 2 ** 20
 
 
-def _tuples(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-tuples of non-identity element indices, lexicographic."""
-    return list(itertools.product(range(1, n), repeat=k))
-
-
 def _tuple_index(t: Sequence[int], n: int) -> int:
     idx = 0
     for g in t:
@@ -86,18 +81,6 @@ class Cocycle:
             return (0,) * mb
         block = _tuple_index(t, n) * mb
         return self.vector[block : block + mb]
-
-    def as_dict(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        n = self.module.group.order
-        return {t: self.value(t) for t in _tuples(n, self.degree)}
-
-    def __add__(self, other: "Cocycle") -> "Cocycle":
-        if self.module is not other.module or self.degree != other.degree:
-            raise ValueError("cochain mismatch")
-        return Cocycle(self.module, self.degree, [a + b for a, b in zip(self.vector, other.vector)])
-
-    def scale(self, c: int) -> "Cocycle":
-        return Cocycle(self.module, self.degree, [c * x for x in self.vector])
 
     def __repr__(self):
         return f"Cocycle(degree {self.degree}, {self.module!r})"

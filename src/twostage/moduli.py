@@ -32,6 +32,7 @@ from .pialgebra import (
     SymbolicAut,
     TwoStageDim1N,
     TwoStageDimNN1,
+    _strides,
     act_on_kinvariants,
     pi_aut,
 )
@@ -70,7 +71,6 @@ class Orbit:
 @dataclass(frozen=True)
 class OrbitDecomposition:
     classes: tuple[tuple[int, ...], ...]
-    permutations: tuple[tuple[int, ...], ...]
     orbits: tuple[Orbit, ...]
 
 
@@ -147,7 +147,7 @@ def moduli_case_a(
     top = ladder[n + 1]
     classes = top.classes()
     perms = tuple(act_on_kinvariants(algebra, pair, top) for pair in aut.elements)
-    _check_action_laws(aut, perms, len(classes))
+    _check_action_laws(aut, perms, _strides(top.group))
 
     orbits = _orbits(classes, perms)
     _require(sum(o.size for o in orbits) == len(classes), "orbit sizes do not sum to |H^(n+1)|")
@@ -218,7 +218,7 @@ def moduli_case_a(
         aut_order=aut.order,
         aut_description=f"compatible automorphism pairs (phi, psi), order {aut.order}",
         cohomology_table=table,
-        orbit_decomposition=OrbitDecomposition(tuple(classes), perms, orbits),
+        orbit_decomposition=OrbitDecomposition(tuple(classes), orbits),
         tree=tree,
         notes=notes,
     )
@@ -296,15 +296,17 @@ def moduli_case_b(
     return report
 
 
-def _check_action_laws(aut: PiAut, perms: tuple[tuple[int, ...], ...], width: int):
-    ident = tuple(range(width))
-    _require(perms[aut.identity_index] == ident, "identity automorphism does not act trivially")
-    m = len(perms)
-    for i in range(m):
-        for j in range(m):
-            composed = tuple(perms[i][perms[j][x]] for x in range(width))
+def _check_action_laws(aut: PiAut, perms: tuple[tuple[int, ...], ...], generators: tuple[int, ...]):
+    """The identity acts trivially and perms[i] perms[j] = perms[ij].  Every
+    perm is a homomorphism of H^(n+1), so products are compared on the
+    positions of H's canonical generators (``generators``) only."""
+    ident = perms[aut.identity_index]
+    _require(ident == tuple(range(len(ident))), "identity automorphism does not act trivially")
+    on_gens = [tuple([p[x] for x in generators]) for p in perms]
+    for i, p in enumerate(perms):
+        for j, images in enumerate(on_gens):
             _require(
-                composed == perms[aut.compose(i, j)],
+                tuple([p[y] for y in images]) == on_gens[aut.compose(i, j)],
                 "automorphism action is not compatible with composition",
             )
 

@@ -9,10 +9,11 @@ map: a homomorphism out of A_n/2A_n in the stable range n >= 3, and a
 quadratic function on elements when n = 2.
 
 ``pi_aut`` computes the group of compatible automorphism pairs, each
-held as one permutation of the stages' elements, so that bijectivity,
-compatibility and composition are all read off permutations; and
-``act_on_kinvariants`` transports cohomology classes along a pair, which
-is the action whose orbits count homotopy types.
+held as one permutation of the stages' elements, so that compatibility
+and composition are read off permutations.  ``act_on_kinvariants`` gives
+the action of a pair on H^{n+1}, whose orbits count homotopy types.  It
+is linear: only the generators of H^{n+1} are transported, and every
+class follows by coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -143,14 +144,6 @@ class QuadraticMap:
     def is_zero_map(self) -> bool:
         return all(self.target.is_zero(v) for v in self.values)
 
-    def transport(self, psi_n: AbHom, psi_n1: AbHom) -> "QuadraticMap":
-        """The conjugate psi_n1 . q . psi_n^{-1}, for automorphisms of the
-        source and target."""
-        inv = psi_n.inverse()
-        coords_list = self.source.element_coords()
-        values = [psi_n1(self(inv(self.source.lift(c)))) for c in coords_list]
-        return QuadraticMap(self.source, self.target, values, max_order=self.source.order)
-
     def __repr__(self):
         return f"QuadraticMap({self.source.symbol()} -> {self.target.symbol()})"
 
@@ -275,17 +268,23 @@ def _strides(group: FgAbGroup) -> tuple[int, ...]:
 def _element_map(f: AbHom) -> tuple[int, ...]:
     """A homomorphism of finite groups as the positions, in the target's
     ``element_coords()`` order, of the images of the source's elements in
-    that order.  The elements run through their coordinates in mixed
-    radix, so adding each canonical generator's image, one factor at a
-    time, lists every image: only the generators are mapped.  Each
-    canonical coordinate of the images is listed in turn."""
+    that order.  Only the canonical generators are mapped."""
     source, target = f.source, f.target
     units = IntMatrix.identity(len(source.invariant_factors)).data
-    steps = [target.reduce(f(source.lift(unit))) for unit in units]
-    positions = [0] * source.order
+    return _extend(source.invariant_factors, target, [target.reduce(f(source.lift(unit))) for unit in units])
+
+
+def _extend(radix: Sequence[int], target: FgAbGroup, steps: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The map sending k in Z/radix[0] x Z/radix[1] x ... to sum k_i steps[i]
+    (canonical coordinates of the target), as the positions of the images,
+    in ``element_coords()`` order, of every k in mixed-radix order.  Adding
+    each step, one factor at a time, lists every image; each canonical
+    coordinate is listed in turn.  It is a homomorphism when each step's
+    order divides its radix."""
+    positions = [0] * math.prod(radix)
     for i, (m, stride) in enumerate(zip(target.invariant_factors, _strides(target))):
         coord = [0]
-        for d, step in zip(source.invariant_factors, steps):
+        for d, step in zip(radix, steps):
             coord = [(c + k * step[i]) % m for c in coord for k in range(d)]
         positions = [p + stride * c for p, c in zip(positions, coord)]
     return tuple(positions)
@@ -351,14 +350,31 @@ class PiAut:
 
 
 def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) -> list[AbHom]:
-    """All automorphisms of a finite abelian group, sorted canonically:
-    the endomorphisms that permute its elements."""
+    """All automorphisms of a finite abelian group, sorted canonically.
+
+    An endomorphism of a finite group is bijective when it is injective,
+    and it is injective when no element of prime order maps to 0.  So only
+    the socle is mapped: for each prime p, the elements of order p form
+    (Z/p)^r on the basis (d/p) e_i, e_i a canonical generator whose
+    invariant factor d is divisible by p.
+    """
     if not group.is_finite:
         raise SizeBoundError("cannot enumerate automorphisms of an infinite group")
     endos = hom_group(group, group).all_homs(max_endos)
-    autos = [f for f in endos if len(set(_element_map(f))) == group.order]
-    autos.sort(key=lambda f: f.canonical_key())
-    return autos
+    factors = group.invariant_factors
+    exponent = factors[-1] if factors else 1
+    socle = []  # per prime p: the radix (p, ..., p) and the basis, lifted
+    for p in range(2, exponent + 1):
+        if exponent % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        basis = [[d // p if j == i else 0 for j in range(len(factors))] for i, d in enumerate(factors) if d % p == 0]
+        socle.append(((p,) * len(basis), [group.lift(b) for b in basis]))
+
+    def injective(f: AbHom) -> bool:
+        # position 0 is the zero element; no other element may land there
+        return all(0 not in _extend(radix, group, [group.reduce(f(b)) for b in basis])[1:] for radix, basis in socle)
+
+    return sorted((f for f in endos if injective(f)), key=lambda f: f.canonical_key())
 
 
 def pi_aut(
@@ -440,9 +456,13 @@ def act_on_kinvariants(
     """The permutation a compatible pair induces on the classes of
     H^{n+1}(A_1; A_n), as images indexed by ``coh.classes()`` order.
 
-    A class [z] goes to [psi . z . phi^{-1}-coordinatewise]; the
-    transported representative must again be a cocycle, anything else is
-    a consistency failure, not an input error.
+    A class [z] goes to [psi . z . phi^{-1}-coordinatewise], which is
+    linear in z.  So only the representatives of the canonical generators
+    (``coh.representatives``) are transported and solved, and every class
+    moves by coordinate arithmetic.  A transported representative that is
+    not a cocycle, a generator image whose order does not divide its
+    invariant factor, and images that do not permute the classes are
+    consistency failures, not input errors.
     """
     if coh.module is not algebra.an:
         raise ValueError("cohomology group does not belong to this algebra's module")
@@ -452,31 +472,30 @@ def act_on_kinvariants(
     phi_inv = [0] * n
     for g, image in enumerate(phi):
         phi_inv[image] = g
+    # phi^{-1} on each tuple of the degree, the same for every generator
+    sources = [tuple([phi_inv[g] for g in t]) for t in itertools.product(range(1, n), repeat=coh.degree)]
     psi_matrix = pair.psi.matrix
-    classes = coh.classes()
-    position = {c: i for i, c in enumerate(classes)}
-    degree = coh.degree
+    factors = coh.group.invariant_factors
     images = []
-    for c in classes:
-        z = coh.cocycle_at(c)
-        moved = _transport_cocycle(z, phi_inv, psi_matrix, n, degree)
+    for z, d in zip(coh.representatives, factors):
+        moved = _transport_cocycle(z, sources, psi_matrix)
         try:
-            images.append(position[coh.class_of(moved)])
+            image = coh.class_of(moved)
         except ValueError:
             raise InternalConsistencyError(
                 "transported representative is not a cocycle; transport is broken"
             ) from None
-    perm = tuple(images)
-    if sorted(perm) != list(range(len(classes))):
+        if any(d * c % m for c, m in zip(image, factors)):
+            raise InternalConsistencyError("transport sends a generator of H^(n+1) to an element of larger order")
+        images.append(image)
+    perm = _extend(factors, coh.group, images)
+    if sorted(perm) != list(range(len(perm))):
         raise InternalConsistencyError("transport did not permute the classes")
     return perm
 
 
-def _transport_cocycle(
-    z: Cocycle, phi_inv: Sequence[int], psi_matrix: IntMatrix, n: int, degree: int
-) -> Cocycle:
+def _transport_cocycle(z: Cocycle, sources: Sequence[tuple[int, ...]], psi_matrix: IntMatrix) -> Cocycle:
     out = []
-    for t in itertools.product(range(1, n), repeat=degree):
-        source = tuple(phi_inv[g] for g in t)
+    for source in sources:
         out.extend(psi_matrix.apply(z.value(source)))
-    return Cocycle(z.module, degree, out)
+    return Cocycle(z.module, z.degree, out)

@@ -12,9 +12,10 @@ import itertools
 from math import gcd
 
 from twostage.abelian import AbHom, FgAbGroup, hom_group
+from twostage.cohomology import Cocycle
 from twostage.groups import automorphism_group
-from twostage.linalg import IntMatrix
-from twostage.pialgebra import TwoStageDim1N
+from twostage.linalg import IntMatrix, hstack, smith_normal_form
+from twostage.pialgebra import QuadraticMap, TwoStageDim1N
 
 
 def det_leibniz(m: IntMatrix) -> int:
@@ -308,11 +309,65 @@ def abelianization(group) -> FgAbGroup:
     return FgAbGroup(IntMatrix.from_columns(cols, rows=n - 1))
 
 
+def is_bijective(f: AbHom) -> bool:
+    """The Smith-form test: trivial cokernel and trivial kernel."""
+    return f.is_surjective() and f.is_injective()
+
+
+def hom_inverse(f: AbHom) -> AbHom:
+    """The two-sided inverse of an isomorphism.
+
+    Solves f(x_j) = e_j for each target generator over the lattice
+    spanned by the matrix columns and the target relations; a right
+    inverse of an injective map is automatically two-sided.
+    """
+    if not is_bijective(f):
+        raise ValueError("homomorphism is not invertible")
+    dec = smith_normal_form(hstack(f.matrix, f.target.presentation))
+    cols = []
+    for j in range(f.target.ngens):
+        e = [0] * f.target.ngens
+        e[j] = 1
+        sol = dec.solve(e)
+        if sol is None:
+            raise ValueError("homomorphism is not invertible")
+        cols.append(sol[: f.source.ngens])
+    return AbHom(f.target, f.source, IntMatrix.from_columns(cols, rows=f.source.ngens))
+
+
+def transport_quadratic(q: QuadraticMap, psi_n: AbHom, psi_n1: AbHom) -> QuadraticMap:
+    """The conjugate psi_n1 . q . psi_n^{-1}, for automorphisms of the
+    source and target."""
+    inv = hom_inverse(psi_n)
+    values = [psi_n1(q(inv(q.source.lift(c)))) for c in q.source.element_coords()]
+    return QuadraticMap(q.source, q.target, values, max_order=q.source.order)
+
+
 def reference_abelian_automorphisms(group, max_endos: int = 4096) -> list:
     """Automorphisms of a finite abelian group by the Smith-form test:
     the endomorphisms whose cokernel and kernel are trivial."""
     endos = hom_group(group, group).all_homs(max_endos)
-    return sorted((f for f in endos if f.is_bijective()), key=lambda f: f.canonical_key())
+    return sorted((f for f in endos if is_bijective(f)), key=lambda f: f.canonical_key())
+
+
+def reference_act_on_kinvariants(algebra, pair, coh) -> tuple[int, ...]:
+    """The permutation a pair (phi, psi) induces on the classes of
+    H^(n+1), class by class: every class's representative z is moved to
+    psi . z . phi^{-1} on each tuple and solved back to its class."""
+    n = algebra.a1.order
+    phi_inv = [0] * n
+    for g, image in enumerate(pair.phi):
+        phi_inv[image] = g
+    classes = coh.classes()
+    position = {c: i for i, c in enumerate(classes)}
+    images = []
+    for c in classes:
+        z = coh.cocycle_at(c)
+        values = []
+        for t in itertools.product(range(1, n), repeat=coh.degree):
+            values.extend(pair.psi(z.value(tuple(phi_inv[g] for g in t))))
+        images.append(position[coh.class_of(Cocycle(z.module, coh.degree, values))])
+    return tuple(images)
 
 
 def reference_pi_aut(algebra) -> tuple[list, list, int]:

@@ -26,6 +26,7 @@ MODULI_SAMPLES = [
     "stable_free",
     "stable_reduction_q",
     "stable_quadratic",
+    "c2c2_z2z2",
 ]
 
 GOLDEN_RUNS = [

@@ -225,7 +225,7 @@ def test_class_of_is_additive_and_kills_scaled_classes():
     H = cohomology(m, 2)
     rep = H.representatives[0]
     assert H.class_of(rep) == (1,)
-    assert H.class_of(rep + rep) == (0,)
+    assert H.class_of(Cocycle(m, 2, [a + b for a, b in zip(rep.vector, rep.vector)])) == (0,)
 
 
 def test_class_of_rejects_non_cocycles():
@@ -243,7 +243,7 @@ def test_cocycle_value_normalization_and_validation():
     assert z.value((0, 1)) == (0,)
     assert z.value((1, 0)) == (0,)
     assert z.value((1, 2)) == (2,)
-    assert len(z.as_dict()) == 4
+    assert [z.value((a, b)) for a in (1, 2) for b in (1, 2)] == [(1,), (2,), (3,), (4,)]
     with pytest.raises(ValueError):
         z.value((1,))
     with pytest.raises(ValueError):

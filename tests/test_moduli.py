@@ -2,16 +2,28 @@
 structural invariants both report shapes must satisfy."""
 
 import json
+from math import gcd
 
 import pytest
 
 from twostage.abelian import AbHom, FgAbGroup
 from twostage.cli import parse_input
-from twostage.errors import SizeBoundError
+from twostage.cohomology import cohomology
+from twostage.errors import InternalConsistencyError, SizeBoundError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
-from twostage.moduli import moduli_case_a, moduli_case_b
-from twostage.pialgebra import QuadraticMap, TwoStageDim1N, TwoStageDimNN1, abelian_automorphisms
+from twostage.moduli import _check_action_laws, moduli_case_a, moduli_case_b
+from twostage.pialgebra import (
+    QuadraticMap,
+    TwoStageDim1N,
+    TwoStageDimNN1,
+    _strides,
+    abelian_automorphisms,
+    act_on_kinvariants,
+    pi_aut,
+)
+
+from helpers import hom_inverse, totient
 
 
 def case_a(group_order, base_order, n=2):
@@ -46,6 +58,39 @@ def test_orbit_decomposition_on_z3():
     for o in dec.orbits:
         assert o.size * o.stabilizer_order == report.aut_order
     assert sum(o.size for o in dec.orbits) == len(dec.classes)
+
+
+# C_m acting trivially on Z/k: H^(n+1) is Z/g, g = gcd(m, k), in every
+# positive degree (Brown, GTM 87, III.1), and Aut(Z/k) alone already acts
+# on it through all of (Z/g)^x.  So the orbits are the elements of each
+# order e | g: tau(g) of them, of sizes phi(e).  This counts Aut(A) and its
+# action without running either.
+@pytest.mark.parametrize(
+    "m, k, n",
+    [(m, k, 2) for m in range(2, 6) for k in range(2, 9)] + [(m, k, 3) for m in range(2, 5) for k in range(2, 9)],
+)
+def test_cyclic_orbits_match_the_closed_form(m, k, n):
+    report = moduli_case_a(case_a(m, k, n=n))
+    g = gcd(m, k)
+    divisors = [e for e in range(1, g + 1) if g % e == 0]
+    assert report.pi0 == len(divisors)
+    assert sorted(o.size for o in report.orbit_decomposition.orbits) == sorted(totient(e) for e in divisors)
+
+
+def test_action_law_check_catches_a_swapped_permutation():
+    klein = TwoStageDim1N(2, GModule.trivial(FiniteGroup.from_cyclic_factors([2, 2]), FgAbGroup.cyclic(2)))
+    for alg in (case_a(3, 3), klein):
+        top = cohomology(alg.an, alg.n + 1)
+        aut = pi_aut(alg)
+        perms = [act_on_kinvariants(alg, pair, top) for pair in aut.elements]
+        generators = _strides(top.group)
+        _check_action_laws(aut, tuple(perms), generators)
+        swaps = [(i, j) for i in range(aut.order) for j in range(aut.order) if perms[i] != perms[j]]
+        assert swaps
+        for i, j in swaps:
+            broken = perms[:i] + [perms[j]] + perms[i + 1 :]
+            with pytest.raises(InternalConsistencyError):
+                _check_action_laws(aut, tuple(broken), generators)
 
 
 def test_coprime_orders_give_single_type():
@@ -181,7 +226,7 @@ def test_case_b_conjugated_q_gives_same_report():
     q = AbHom(z4.modulo(2), z2, IntMatrix.from_rows([[1]]))
     base = moduli_case_b(TwoStageDimNN1(3, z4, z2, q))
     for f in abelian_automorphisms(z4):
-        f_bar = AbHom(z4.modulo(2), z4.modulo(2), f.inverse().matrix)
+        f_bar = AbHom(z4.modulo(2), z4.modulo(2), hom_inverse(f).matrix)
         for g in abelian_automorphisms(z2):
             other = moduli_case_b(TwoStageDimNN1(3, z4, z2, g @ q @ f_bar))
             assert other.pi0 == base.pi0

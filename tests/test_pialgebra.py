@@ -22,7 +22,13 @@ from twostage.pialgebra import (
     pi_aut,
 )
 
-from helpers import reference_abelian_automorphisms, reference_pi_aut
+from helpers import (
+    hom_inverse,
+    reference_abelian_automorphisms,
+    reference_act_on_kinvariants,
+    reference_pi_aut,
+    transport_quadratic,
+)
 
 
 def trivial_alg(group_order, base_order, n=2):
@@ -124,7 +130,7 @@ def test_abelian_automorphism_counts():
 def test_hom_inverse_roundtrip():
     z5 = FgAbGroup.cyclic(5)
     double = AbHom(z5, z5, IntMatrix.from_rows([[2]]))
-    inv = double.inverse()
+    inv = hom_inverse(double)
     assert (inv @ double).equals(AbHom.identity(z5))
     assert (double @ inv).equals(AbHom.identity(z5))
 
@@ -197,7 +203,7 @@ def test_case_b_conjugation_preserves_aut_order():
     q = AbHom(z4.modulo(2), z2, IntMatrix.from_rows([[1]]))
     base_order = pi_aut(TwoStageDimNN1(3, z4, z2, q)).order
     for f in abelian_automorphisms(z4):
-        f_bar = AbHom(z4.modulo(2), z4.modulo(2), f.inverse().matrix)
+        f_bar = AbHom(z4.modulo(2), z4.modulo(2), hom_inverse(f).matrix)
         for g in abelian_automorphisms(z2):
             q_conj = g @ q @ f_bar
             assert pi_aut(TwoStageDimNN1(3, z4, z2, q_conj)).order == base_order
@@ -208,7 +214,7 @@ def test_case_b_conjugation_preserves_aut_order():
     base2 = pi_aut(alg2).order
     for f in abelian_automorphisms(FgAbGroup.cyclic(2)):
         for g in abelian_automorphisms(FgAbGroup.cyclic(4)):
-            moved = q2.transport(f, g)
+            moved = transport_quadratic(q2, f, g)
             assert pi_aut(TwoStageDimNN1(2, FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), moved)).order == base2
 
 
@@ -378,8 +384,9 @@ def test_pi_aut_composes_in_order_where_it_is_not_abelian():
         FgAbGroup.from_cyclic_factors([4, 2]),
         FgAbGroup.from_cyclic_factors([2, 2, 2]),
         FgAbGroup(IntMatrix.from_rows([[-2, 0], [2, 2]])),
+        FgAbGroup.cyclic(4096),
     ],
-    ids=["Z/12", "Z/4xZ/2", "(Z/2)^3", "relations [[-2, 0], [2, 2]]"],
+    ids=["Z/12", "Z/4xZ/2", "(Z/2)^3", "relations [[-2, 0], [2, 2]]", "Z/4096"],
 )
 def test_abelian_automorphisms_match_the_smith_form_filter(group):
     got = [f.canonical_key() for f in abelian_automorphisms(group)]
@@ -422,6 +429,60 @@ def test_transport_to_a_non_cocycle_is_an_internal_error(monkeypatch):
         InternalConsistencyError, match="^transported representative is not a cocycle; transport is broken$"
     ):
         act_on_kinvariants(alg, aut.elements[aut.identity_index], H)
+
+
+def negation_z4_alg(n=2):
+    """C2 on Z/4 by -1: H^3 = ker N / (g-1)M and H^4 = M^G / NM are Z/2."""
+    c2 = FiniteGroup.cyclic(2)
+    return TwoStageDim1N(n, GModule(c2, FgAbGroup.cyclic(4), [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])]))
+
+
+def trivial_on(group_factors, base_factors, n=2):
+    group = FiniteGroup.from_cyclic_factors(group_factors)
+    return TwoStageDim1N(n, GModule.trivial(group, FgAbGroup.from_cyclic_factors(base_factors)))
+
+
+KINV_CASES = {
+    "trivial C3 Z/3": lambda: trivial_alg(3, 3),
+    "trivial C3 Z/3 n=3": lambda: trivial_alg(3, 3, n=3),
+    "trivial C4 Z/2": lambda: trivial_alg(4, 2),
+    "trivial C2 Z/2 n=4": lambda: trivial_alg(2, 2, n=4),
+    "negation C2 Z/4": negation_z4_alg,
+    "negation C2 Z/4 n=3": lambda: negation_z4_alg(n=3),
+    "swap C2xC2 (Z/2)^2": lambda: klein_alg([2, 2], swap_outside(1)),
+    "swap C2 (Z/2)^3": swap_two_alg,
+    "trivial C4 Z/4xZ/2": lambda: trivial_on([4], [4, 2]),
+    "trivial C2xC2 Z/4": lambda: trivial_on([2, 2], [4]),
+    "trivial C2xC2 (Z/2)^2": lambda: klein_alg([2, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINV_CASES))
+def test_action_matches_the_per_class_reference(name):
+    alg = KINV_CASES[name]()
+    H = cohomology(alg.an, alg.n + 1)
+    assert H.group.order > 1
+    for pair in pi_aut(alg).elements:
+        assert act_on_kinvariants(alg, pair, H) == reference_act_on_kinvariants(alg, pair, H)
+
+
+def test_generator_images_are_checked(monkeypatch):
+    # H^3(C4; Z/4 x Z/2) = Z/2 x Z/4.  Sending both generators to the
+    # order-4 one gives the order-2 generator an image of larger order;
+    # sending both to the order-2 one is a homomorphism, not a permutation.
+    alg = trivial_on([4], [4, 2])
+    H = cohomology(alg.an, 3)
+    assert H.group.invariant_factors == (2, 4)
+    aut = pi_aut(alg)
+    identity = aut.elements[aut.identity_index]
+    monkeypatch.setattr(pialgebra, "_transport_cocycle", lambda *args: H.representatives[1])
+    with pytest.raises(
+        InternalConsistencyError, match=r"^transport sends a generator of H\^\(n\+1\) to an element of larger order$"
+    ):
+        act_on_kinvariants(alg, identity, H)
+    monkeypatch.setattr(pialgebra, "_transport_cocycle", lambda *args: H.representatives[0])
+    with pytest.raises(InternalConsistencyError, match="^transport did not permute the classes$"):
+        act_on_kinvariants(alg, identity, H)
 
 
 @pytest.mark.parametrize(
