@@ -7,6 +7,10 @@ relation lattice.  The Smith normal form of the presentation gives the
 invariant-factor normal form, canonical coordinates for elements, and an
 explicit change of basis in both directions, which is what makes quotient
 constructions (homology, cohomology classes) exact rather than heuristic.
+A direct sum whose merged diagonal is a divisibility chain (every cochain
+group, the B^m of Hom(A, B)) takes its Smith data from its summands'
+instead, with no elimination, and builds its block-diagonal presentation
+only when read.
 
 Kernels and homology share one numerator: the lattice of vectors a map
 sends into the target's relation lattice, as its column Hermite basis.
@@ -59,9 +63,9 @@ class FgAbGroup:
     """A finitely generated abelian group, fixed presentation, cached SNF."""
 
     __slots__ = (
-        "presentation",
+        "_presentation",
+        "_summands",
         "ngens",
-        "_snf",
         "_diag",
         "_coord_slots",
         "invariant_factors",
@@ -71,19 +75,31 @@ class FgAbGroup:
     )
 
     def __init__(self, presentation: IntMatrix):
-        self.presentation = presentation
-        self.ngens = presentation.rows
         dec = smith_normal_form(presentation)
-        self._snf = dec
-        diag = list(dec.diagonal) + [0] * (self.ngens - len(dec.diagonal))
+        diag = list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal))
+        self._set_smith(diag, dec.u.nonzero_rows(), dec.u_inv.nonzero_rows(), presentation, ())
+
+    def _set_smith(self, diag, u_rows, uinv_rows, presentation, summands) -> None:
+        # Slot i has diagonal entry diag[i] and coordinate u_rows[i] . x;
+        # uinv_rows takes slots back to generators.  Rows are sparse.
+        self._presentation = presentation
+        self._summands = summands
+        self.ngens = len(diag)
         self._diag = tuple(diag)
         # Coordinate slots: positions whose diagonal entry is not 1 survive
         # into the normal form, torsion slots first (SNF orders them).
         self._coord_slots = tuple(i for i, d in enumerate(diag) if d != 1)
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
-        self._u_rows = dec.u.nonzero_rows()
-        self._uinv_rows = dec.u_inv.nonzero_rows()
+        self._u_rows = u_rows
+        self._uinv_rows = uinv_rows
+
+    @property
+    def presentation(self) -> IntMatrix:
+        # A direct sum builds its block diagonal on first read.
+        if self._presentation is None:
+            self._presentation = block_diag([g.presentation for g in self._summands])
+        return self._presentation
 
     # -- constructors --------------------------------------------------
 
@@ -107,8 +123,7 @@ class FgAbGroup:
         for d in factors:
             if d < 0:
                 raise ValueError(f"cyclic factor must be >= 0, got {d}")
-        blocks = [IntMatrix.from_rows([[d]]) if d > 0 else IntMatrix.zeros(1, 0) for d in factors]
-        return cls(block_diag(blocks)) if blocks else cls.trivial()
+        return direct_sum([cls.cyclic(d) if d else cls.free(1) for d in factors])
 
     # -- normal form -----------------------------------------------------
 
@@ -151,7 +166,7 @@ class FgAbGroup:
         return f"FgAbGroup({self.symbol()}, {self.ngens} gens)"
 
     def same_presentation(self, other: "FgAbGroup") -> bool:
-        return self.presentation == other.presentation
+        return self is other or self.presentation == other.presentation
 
     # -- elements ----------------------------------------------------------
 
@@ -205,10 +220,34 @@ class FgAbGroup:
 
 
 def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
-    """Direct sum; generator blocks appear in argument order."""
-    if not groups:
-        return FgAbGroup.trivial()
-    return FgAbGroup(block_diag([g.presentation for g in groups]))
+    """Direct sum; generator blocks appear in argument order.
+
+    The summands' Smith data is merged with no elimination: diagonal slots
+    by a stable sort on ``(d == 0, d)``, ties in argument order, and u and
+    u^-1 rows shifted into each summand's block.  For copies of one group
+    (cochain groups, Hom's B^m) the merge is a divisibility chain (Newman,
+    *Integral Matrices*, ch. II); otherwise, as for Z/2 + Z/3, the block
+    diagonal gets a Smith form of its own.  Else it is built only if read.
+    """
+    slots = sorted(
+        ((g._diag[i], k, i) for k, g in enumerate(groups) for i in range(g.ngens)),
+        key=lambda slot: (slot[0] == 0, slot[0]),
+    )
+    chain = [d for d, _, _ in slots]
+    # Zeros sort last, so a chain needs a | b only for nonzero a.
+    if any(a and b % a for a, b in zip(chain, chain[1:])):
+        return FgAbGroup(block_diag([g.presentation for g in groups]))
+    offsets = list(itertools.accumulate((g.ngens for g in groups), initial=0))
+    position = {(k, i): t for t, (_, k, i) in enumerate(slots)}
+    total = FgAbGroup.__new__(FgAbGroup)
+    total._set_smith(
+        chain,
+        tuple(tuple((offsets[k] + j, c) for j, c in groups[k]._u_rows[i]) for _, k, i in slots),
+        tuple(tuple((position[k, j], c) for j, c in row) for k, g in enumerate(groups) for row in g._uinv_rows),
+        None,
+        tuple(groups),
+    )
+    return total
 
 
 class AbHom:

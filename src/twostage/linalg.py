@@ -10,7 +10,10 @@ Conventions:
 
 * ``smith_normal_form(m)`` returns ``(s, u, v)`` with ``u @ m @ v == s``,
   ``u`` and ``v`` unimodular, ``s`` diagonal with non-negative entries in a
-  divisibility chain ``d1 | d2 | ...`` and zeros trailing.
+  divisibility chain ``d1 | d2 | ...`` and zeros trailing.  It is one
+  general reduction with no special case for any shape of input; a sum of
+  copies of one group never reaches it, since ``abelian.direct_sum``
+  assembles the sum's Smith data from the summands'.
 * ``integer_kernel(m)`` returns a matrix whose columns are a lattice basis
   of ``{x : m @ x = 0}``, in column Hermite form, so equal kernels produce
   byte-identical bases.
@@ -40,7 +43,6 @@ __all__ = [
     "column_hermite",
     "kronecker",
     "block_diag",
-    "solve",
 ]
 
 
@@ -225,24 +227,32 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 
 class SnfDecomposition:
-    """Smith normal form ``u @ m @ v == s`` with tracked inverses.
+    """Smith normal form ``u @ m @ v == s``.
 
-    ``u_inv`` and ``v_inv`` are maintained during the reduction (each
-    elementary operation is inverted on the fly), so callers that need to
-    move between original and diagonal coordinates never invert a matrix.
+    ``u_inv`` is tracked during the reduction (each row operation is
+    inverted on the fly); ``v_inv``, which nothing in the package reads, is
+    computed on first read.
     """
 
-    __slots__ = ("s", "u", "v", "u_inv", "v_inv", "rank", "diagonal")
+    __slots__ = ("s", "u", "v", "u_inv", "_v_inv", "rank", "diagonal")
 
-    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix, v_inv: IntMatrix):
+    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix):
         self.s = s
         self.u = u
         self.v = v
         self.u_inv = u_inv
-        self.v_inv = v_inv
+        self._v_inv = None
         diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
         self.diagonal = tuple(diag)
         self.rank = sum(1 for d in diag if d != 0)
+
+    @property
+    def v_inv(self) -> IntMatrix:
+        # v is unimodular: its Smith form is u' @ v @ v' == I, so v^-1 = v' @ u'.
+        if self._v_inv is None:
+            dec = smith_normal_form(self.v)
+            self._v_inv = dec.v @ dec.u
+        return self._v_inv
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One integer solution x of m @ x = b, or None if there is none."""
@@ -273,16 +283,11 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     folding an offending row into the pivot row), so the diagonal comes out
     in a divisibility chain without a separate fix-up pass.
     """
-    fast = _snf_of_diagonal(m)
-    if fast is not None:
-        return fast
-
     rows, cols = m.rows, m.cols
     a = m.to_rows()
     u = IntMatrix.identity(rows).to_rows()
     u_inv = IntMatrix.identity(rows).to_rows()
     v = IntMatrix.identity(cols).to_rows()
-    v_inv = IntMatrix.identity(cols).to_rows()
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -295,7 +300,6 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_addmul(i, j, q):
         # row i += q * row j; inverse transform tracked on u_inv columns.
@@ -307,14 +311,13 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
             r[j] -= q * r[i]
 
     def col_addmul(j, k, q):
-        # col j += q * col k; inverse transform tracked on v_inv rows.
+        # col j += q * col k
         if q == 0:
             return
         for r in a:
             r[j] += q * r[k]
         for r in v:
             r[j] += q * r[k]
-        v_inv[k] = [x - q * y for x, y in zip(v_inv[k], v_inv[j])]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -389,55 +392,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         IntMatrix.from_rows(u, cols=rows),
         IntMatrix.from_rows(v, cols=cols),
         IntMatrix.from_rows(u_inv, cols=rows),
-        IntMatrix.from_rows(v_inv, cols=cols),
     )
-
-
-def _snf_of_diagonal(m: IntMatrix) -> SnfDecomposition | None:
-    """Fast path: a non-negative diagonal matrix whose entries can be put
-    into a divisibility chain by permutation alone.  Covers the block
-    presentations of cochain groups, which would otherwise pay a full
-    cubic reduction for an answer that is a row/column shuffle.
-    """
-    rows, cols = m.rows, m.cols
-    limit = min(rows, cols)
-    diag = []
-    for i in range(rows):
-        for j in range(cols):
-            x = m.data[i][j]
-            if i == j and i < limit:
-                if x < 0:
-                    return None
-                diag.append(x)
-            elif x != 0:
-                return None
-    order = sorted(range(limit), key=lambda i: (diag[i] == 0, diag[i]))
-    chain = [diag[i] for i in order]
-    for a, b in zip(chain, chain[1:]):
-        if a == 0:
-            if b != 0:
-                return None
-        elif b % a != 0:
-            return None
-    perm_rows = list(order) + [i for i in range(rows) if i >= limit]
-    perm_cols = list(order) + [j for j in range(cols) if j >= limit]
-    u = IntMatrix.from_rows(
-        [[1 if j == perm_rows[i] else 0 for j in range(rows)] for i in range(rows)], cols=rows
-    )
-    v = IntMatrix.from_rows(
-        [[1 if perm_cols[j] == i else 0 for j in range(cols)] for i in range(cols)], cols=cols
-    )
-    s_rows = [[0] * cols for _ in range(rows)]
-    for k, d in enumerate(chain):
-        s_rows[k][k] = d
-    return SnfDecomposition(
-        IntMatrix.from_rows(s_rows, cols=cols), u, v, u.transpose(), v.transpose()
-    )
-
-
-def solve(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution of m @ x = b, or None.  One-shot convenience."""
-    return smith_normal_form(m).solve(b)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ from math import gcd
 
 from twostage.abelian import AbHom, FgAbGroup, hom_group
 from twostage.cohomology import Cocycle
-from twostage.groups import automorphism_group
+from twostage.groups import FiniteGroup, automorphism_group
 from twostage.linalg import IntMatrix, hstack, smith_normal_form
 from twostage.pialgebra import QuadraticMap, TwoStageDim1N
 
@@ -414,3 +414,23 @@ def reference_pi_aut(algebra) -> tuple[list, list, int]:
     n = len(pairs)
     identity = next(i for i in range(n) if all(table[i][j] == j == table[j][i] for j in range(n)))
     return keys, table, identity
+
+
+def quaternion_group() -> FiniteGroup:
+    # elements: 1, -1, i, -i, j, -j, k, -k  (index = 2*axis + sign)
+    names = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
+    mul_axis = {
+        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }
+    idx = {v: i for i, v in enumerate(names)}
+    table = []
+    for s1, a1 in names:
+        row = []
+        for s2, a2 in names:
+            s, a = mul_axis[(a1, a2)]
+            row.append(idx[(s * s1 * s2, a)])
+        table.append(row)
+    return FiniteGroup(table)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import twostage.abelian
 from twostage.abelian import (
     AbHom,
     CochainComplex,
@@ -14,8 +15,10 @@ from twostage.abelian import (
     homology_at,
     kernel_subgroup,
 )
+from twostage.cohomology import bar_complex
 from twostage.errors import SizeBoundError, ValidationError
-from twostage.linalg import IntMatrix, column_hermite, hstack, integer_kernel, smith_normal_form
+from twostage.groups import FiniteGroup, GModule
+from twostage.linalg import IntMatrix, block_diag, column_hermite, hstack, integer_kernel, smith_normal_form
 
 from helpers import enumerate_homs_bruteforce, hom_inverse, homology_bruteforce, is_bijective, random_unimodular
 
@@ -388,6 +391,80 @@ class TestDirectSum:
 
     def test_empty(self):
         assert direct_sum([]).is_trivial
+
+    @staticmethod
+    def _random_summand(rng):
+        """Up to three cyclic or free factors, often on a non-diagonal basis."""
+        factors = [rng.choice([0, 1, 2, 3, 4, 6, 8]) for _ in range(rng.randint(1, 3))]
+        n = len(factors)
+        rels = [[d if i == j else 0 for i in range(n)] for j, d in enumerate(factors) if d]
+        g = FgAbGroup(IntMatrix.from_columns(rels, rows=n))
+        if rng.random() < 0.6:
+            g = FgAbGroup(random_unimodular(rng, n) @ g.presentation @ random_unimodular(rng, g.presentation.cols))
+        return g
+
+    def test_matches_the_smith_form_of_the_block_diagonal(self):
+        """Merged Smith data presents the same group as the Smith form of
+        the block diagonal, on copies of one group and on mixed summands,
+        and its coordinates reduce and lift exactly."""
+        rng = random.Random(11)
+        for trial in range(120):
+            first = self._random_summand(rng)
+            if trial % 2:
+                groups = [first] * rng.randint(1, 4)
+            else:
+                groups = [first] + [self._random_summand(rng) for _ in range(rng.randint(0, 2))]
+            total = direct_sum(groups)
+            relations = block_diag([g.presentation for g in groups])
+            reference = FgAbGroup(relations)
+            assert total.ngens == reference.ngens
+            assert total.invariant_factors == reference.invariant_factors
+            assert total.free_rank == reference.free_rank
+            in_lattice = smith_normal_form(relations)
+            for _ in range(6):
+                v = [rng.randint(-9, 9) for _ in range(total.ngens)]
+                if rng.random() < 0.5:
+                    # A relation combination, so that the zero class is hit.
+                    combination = [rng.randint(-3, 3) for _ in range(relations.cols)]
+                    v = [rng.randint(-2, 2) * x for x in relations.apply(combination)]
+                assert total.is_zero(v) == (in_lattice.solve(v) is not None)
+                back = total.lift(total.reduce(v))
+                assert in_lattice.solve([a - b for a, b in zip(back, v)]) is not None
+
+    def test_cyclic_factor_coordinates_keep_their_order(self):
+        """Tied slots keep their argument order, so a factor list's canonical
+        coordinates, and with them the element order of case B's q tables,
+        follow the list.  A Smith form of the block diagonal would order
+        them otherwise."""
+        g = FgAbGroup.from_cyclic_factors([4, 4, 2])
+        assert g.coordinate_moduli() == (2, 4, 4)
+        assert [g.reduce(e) for e in IntMatrix.identity(3).columns()] == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
+        assert [g.lift(e) for e in IntMatrix.identity(3).columns()] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+        g = FgAbGroup.from_cyclic_factors([2, 2, 1])
+        assert g.coordinate_moduli() == (2, 2)
+        assert [g.reduce(e) for e in IntMatrix.identity(3).columns()] == [(1, 0), (0, 1), (0, 0)]
+        assert [g.lift(e) for e in IntMatrix.identity(2).columns()] == [(1, 0, 0), (0, 1, 0)]
+
+    @pytest.mark.parametrize(
+        "relations",
+        [[[2, 0], [0, 4]], [[-2, 0], [2, 2]], [[4, 0, 0], [2, 2, 0], [0, 2, 4]]],
+        ids=["z2z4", "z2z2_rebased", "three_generators"],
+    )
+    def test_bar_complex_runs_no_smith_form(self, monkeypatch, relations):
+        """Every cochain group takes its Smith data from the coefficients':
+        once M is built, building the bar complex eliminates nothing."""
+        base = FgAbGroup(IntMatrix.from_columns(relations, rows=len(relations[0])))
+        module = GModule.trivial(FiniteGroup.cyclic(4), base)
+
+        def refuse(m):
+            raise AssertionError(f"Smith form of a {m.rows}x{m.cols} matrix")
+
+        monkeypatch.setattr(twostage.abelian, "smith_normal_form", refuse)
+        complex_ = bar_complex(module, 3)
+        top = complex_.groups[-1]
+        assert top.invariant_factors == tuple(sorted(base.invariant_factors * 27))
+        assert top.free_rank == 27 * base.free_rank
+        assert top._presentation is None
 
 
 class TestInverse:

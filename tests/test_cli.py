@@ -27,6 +27,7 @@ MODULI_SAMPLES = [
     "stable_reduction_q",
     "stable_quadratic",
     "c2c2_z2z2",
+    "c6_z2z2_rebased",
 ]
 
 GOLDEN_RUNS = [

@@ -19,7 +19,7 @@ from twostage.errors import SizeBoundError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
 
-from helpers import abelianization
+from helpers import abelianization, quaternion_group
 
 
 def cyclic_module(group, size, multiplier):
@@ -64,6 +64,24 @@ def test_coprime_coefficients_vanish_above_degree_zero():
     assert cohomology(m, 0).group.invariant_factors == (3,)
     for k in range(1, 5):
         assert cohomology(m, k).group.is_trivial
+
+
+@pytest.mark.parametrize(
+    "group, dims",
+    [
+        (FiniteGroup.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)]), (1, 2, 3, 4)),
+        (quaternion_group(), (1, 2, 2, 1)),
+    ],
+    ids=["d4", "q8"],
+)
+def test_order_eight_groups_with_z2_coefficients(group, dims):
+    """H^k(G; F_2) has dimension k + 1 for the dihedral group of order 8
+    and 1, 2, 2, 1, repeating with period 4, for the quaternion group
+    (Brown, GTM 87, VI.9; Adem and Milgram, IV.2)."""
+    assert group.order == 8
+    m = GModule.trivial(group, FgAbGroup.cyclic(2))
+    got = [h.group.invariant_factors for h in cohomology_range(m, 3)]
+    assert got == [(2,) * d for d in dims]
 
 
 def test_sign_action_kills_cohomology_but_not_derivations():

@@ -5,27 +5,7 @@ from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, automorphism_group
 from twostage.linalg import IntMatrix
 
-from helpers import abelianization, brute_force_automorphisms, is_abelian, totient
-
-
-def quaternion_group() -> FiniteGroup:
-    # elements: 1, -1, i, -i, j, -j, k, -k  (index = 2*axis + sign)
-    names = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
-    mul_axis = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-    idx = {v: i for i, v in enumerate(names)}
-    table = []
-    for s1, a1 in names:
-        row = []
-        for s2, a2 in names:
-            s, a = mul_axis[(a1, a2)]
-            row.append(idx[(s * s1 * s2, a)])
-        table.append(row)
-    return FiniteGroup(table)
+from helpers import abelianization, brute_force_automorphisms, is_abelian, quaternion_group, totient
 
 
 class TestFiniteGroupValidation:

@@ -239,11 +239,12 @@ def test_case_b_conjugated_q_gives_same_report():
 
 # Inputs that hung, (C6, Z/2) and (C4, (Z/2)^2) on a non-diagonal relation
 # basis, or took 23 s, (S3, Z/2), while cohomology kernels went through a
-# Smith form over Z.  Closed forms: a cyclic group C_m acting trivially on
-# M has H^0 = M, H^odd = M[m] and H^even = M/mM (Brown, GTM 87, III.1), so
-# every degree is M when m is even and M has exponent 2.  H^k(S3; Z/2)
-# restricts isomorphically to a Sylow 2-subgroup C2, so it is Z/2 in every
-# degree.  Aut(A) fixes the zero class and acts transitively on the
+# Smith form over Z, and (C8, Z/2), which took 20 s while every cochain
+# group had a dense Smith form of its own.  Closed forms: a cyclic group
+# C_m acting trivially on M has H^0 = M, H^odd = M[m] and H^even = M/mM
+# (Brown, GTM 87, III.1), so every degree is M when m is even and M has
+# exponent 2.  H^k(S3; Z/2) restricts isomorphically to a Sylow
+# 2-subgroup C2, so it is Z/2 in every degree.  Aut(A) fixes the zero class and acts transitively on the
 # nonzero classes of H^3, so pi_0 = 2 in each.
 @pytest.mark.parametrize(
     "group, coefficients, symbol",
@@ -251,8 +252,9 @@ def test_case_b_conjugated_q_gives_same_report():
         ({"cyclic_factors": [6]}, {"cyclic_factors": [2]}, "C2"),
         ({"cyclic_factors": [4]}, {"generators": 2, "relations": [[-2, 0], [2, 2]]}, "C2 x C2"),
         ({"permutations": [[1, 0, 2], [0, 2, 1]]}, {"cyclic_factors": [2]}, "C2"),
+        ({"cyclic_factors": [8]}, {"cyclic_factors": [2]}, "C2"),
     ],
-    ids=["c6_z2", "c4_z2z2_rebased", "s3_z2"],
+    ids=["c6_z2", "c4_z2z2_rebased", "s3_z2", "c8_z2"],
 )
 def test_north_star_inputs_match_closed_forms(group, coefficients, symbol):
     doc = {"case": "A", "n": 2, "group": group, "module": {"coefficients": coefficients, "action": "trivial"}}
