@@ -253,6 +253,11 @@ def oracle_cohomology(
     normal form route.  ``normalized=False`` enumerates unnormalized
     cochains (functions on all tuples, nothing dropped) as a debugging
     cross-check; the answer must be the same.
+
+    Elements of M are numbered by their position in
+    ``base.element_coords()``, so a cochain is a tuple of small integers,
+    one per tuple slot.  The cocycle filter evaluates df one tuple at a
+    time and stops at the first nonzero value.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -265,83 +270,157 @@ def oracle_cohomology(
         if count > max_enumeration:
             raise SizeBoundError("oracle enumeration too large", requested=count, bound=max_enumeration)
 
-    elems = base.element_coords()
-    moduli = base.coordinate_moduli()
-    zero = tuple([0] * len(moduli))
+    size = base.order
+    # A stencil row has at most deg + 2 <= k + 2 terms.
+    arith = _PackedArithmetic(base.coordinate_moduli(), k + 2)
+    act = _action_indices(module, arith)
 
-    def add(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-
-    def neg(a):
-        return tuple((-x) % m for x, m in zip(a, moduli))
-
-    act_table = []
-    for g in range(n):
-        mapping = {}
-        for e in elems:
-            mapping[e] = base.reduce(module.act(g, base.lift(e)))
-        act_table.append(mapping)
-
-    tuples_k = list(itertools.product(domain, repeat=k))
-    tuples_km1 = list(itertools.product(domain, repeat=k - 1)) if k >= 1 else []
-
-    def coboundary(f: dict, deg: int) -> tuple:
-        """df as a tuple of values aligned with the (deg+1)-tuple list."""
-        out = []
-        for s in itertools.product(domain, repeat=deg + 1):
-            tail_val = _lookup(f, s[1:], normalized, zero)
-            acc = act_table[s[0]][tail_val]
-            sign = -1
-            for i in range(deg):
-                merged = group.table[s[i]][s[i + 1]]
-                t = s[:i] + (merged,) + s[i + 2 :]
-                val = _lookup(f, t, normalized, zero)
-                acc = add(acc, val if sign > 0 else neg(val))
-                sign = -sign
-            val = _lookup(f, s[:-1], normalized, zero)
-            acc = add(acc, val if sign > 0 else neg(val))
-            out.append(acc)
-        return tuple(out)
-
-    # all cocycles in degree k
+    cochains = itertools.product(range(size), repeat=len(domain) ** k)
+    checks = _coboundary_stencil(group.table, domain, k, act, arith, normalized)
+    decode = arith.decode
     cocycles = []
-    for values in itertools.product(elems, repeat=len(tuples_k)):
-        f = dict(zip(tuples_k, values))
-        if all(v == zero for v in coboundary(f, k)):
-            cocycles.append(values)
+    for f in cochains:
+        for row in checks:
+            total = 0
+            for table, slot in row:
+                total += table[f[slot]]
+            if decode(total):
+                break
+        else:
+            cocycles.append(f)
 
-    # all coboundaries from degree k-1
+    zero_fn = (0,) * len(domain) ** k
     if k == 0:
-        boundaries = {tuple([zero] * len(tuples_k))}
+        boundaries = {zero_fn}
     else:
-        boundaries = set()
-        for values in itertools.product(elems, repeat=len(tuples_km1)):
-            f = dict(zip(tuples_km1, values))
-            db = coboundary(f, k - 1)
-            boundaries.add(tuple(db))
+        rows = _coboundary_stencil(group.table, domain, k - 1, act, arith, normalized)
+        boundaries = {
+            tuple(decode(sum(table[b[slot]] for table, slot in row)) for row in rows)
+            for b in itertools.product(range(size), repeat=len(domain) ** (k - 1))
+        }
 
     # coset representatives, then isomorphism type by order counting
+    add = arith.add
     rep_of = {}
     cosets = []
-    for z in sorted(cocycles):
+    for z in cocycles:
         if z in rep_of:
             continue
         cosets.append(z)
         for b in boundaries:
-            shifted = tuple(add(zv, bv) for zv, bv in zip(z, b))
-            rep_of[shifted] = z
-    zero_fn = rep_of[tuple([zero] * len(tuples_k))]
+            rep_of[tuple(map(add, z, b))] = z
 
     def add_cosets(c1, c2):
-        return rep_of[tuple(add(a, b) for a, b in zip(c1, c2))]
+        return rep_of[tuple(map(add, c1, c2))]
 
-    return _invariant_factors_by_counting(cosets, add_cosets, zero_fn)
+    return _invariant_factors_by_counting(cosets, add_cosets, rep_of[zero_fn])
 
 
-def _lookup(f: dict, t: tuple, normalized: bool, zero):
-    if normalized and any(g == 0 for g in t):
-        return zero
-    return f[t]
+def _action_indices(module: GModule, arith: "_PackedArithmetic") -> list[list[int]]:
+    """For each group element g, the index of g.e for every element index e.
+
+    g acts additively, so its list is spanned from the images of the unit
+    coordinate vectors: one addition per element, with no lift or reduce.
+    """
+    base = module.base
+    units = [tuple(int(i == j) for i in range(len(arith.moduli))) for j in range(len(arith.moduli))]
+    return [
+        arith.linear([arith.index(base.reduce(module.act(g, base.lift(u)))) for u in units])
+        for g in range(module.group.order)
+    ]
+
+
+class _PackedArithmetic:
+    """Element indices of a finite abelian group added coordinate by
+    coordinate, with no |M|-by-|M| table.
+
+    Elements are numbered in the mixed-radix order of
+    ``FgAbGroup.element_coords()`` over ``moduli``.  Each element packs its
+    canonical coordinates into one integer, one bit field per coordinate,
+    wide enough that a sum of ``terms`` packed elements never carries out
+    of a field.  ``plus[i]`` packs element i and ``minus[i]`` packs its
+    negative; ``decode`` reduces every field of a packed sum and returns
+    the index of the element it stands for, which is 0 exactly for the
+    zero element.
+    """
+
+    __slots__ = ("moduli", "width", "plus", "minus", "decode")
+
+    def __init__(self, moduli: Sequence[int], terms: int):
+        self.moduli = tuple(moduli)
+        width = self.width = max(1, (terms * max(moduli, default=1)).bit_length())
+        plus = minus = [0]
+        for j, m in enumerate(moduli):
+            plus = [a + (c << (j * width)) for a in plus for c in range(m)]
+            minus = [a + (((-c) % m) << (j * width)) for a in minus for c in range(m)]
+        self.plus = plus
+        self.minus = minus
+        mask = (1 << width) - 1
+        fields = []
+        weight = 1
+        for j in reversed(range(len(moduli))):
+            fields.append((j * width, moduli[j], weight))
+            weight *= moduli[j]
+
+        def decode(total: int) -> int:
+            index = 0
+            for shift, m, w in fields:
+                index += ((total >> shift) & mask) % m * w
+            return index
+
+        self.decode = decode
+
+    def add(self, a: int, b: int) -> int:
+        return self.decode(self.plus[a] + self.plus[b])
+
+    def index(self, coords: Sequence[int]) -> int:
+        """The index of the element with these canonical coordinates."""
+        return self.decode(sum(c << (j * self.width) for j, c in enumerate(coords)))
+
+    def linear(self, images: Sequence[int]) -> list[int]:
+        """Indices of h(e) for every element index e, where h is the
+        homomorphism sending the j-th unit coordinate vector to element
+        ``images[j]``."""
+        row = [0]
+        for image, m in zip(images, self.moduli):
+            multiples = [0]
+            for _ in range(m - 1):
+                multiples.append(self.add(multiples[-1], image))
+            row = [self.add(a, b) for a in row for b in multiples]
+        return row
+
+
+def _coboundary_stencil(table, domain, deg: int, act, arith: _PackedArithmetic, normalized: bool) -> list:
+    """One row per (deg+1)-tuple s over ``domain``, in product order.
+
+    A row lists (packed table, slot) pairs whose packed sum over a
+    deg-cochain f (a tuple of element indices, one per deg-tuple slot)
+    encodes df(s): the action of s[0] on the tail, then the signed
+    interior merges and the dropped last coordinate.  Merges that land on
+    the identity are left out when normalized.
+    """
+    width = len(domain)
+    index = {g: i for i, g in enumerate(domain)}
+
+    def slot(t) -> int:
+        out = 0
+        for g in t:
+            out = out * width + index[g]
+        return out
+
+    acted = [[arith.plus[j] for j in row] for row in act]
+    rows = []
+    for s in itertools.product(domain, repeat=deg + 1):
+        row = [(acted[s[0]], slot(s[1:]))]
+        sign = -1
+        for i in range(deg):
+            merged = table[s[i]][s[i + 1]]
+            if merged != 0 or not normalized:
+                row.append((arith.plus if sign > 0 else arith.minus, slot(s[:i] + (merged,) + s[i + 2 :])))
+            sign = -sign
+        row.append((arith.plus if sign > 0 else arith.minus, slot(s[:-1])))
+        rows.append(row)
+    return rows
 
 
 def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]:

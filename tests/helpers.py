@@ -12,10 +12,11 @@ import itertools
 from math import gcd
 
 from twostage.abelian import AbHom, FgAbGroup, hom_group
-from twostage.cohomology import Cocycle
-from twostage.groups import FiniteGroup, automorphism_group
+from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
+from twostage.errors import SizeBoundError, ValidationError
+from twostage.groups import FiniteGroup, GModule, automorphism_group
 from twostage.linalg import IntMatrix, hstack, smith_normal_form
-from twostage.pialgebra import QuadraticMap, TwoStageDim1N
+from twostage.pialgebra import QuadraticMap, TwoStageDim1N, abelian_automorphisms
 
 
 def det_leibniz(m: IntMatrix) -> int:
@@ -203,6 +204,129 @@ def abelian_type_from_elements(elements, add, zero) -> tuple[int, ...]:
                 d *= p ** lam[slot]
         invs.append(d)
     return tuple(sorted(invs))
+
+
+def reference_oracle_cohomology(
+    module: GModule,
+    k: int,
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
+    normalized: bool = True,
+) -> tuple[int, ...]:
+    """H^k(G; M) as invariant factors, by sheer enumeration: the
+    enumeration oracle as it was before it numbered elements by index,
+    cochains as dicts from tuples to coordinate tuples and df built in
+    full before it is tested.
+
+    Enumerates every cochain function, filters cocycles pointwise, builds
+    the coset space modulo coboundaries, and reads off the isomorphism
+    type by counting element orders.  No matrices are involved at any
+    point, which is what makes this an independent check on the Smith
+    normal form route.  ``normalized=False`` enumerates unnormalized
+    cochains (functions on all tuples, nothing dropped) as a debugging
+    cross-check; the answer must be the same.
+    """
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    group = module.group
+    base = module.base
+    n = group.order
+    domain = list(range(1, n)) if normalized else list(range(n))
+    # Size both enumerations, degree k and then k-1, before building any.
+    for count in (base.order ** (len(domain) ** j) for j in (k, k - 1) if j >= 0):
+        if count > max_enumeration:
+            raise SizeBoundError("oracle enumeration too large", requested=count, bound=max_enumeration)
+
+    elems = base.element_coords()
+    moduli = base.coordinate_moduli()
+    zero = tuple([0] * len(moduli))
+
+    def add(a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+    def neg(a):
+        return tuple((-x) % m for x, m in zip(a, moduli))
+
+    act_table = []
+    for g in range(n):
+        mapping = {}
+        for e in elems:
+            mapping[e] = base.reduce(module.act(g, base.lift(e)))
+        act_table.append(mapping)
+
+    tuples_k = list(itertools.product(domain, repeat=k))
+    tuples_km1 = list(itertools.product(domain, repeat=k - 1)) if k >= 1 else []
+
+    def coboundary(f: dict, deg: int) -> tuple:
+        """df as a tuple of values aligned with the (deg+1)-tuple list."""
+        out = []
+        for s in itertools.product(domain, repeat=deg + 1):
+            tail_val = _lookup(f, s[1:], normalized, zero)
+            acc = act_table[s[0]][tail_val]
+            sign = -1
+            for i in range(deg):
+                merged = group.table[s[i]][s[i + 1]]
+                t = s[:i] + (merged,) + s[i + 2 :]
+                val = _lookup(f, t, normalized, zero)
+                acc = add(acc, val if sign > 0 else neg(val))
+                sign = -sign
+            val = _lookup(f, s[:-1], normalized, zero)
+            acc = add(acc, val if sign > 0 else neg(val))
+            out.append(acc)
+        return tuple(out)
+
+    # all cocycles in degree k
+    cocycles = []
+    for values in itertools.product(elems, repeat=len(tuples_k)):
+        f = dict(zip(tuples_k, values))
+        if all(v == zero for v in coboundary(f, k)):
+            cocycles.append(values)
+
+    # all coboundaries from degree k-1
+    if k == 0:
+        boundaries = {tuple([zero] * len(tuples_k))}
+    else:
+        boundaries = set()
+        for values in itertools.product(elems, repeat=len(tuples_km1)):
+            f = dict(zip(tuples_km1, values))
+            db = coboundary(f, k - 1)
+            boundaries.add(tuple(db))
+
+    # coset representatives, then isomorphism type by order counting
+    rep_of = {}
+    cosets = []
+    for z in sorted(cocycles):
+        if z in rep_of:
+            continue
+        cosets.append(z)
+        for b in boundaries:
+            shifted = tuple(add(zv, bv) for zv, bv in zip(z, b))
+            rep_of[shifted] = z
+    zero_fn = rep_of[tuple([zero] * len(tuples_k))]
+
+    def add_cosets(c1, c2):
+        return rep_of[tuple(add(a, b) for a, b in zip(c1, c2))]
+
+    return abelian_type_from_elements(cosets, add_cosets, zero_fn)
+
+
+def _lookup(f: dict, t: tuple, normalized: bool, zero):
+    if normalized and any(g == 0 for g in t):
+        return zero
+    return f[t]
+
+
+def module_structures(group, base):
+    """Every module structure on ``base``: all assignments of coefficient
+    automorphisms to group elements that satisfy the action axioms."""
+    auts = [h.matrix for h in abelian_automorphisms(base)]
+    found = []
+    for choice in itertools.product(range(len(auts)), repeat=group.order - 1):
+        mats = [IntMatrix.identity(base.ngens)] + [auts[i] for i in choice]
+        try:
+            found.append(GModule(group, base, mats))
+        except ValidationError:
+            continue
+    return found
 
 
 def enumerate_homs_bruteforce(a, b) -> set:

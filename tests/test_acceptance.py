@@ -7,13 +7,12 @@ facts or cross-checks between independent routes; nothing here is derived
 from the implementation under test.
 """
 
-import itertools
 import random
 import time
 from contextlib import contextmanager
 from math import gcd
 
-from helpers import det_leibniz
+from helpers import det_leibniz, module_structures
 
 from twostage.abelian import FgAbGroup, ext_group, hom_group
 from twostage.cohomology import (
@@ -22,14 +21,12 @@ from twostage.cohomology import (
     cohomology_range,
     oracle_cohomology,
 )
-from twostage.errors import ValidationError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix, smith_normal_form
 from twostage.moduli import moduli_case_a, moduli_case_b
 from twostage.pialgebra import (
     TwoStageDim1N,
     TwoStageDimNN1,
-    abelian_automorphisms,
     act_on_kinvariants,
     pi_aut,
 )
@@ -54,20 +51,6 @@ def trivial_algebra(group_factors, base_factors, n=2):
     group = FiniteGroup.from_cyclic_factors(group_factors)
     base = FgAbGroup.from_cyclic_factors(base_factors)
     return TwoStageDim1N(n, GModule.trivial(group, base))
-
-
-def module_structures(group, base):
-    """Every module structure on ``base``: all assignments of coefficient
-    automorphisms to group elements that satisfy the action axioms."""
-    auts = [h.matrix for h in abelian_automorphisms(base)]
-    found = []
-    for choice in itertools.product(range(len(auts)), repeat=group.order - 1):
-        mats = [IntMatrix.identity(base.ngens)] + [auts[i] for i in choice]
-        try:
-            found.append(GModule(group, base, mats))
-        except ValidationError:
-            continue
-    return found
 
 
 def relabel_module(module, perm):

@@ -40,6 +40,7 @@ GOLDEN_RUNS = [
         "perm_group_cohomology.cohomology.txt",
         ["cohomology", "perm_group_cohomology.json", "--degrees", "0..2", "--oracle"],
     ),
+    ("c4_z4.cohomology.txt", ["cohomology", "c4_z4.json", "--degrees", "0..2", "--oracle"]),
     ("negation_action.check.txt", ["check", "negation_action.json"]),
     ("stable_quadratic.check.txt", ["check", "stable_quadratic.json"]),
 ]
