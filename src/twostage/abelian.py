@@ -23,6 +23,15 @@ Hermite basis of a lattice is unique and the class coordinates come from
 the Smith form of the subquotient's presentation, so the route taken does
 not change a single coordinate.
 
+Checks that a map sends relations into relations (``AbHom``) and that
+d∘d vanishes (``CochainComplex``) run on sparse columns: the image of a
+sparse column touches few generators of the target, and only the
+coordinate slots whose Smith row reads one of them are reduced
+(``FgAbGroup.is_zero_sparse``; a group's relation columns and its
+generator-to-slot index are built on first use).  Such a check costs O(nonzeros), not the rank of the
+source times the rank of the target, and accepts exactly what the dense
+check did.
+
 Hom and Ext are computed honestly from presentations: Hom(A, B) is the
 kernel of the induced map B^m -> B^r evaluated on A's relations, and Ext
 uses the invariant-factor decomposition, Ext(Z/d, B) = B/dB.
@@ -72,6 +81,8 @@ class FgAbGroup:
         "free_rank",
         "_u_rows",
         "_uinv_rows",
+        "_slots_reading",
+        "_relation_columns",
     )
 
     def __init__(self, presentation: IntMatrix):
@@ -93,6 +104,8 @@ class FgAbGroup:
         self.free_rank = sum(1 for d in diag if d == 0)
         self._u_rows = u_rows
         self._uinv_rows = uinv_rows
+        self._slots_reading = None
+        self._relation_columns = None
 
     @property
     def presentation(self) -> IntMatrix:
@@ -100,6 +113,14 @@ class FgAbGroup:
         if self._presentation is None:
             self._presentation = block_diag([g.presentation for g in self._summands])
         return self._presentation
+
+    @property
+    def relation_columns(self) -> tuple:
+        """The presentation's columns as their ``(generator, entry)`` pairs
+        with nonzero entry; built on first read, like the presentation."""
+        if self._relation_columns is None:
+            self._relation_columns = self.presentation.nonzero_columns()
+        return self._relation_columns
 
     # -- constructors --------------------------------------------------
 
@@ -185,6 +206,25 @@ class FgAbGroup:
     def is_zero(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce(vec))
 
+    def is_zero_sparse(self, vec: dict[int, int]) -> bool:
+        """``is_zero`` of the vector with entries ``{generator: value}``,
+        all others zero.  A coordinate slot whose u row reads none of them
+        is zero, so only the slots the vector touches are reduced."""
+        if self._slots_reading is None:
+            # The slot index: for each generator, the coordinate slots whose u row reads it.
+            reading = [[] for _ in range(self.ngens)]
+            for i in self._coord_slots:
+                for j, _ in self._u_rows[i]:
+                    reading[j].append(i)
+            self._slots_reading = reading
+        touched = {i for j in vec for i in self._slots_reading[j]}
+        for i in touched:
+            w = sum(c * vec.get(j, 0) for j, c in self._u_rows[i])
+            d = self._diag[i]
+            if w % d if d else w:
+                return False
+        return True
+
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         """A generator-coordinate representative of canonical coordinates."""
         if len(coords) != len(self._coord_slots):
@@ -256,9 +296,10 @@ class AbHom:
     ``matrix`` has shape (target generators) x (source generators); the
     constructor verifies that every source relation maps into the target
     relation lattice, so the map is well defined on the quotients.
+    ``columns`` holds the matrix's nonzero columns, for ``sparse_image``.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "columns")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
         if matrix.shape != (target.ngens, source.ngens):
@@ -269,14 +310,14 @@ class AbHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        for j in range(source.presentation.cols):
-            rel = source.presentation.column(j)
-            if not target.is_zero(_apply_sparse(matrix, rel)):
+        self.columns = matrix.nonzero_columns()
+        for j, rel in enumerate(source.relation_columns):
+            if not target.is_zero_sparse(sparse_image(self.columns, rel)):
                 raise ValidationError(
                     Violation(
                         "hom.matrix",
                         "matrix does not send source relations into target relations",
-                        {"relation_column": j, "relation": rel},
+                        {"relation_column": j, "relation": source.presentation.column(j)},
                     )
                 )
 
@@ -326,16 +367,13 @@ class AbHom:
         return f"AbHom({self.source.symbol()} -> {self.target.symbol()})"
 
 
-def _apply_sparse(m: IntMatrix, vec: Sequence[int]) -> list[int]:
-    """m @ vec exploiting zero entries of vec (relation columns are sparse)."""
-    out = [0] * m.rows
-    for j, x in enumerate(vec):
-        if x == 0:
-            continue
-        for i in range(m.rows):
-            mij = m.data[i][j]
-            if mij:
-                out[i] += mij * x
+def sparse_image(columns: Sequence[Sequence[tuple[int, int]]], vec) -> dict[int, int]:
+    """M @ x as ``{row: value}`` (a value may be 0), for M given by its
+    nonzero columns and x by its ``(index, value)`` pairs with nonzero value."""
+    out = {}
+    for j, x in vec:
+        for i, y in columns[j]:
+            out[i] = out.get(i, 0) + x * y
     return out
 
 
@@ -373,7 +411,7 @@ class Subquotient:
             if c is None:
                 raise ValueError("denominator lattice is not contained in the numerator lattice")
             rel_cols.append(c)
-        self.group = FgAbGroup(IntMatrix.from_columns(rel_cols, rows=basis.cols))
+        self.group = FgAbGroup(IntMatrix._of(len(rel_cols), basis.cols, tuple(rel_cols)).transpose())
 
     def coefficients(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """The c with basis @ c == vec, or None when vec is not in L."""
@@ -522,8 +560,8 @@ class CochainComplex:
             if not f.source.same_presentation(groups[k]) or not f.target.same_presentation(groups[k + 1]):
                 raise ValueError(f"map {k} does not connect group {k} to group {k + 1}")
         for k in range(len(maps) - 1):
-            for j in range(maps[k].matrix.cols):
-                if not groups[k + 2].is_zero(_apply_sparse(maps[k + 1].matrix, maps[k].matrix.column(j))):
+            for j, col in enumerate(maps[k].columns):
+                if not groups[k + 2].is_zero_sparse(sparse_image(maps[k + 1].columns, col)):
                     raise ValidationError(
                         Violation(
                             "complex.maps",

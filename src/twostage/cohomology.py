@@ -22,9 +22,10 @@ by the test suite and the command line ``--oracle`` flag.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Sequence
 
-from .abelian import AbHom, CochainComplex, Subquotient, direct_sum, homology_at, kernel_subgroup
+from .abelian import AbHom, CochainComplex, Subquotient, direct_sum, homology_at, kernel_subgroup, sparse_image
 from .errors import InternalConsistencyError, SizeBoundError
 from .groups import GModule
 from .linalg import IntMatrix
@@ -148,14 +149,14 @@ def _differential_matrix(module: GModule, k: int) -> IntMatrix:
             sign = -sign
         # drop the last coordinate
         add_identity_block(row_block, _tuple_index(s[:-1], n), sign)
-    return IntMatrix.from_rows(out, cols=cols)
+    return IntMatrix._of(rows, cols, tuple(map(tuple, out)))
 
 
 class CohomologyGroup:
     """H^k(G; M) with exact class coordinates and cocycle representatives;
     ``differential`` is d: C^k -> C^(k+1) of the normalized complex."""
 
-    __slots__ = ("module", "degree", "group", "representatives", "differential", "_sub", "_d_rows")
+    __slots__ = ("module", "degree", "group", "representatives", "differential", "_sub")
 
     def __init__(self, module: GModule, degree: int, sub: Subquotient, differential: AbHom):
         self.module = module
@@ -163,13 +164,11 @@ class CohomologyGroup:
         self.group = sub.group
         self.differential = differential
         self._sub = sub
-        self._d_rows = differential.matrix.nonzero_rows()
         self.representatives = tuple(Cocycle(module, degree, v) for v in sub.generator_representatives())
 
     def is_cocycle(self, z: Cocycle) -> bool:
-        v = z.vector
-        image = [sum(x * v[j] for j, x in row) for row in self._d_rows]
-        return self.differential.target.is_zero(image)
+        entries = [(j, x) for j, x in enumerate(z.vector) if x]
+        return self.differential.target.is_zero_sparse(sparse_image(self.differential.columns, entries))
 
     def class_of(self, z: Cocycle) -> tuple[int, ...]:
         """Canonical coordinates of the class [z]; additive, kills exactly
@@ -449,15 +448,31 @@ def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]
         while m % p == 0:
             part *= p
             m //= p
+        # One times-p map, then each element's p-exponent (the least j with
+        # p^j x = 0, or None) along x, px, p^2 x, ..., each found once.
+        times_p = {}
+        for y in elements:
+            acc = y
+            for _ in range(p - 1):
+                acc = add(acc, y)
+            times_p[y] = acc
+        exponent = {zero: 0}
+        for y in elements:
+            path = []
+            while y not in exponent:
+                exponent[y] = None  # met again on this path: a cycle that misses 0
+                path.append(y)
+                y = times_p[y]
+            e = exponent[y]
+            for y in reversed(path):
+                e = None if e is None else e + 1
+                exponent[y] = e
+        depths = Counter(e for e in exponent.values() if e is not None)
         logs = []
-        powers = list(elements)
-        while True:
-            for i, y in enumerate(powers):
-                acc = y
-                for _ in range(p - 1):
-                    acc = add(acc, y)
-                powers[i] = acc
-            cnt = sum(1 for y in powers if y == zero)
+        cnt = depths[0]
+        for j in range(1, max(depths) + 1):
+            # cnt counts the solutions of p^j x = 0.
+            cnt += depths[j]
             e = 0
             c = cnt
             while c % p == 0:
@@ -466,8 +481,8 @@ def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]
             if c != 1:
                 raise InternalConsistencyError("kernel count is not a prime power")
             logs.append(e)
-            if cnt == part:
-                break
+        if cnt != part:
+            raise InternalConsistencyError("p-primary part has the wrong order")
         conj = [logs[0]] + [logs[i] - logs[i - 1] for i in range(1, len(logs))]
         lam = []
         i = 1

@@ -4,7 +4,11 @@ Everything downstream (abelian group normal forms, cohomology, moduli
 reports) reduces to linear algebra over Z.  Entries are Python ints, so
 intermediate values grow as needed and nothing here ever touches floating
 point.  All matrices are immutable once constructed; algorithms work on
-private list-of-list copies and freeze their results.
+private copies and freeze their results.  The public constructors
+(``IntMatrix(...)``, ``from_rows``, ``from_columns``) check every entry;
+a matrix built from entries that are already checked ints (a transpose,
+a Smith form's outputs, a stacking of matrices, the bar differentials)
+skips the check through the private ``IntMatrix._of``.
 
 Conventions:
 
@@ -13,7 +17,16 @@ Conventions:
   divisibility chain ``d1 | d2 | ...`` and zeros trailing.  It is one
   general reduction with no special case for any shape of input; a sum of
   copies of one group never reaches it, since ``abelian.direct_sum``
-  assembles the sum's Smith data from the summands'.
+  assembles the sum's Smith data from the summands'.  Its pivot rule
+  (smallest |entry|, ties to the lowest row and then column) and its
+  sequence of row and column operations fix s, u, v and u^-1 entry for
+  entry.  Rows are sparse, and four shortcuts leave that sequence as it
+  is: the pivot search stops at an entry of absolute value 1, since only
+  a strictly smaller entry displaces the one found; a unit pivot divides
+  everything, so its "pivot divides the submatrix" sweep is skipped; a
+  column operation touches only the rows with a nonzero in its source
+  column, the others being unchanged; and u^-1 and v are carried
+  transposed, so their column updates are row updates.
 * ``integer_kernel(m)`` returns a matrix whose columns are a lattice basis
   of ``{x : m @ x = 0}``, in column Hermite form, so equal kernels produce
   byte-identical bases.
@@ -30,6 +43,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -69,6 +83,15 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
+        """Wrap ``rows`` row tuples of exact ints, already checked, as they are."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -132,11 +155,11 @@ class IntMatrix:
 
     def nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each row as its ``(column, entry)`` pairs with nonzero entry."""
-        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.data)
+        return _nonzero(self.data, self.cols)
 
     def nonzero_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each column as its ``(row, entry)`` pairs with nonzero entry, top first."""
-        return self.transpose().nonzero_rows()
+        return _nonzero(zip(*self.data), self.rows) if self.rows else ((),) * self.cols
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -190,17 +213,23 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(r, vec)) for r in self.data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [self.data[i][j] for j in range(self.cols) for i in range(self.rows)])
+        return IntMatrix._of(self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     def _check_same_shape(self, other: "IntMatrix"):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
+def _nonzero(lines, width: int) -> tuple:
+    """Each line (a row or a column) as its ``(index, entry)`` pairs with nonzero entry."""
+    span = range(width)
+    return tuple([tuple([(j, r[j]) for j in itertools.compress(span, r)]) for r in lines])
+
+
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError(f"row count mismatch: {a.shape} vs {b.shape}")
-    return IntMatrix.from_rows([list(ra) + list(rb) for ra, rb in zip(a.data, b.data)], cols=a.cols + b.cols)
+    return IntMatrix._of(a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.data, b.data)))
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -223,7 +252,7 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
             out[r0 + i][c0 : c0 + b.cols] = list(b.data[i])
         r0 += b.rows
         c0 += b.cols
-    return IntMatrix.from_rows(out, cols=cols)
+    return IntMatrix._of(rows, cols, tuple(map(tuple, out)))
 
 
 class SnfDecomposition:
@@ -282,117 +311,137 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     entry of the remaining submatrix is forced to be divisible by it (by
     folding an offending row into the pivot row), so the diagonal comes out
     in a divisibility chain without a separate fix-up pass.
+
+    Rows of the working matrix, of u, and of u^-1 and v carried transposed
+    are dicts of their nonzero entries, so every update is one sparse row
+    operation (see the module docstring for why the shortcuts are exact).
     """
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    u_inv = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    a = [dict(r) for r in m.nonzero_rows()]
+    u = [{i: 1} for i in range(rows)]
+    u_inv_t = [{i: 1} for i in range(rows)]
+    v_t = [{j: 1} for j in range(cols)]
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
+        for w in (a, u, u_inv_t):
+            w[i], w[j] = w[j], w[i]
 
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    def col_swap(t, j):
+        # Rows above t are zero from column t on, so they keep both entries.
+        for r in a[t:]:
+            x, y = r.pop(t, 0), r.pop(j, 0)
+            if y:
+                r[t] = y
+            if x:
+                r[j] = x
+        v_t[t], v_t[j] = v_t[j], v_t[t]
 
     def row_addmul(i, j, q):
-        # row i += q * row j; inverse transform tracked on u_inv columns.
+        # row i += q * row j; on u^-1, column j -= q * column i.
         if q == 0:
             return
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= q * r[i]
+        _addmul(a[i], q, a[j])
+        _addmul(u[i], q, u[j])
+        _addmul(u_inv_t[j], -q, u_inv_t[i])
 
-    def col_addmul(j, k, q):
-        # col j += q * col k
+    def col_addmul(j, k, q, holders):
+        # col j += q * col k; ``holders`` are the rows with a nonzero in column k.
         if q == 0:
             return
-        for r in a:
-            r[j] += q * r[k]
-        for r in v:
-            r[j] += q * r[k]
+        for r in holders:
+            x = r.get(j, 0) + q * r[k]
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+        _addmul(v_t[j], q, v_t[k])
 
     def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        for w in (a, u, u_inv_t):
+            w[i] = {k: -x for k, x in w[i].items()}
+
+    def pivot(t):
+        # Rows from t on hold entries only from column t on.  Row by row,
+        # the minimal |entry| at its lowest column; a strictly smaller one
+        # replaces it, so nothing after an entry of absolute value 1 can.
+        best = None
+        for i in range(t, rows):
+            if a[i]:
+                x, j = min((abs(x), j) for j, x in a[i].items())
+                if best is None or x < best[0]:
+                    best = (x, i, j)
+                    if x == 1:
+                        break
+        if best is not None:
+            if best[1] != t:
+                row_swap(t, best[1])
+            if best[2] != t:
+                col_swap(t, best[2])
+        return best
 
     t = 0
     limit = min(rows, cols)
-    while t < limit:
-        # Deterministic pivot: minimal |entry|, ties by lowest (row, col).
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-
+    while t < limit and pivot(t) is not None:
         while True:
+            p = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    row_addmul(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
+                x = a[i].get(t)
+                if x:
+                    row_addmul(i, t, -(x // p))
+                    if t in a[i]:
                         dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    col_addmul(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        dirty = True
+            pivot_row = a[t]
+            holders = [r for r in a[t:] if t in r]
+            for j in [j for j in pivot_row if j != t]:
+                col_addmul(j, t, -(pivot_row[j] // p), holders)
+                if j in pivot_row:
+                    dirty = True
             if dirty:
                 # Some remainder survived; it is smaller than the pivot, so
                 # re-picking the pivot strictly shrinks |pivot| and terminates.
-                best = None
-                for i in range(t, rows):
-                    for j in range(t, cols):
-                        x = a[i][j]
-                        if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                            best = (i, j)
-                if best[0] != t:
-                    row_swap(t, best[0])
-                if best[1] != t:
-                    col_swap(t, best[1])
+                pivot(t)
                 continue
-            # Column and row at t are clear; force pivot | submatrix.
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # Column and row at t are clear; force pivot | submatrix, which
+            # a unit pivot divides already.
+            if p in (1, -1):
+                break
+            offender = next((i for i in range(t + 1, rows) if any(x % p for x in a[i].values())), None)
             if offender is None:
                 break
             row_addmul(t, offender, 1)
         t += 1
 
     for i in range(limit):
-        if a[i][i] < 0:
+        if a[i].get(i, 0) < 0:
             row_negate(i)
 
     return SnfDecomposition(
-        IntMatrix.from_rows(a, cols=cols),
-        IntMatrix.from_rows(u, cols=rows),
-        IntMatrix.from_rows(v, cols=cols),
-        IntMatrix.from_rows(u_inv, cols=rows),
+        IntMatrix._of(rows, cols, _dense(a, cols)),
+        IntMatrix._of(rows, rows, _dense(u, rows)),
+        IntMatrix._of(cols, cols, tuple(zip(*_dense(v_t, cols)))),
+        IntMatrix._of(rows, rows, tuple(zip(*_dense(u_inv_t, rows)))),
     )
+
+
+def _addmul(target: dict, q: int, source: dict) -> None:
+    """target += q * source on sparse rows, zeros dropped (q != 0)."""
+    for k, y in source.items():
+        x = target.get(k, 0) + q * y
+        if x:
+            target[k] = x
+        else:
+            del target[k]
+
+
+def _dense(sparse_rows: Sequence[dict], width: int) -> tuple:
+    out = []
+    for r in sparse_rows:
+        row = [0] * width
+        for k, x in r.items():
+            row[k] = x
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -447,7 +496,7 @@ def row_hermite(m: IntMatrix) -> IntMatrix:
         r += 1
         if r == nrows:
             break
-    return IntMatrix.from_rows(work[:r], cols=ncols)
+    return IntMatrix._of(r, ncols, tuple(map(tuple, work[:r])))
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:

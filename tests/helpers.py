@@ -15,7 +15,7 @@ from twostage.abelian import AbHom, FgAbGroup, hom_group
 from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
 from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, automorphism_group
-from twostage.linalg import IntMatrix, hstack, smith_normal_form
+from twostage.linalg import IntMatrix, SnfDecomposition, hstack, smith_normal_form
 from twostage.pialgebra import QuadraticMap, TwoStageDim1N, abelian_automorphisms
 
 
@@ -204,6 +204,132 @@ def abelian_type_from_elements(elements, add, zero) -> tuple[int, ...]:
                 d *= p ** lam[slot]
         invs.append(d)
     return tuple(sorted(invs))
+
+
+def reference_smith_normal_form(m: IntMatrix) -> SnfDecomposition:
+    """Diagonalize ``m`` over Z by unimodular row and column operations:
+    the package's Smith form as it was before it stopped its pivot search
+    at a unit and moved to sparse rows, every row kept dense and every
+    update a loop over all of it.  The package's form must match it entry
+    for entry, in s, u, v and u_inv.
+
+    Pivot selection is the nonzero entry of smallest absolute value in the
+    remaining submatrix, ties broken by lowest (row, column), which makes
+    the output reproducible run to run.  Before a pivot is accepted, every
+    entry of the remaining submatrix is forced to be divisible by it (by
+    folding an offending row into the pivot row), so the diagonal comes out
+    in a divisibility chain without a separate fix-up pass.
+    """
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    u_inv = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def row_addmul(i, j, q):
+        # row i += q * row j; inverse transform tracked on u_inv columns.
+        if q == 0:
+            return
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for r in u_inv:
+            r[j] -= q * r[i]
+
+    def col_addmul(j, k, q):
+        # col j += q * col k
+        if q == 0:
+            return
+        for r in a:
+            r[j] += q * r[k]
+        for r in v:
+            r[j] += q * r[k]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # Deterministic pivot: minimal |entry|, ties by lowest (row, col).
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    row_addmul(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    col_addmul(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        dirty = True
+            if dirty:
+                # Some remainder survived; it is smaller than the pivot, so
+                # re-picking the pivot strictly shrinks |pivot| and terminates.
+                best = None
+                for i in range(t, rows):
+                    for j in range(t, cols):
+                        x = a[i][j]
+                        if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                            best = (i, j)
+                if best[0] != t:
+                    row_swap(t, best[0])
+                if best[1] != t:
+                    col_swap(t, best[1])
+                continue
+            # Column and row at t are clear; force pivot | submatrix.
+            p = a[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_addmul(t, offender, 1)
+        t += 1
+
+    for i in range(limit):
+        if a[i][i] < 0:
+            row_negate(i)
+
+    return SnfDecomposition(
+        IntMatrix.from_rows(a, cols=cols),
+        IntMatrix.from_rows(u, cols=rows),
+        IntMatrix.from_rows(v, cols=cols),
+        IntMatrix.from_rows(u_inv, cols=rows),
+    )
 
 
 def reference_oracle_cohomology(

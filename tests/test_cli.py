@@ -10,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import twostage.abelian
+import twostage.linalg
 from twostage.cli import EXIT_CODES, main
+from twostage.linalg import smith_normal_form
+
+from helpers import reference_smith_normal_form
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ROOT / "samples"
@@ -28,6 +33,7 @@ MODULI_SAMPLES = [
     "stable_quadratic",
     "c2c2_z2z2",
     "c6_z2z2_rebased",
+    "c8_z2",
 ]
 
 GOLDEN_RUNS = [
@@ -76,6 +82,23 @@ def test_golden_round_trip(golden_name, argv, capsys):
     assert status == 0
     assert err == ""
     assert out == (GOLDEN / golden_name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden_name,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
+def test_golden_smith_forms_match_the_reference(golden_name, argv, capsys, monkeypatch):
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(twostage.linalg, "smith_normal_form", recording)
+    monkeypatch.setattr(twostage.abelian, "smith_normal_form", recording)
+    status, _, _ = run_cli([argv[0], SAMPLES / argv[1], *argv[2:]], capsys)
+    assert status == 0
+    for m in seen:
+        got, want = smith_normal_form(m), reference_smith_normal_form(m)
+        assert (got.s, got.u, got.v, got.u_inv) == (want.s, want.u, want.v, want.u_inv)
 
 
 def test_every_sample_and_golden_is_exercised():

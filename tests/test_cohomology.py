@@ -17,6 +17,7 @@ from twostage.cohomology import (
     oracle_cohomology,
     _action_indices,
     _coboundary_stencil,
+    _invariant_factors_by_counting,
     _PackedArithmetic,
 )
 from twostage.errors import SizeBoundError
@@ -458,6 +459,21 @@ def test_oracle_on_large_coefficients_matches_periodic_closed_form():
     # = M[2].  An |M| x |M| addition table would have 2^24 cells.
     m = GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.cyclic(4096))
     assert [oracle_cohomology(m, k) for k in range(4)] == [(4096,), (2,), (2,), (2,)]
+
+
+def test_counting_adds_linearly_in_the_group_order():
+    # Z/2^16: one times-2 map is 2^16 additions; multiplying every element
+    # by 2 again for each of the 16 kernel counts would be 2^20.
+    order = 2 ** 16
+    calls = 0
+
+    def add(a, b):
+        nonlocal calls
+        calls += 1
+        return (a + b) % order
+
+    assert _invariant_factors_by_counting(list(range(order)), add, 0) == (order,)
+    assert calls <= 2 * order
 
 
 def test_matrix_route_matches_oracle_on_order_four_groups():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twostage.linalg import (
     IntMatrix,
@@ -22,6 +22,7 @@ from helpers import (
     minor_gcd_diagonal,
     random_unimodular,
     rank_fraction_free,
+    reference_smith_normal_form,
 )
 
 
@@ -32,6 +33,23 @@ def small_matrices(max_dim=5, lo=-9, hi=9):
                 lambda flat: IntMatrix(r, c, flat)
             )
         )
+    )
+
+
+@st.composite
+def smith_inputs(draw):
+    """Shapes 0..12 x 0..12, sparse or dense, small or large entries of
+    either sign, a common factor (so no unit entry) and whole zero rows and
+    columns, each by chance."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**6), 10**6))
+    flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    factor = draw(st.sampled_from([1, 1, -1, 2, 3, -4, 6]))
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    return IntMatrix.from_rows(
+        [[0 if zero_rows[i] or zero_cols[j] else factor * flat[i * cols + j] for j in range(cols)] for i in range(rows)],
+        cols=cols,
     )
 
 
@@ -122,6 +140,15 @@ class TestSmithNormalForm:
         # diagonal pinned by determinantal divisors, independent oracle
         assert list(diag) == minor_gcd_diagonal(m)
         assert dec.rank == rank_fraction_free(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(smith_inputs())
+    @example(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    @example(IntMatrix.from_rows([[-4, 6, 0], [0, 0, 0], [10, -14, 0]]))
+    @example(IntMatrix.zeros(0, 5))
+    def test_matches_the_reference_entry_for_entry(self, m):
+        got, want = smith_normal_form(m), reference_smith_normal_form(m)
+        assert (got.s, got.u, got.v, got.u_inv) == (want.s, want.u, want.v, want.u_inv)
 
     def test_deterministic_repeat(self):
         m = IntMatrix.from_rows([[6, 4, 2], [2, 8, 10], [4, 2, 6]])
