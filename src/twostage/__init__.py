@@ -3,7 +3,6 @@
 from twostage.abelian import AbHom, FgAbGroup, ext_group, hom_group
 from twostage.cohomology import (
     bar_complex,
-    cohomology,
     cohomology_range,
     derivations,
     oracle_cohomology,
@@ -45,7 +44,6 @@ __all__ = [
     "ValidationError",
     "act_on_kinvariants",
     "bar_complex",
-    "cohomology",
     "cohomology_range",
     "derivations",
     "ext_group",

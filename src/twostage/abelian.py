@@ -17,11 +17,13 @@ sends into the target's relation lattice, as its column Hermite basis.
 When the target is finite of exponent E, that lattice contains E * Z^m and
 is cut out by one congruence per coordinate slot of the target, read off
 the rows of its Smith form; the basis is then computed mod E
-(``linalg.congruence_kernel``).  A target with Z summands (the stable case
-with free groups) goes through ``integer_kernel`` of [F | -R] instead.  The
-Hermite basis of a lattice is unique and the class coordinates come from
-the Smith form of the subquotient's presentation, so the route taken does
-not change a single coordinate.
+(``linalg.congruence_kernel``), each unknown's congruence column read off
+the map's sparse column through the target's generator-to-slot index.  A
+target with Z summands (the stable case with free groups) goes through
+``integer_kernel`` of [F | -R] instead.  The Hermite basis of a lattice is
+unique and the class coordinates come from the Smith form of the
+subquotient's presentation, so the route taken does not change a single
+coordinate.
 
 Checks that a map sends relations into relations (``AbHom``) and that
 d∘d vanishes (``CochainComplex``) run on sparse columns: the image of a
@@ -210,20 +212,24 @@ class FgAbGroup:
         """``is_zero`` of the vector with entries ``{generator: value}``,
         all others zero.  A coordinate slot whose u row reads none of them
         is zero, so only the slots the vector touches are reduced."""
+        diag = self._diag
+        return not any(w % diag[i] if diag[i] else w for i, w in self._slot_values(vec.items()).items())
+
+    def _slot_values(self, vec) -> dict[int, int]:
+        """``{slot: u_slot . x}`` over the coordinate slots whose u row reads
+        a generator of x, for x given by ``(generator, value)`` pairs."""
         if self._slots_reading is None:
-            # The slot index: for each generator, the coordinate slots whose u row reads it.
+            # For each generator, the (slot, u entry) pairs of the u rows reading it.
             reading = [[] for _ in range(self.ngens)]
             for i in self._coord_slots:
-                for j, _ in self._u_rows[i]:
-                    reading[j].append(i)
+                for j, c in self._u_rows[i]:
+                    reading[j].append((i, c))
             self._slots_reading = reading
-        touched = {i for j in vec for i in self._slots_reading[j]}
-        for i in touched:
-            w = sum(c * vec.get(j, 0) for j, c in self._u_rows[i])
-            d = self._diag[i]
-            if w % d if d else w:
-                return False
-        return True
+        out = {}
+        for j, x in vec:
+            for i, c in self._slots_reading[j]:
+                out[i] = out.get(i, 0) + c * x
+        return out
 
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         """A generator-coordinate representative of canonical coordinates."""
@@ -455,22 +461,16 @@ def _preimage_basis(f: AbHom) -> IntMatrix:
     kernels and of homology.
 
     A finite target gives one congruence u_i . F x = 0 mod d_i per
-    coordinate slot, u_i a row of its Smith form, and the basis is
-    computed mod the target's exponent (``congruence_kernel``).  An
-    infinite target (Z summands) projects the integer kernel of [F | -R]
-    instead.  Both give the one Hermite basis of the same lattice.
+    coordinate slot i, u_i a row of its Smith form, and the basis is
+    computed mod the target's exponent (``congruence_kernel``) from the
+    columns u . F e_j.  An infinite target (Z summands) projects the
+    integer kernel of [F | -R] instead.  Both give the one Hermite basis
+    of the same lattice.
     """
     target = f.target
     if target.is_finite:
-        congruences = []
-        for slot in target._coord_slots:
-            row = [0] * f.source.ngens
-            for j, u in target._u_rows[slot]:
-                for col, x in enumerate(f.matrix.data[j]):
-                    if x:
-                        row[col] += u * x
-            congruences.append((row, target._diag[slot]))
-        return congruence_kernel(congruences, f.source.ngens)
+        # Slots with d_i = 1 are read by no column and give no congruence.
+        return congruence_kernel([target._slot_values(col).items() for col in f.columns], target._diag)
     full = integer_kernel(hstack(f.matrix, -target.presentation))
     return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
 

@@ -35,7 +35,6 @@ __all__ = [
     "CohomologyGroup",
     "Derivations",
     "bar_complex",
-    "cohomology",
     "cohomology_range",
     "derivations",
     "oracle_cohomology",
@@ -189,18 +188,9 @@ class CohomologyGroup:
         return f"CohomologyGroup(H^{self.degree} = {self.group.symbol()})"
 
 
-def cohomology(module: GModule, k: int, max_rank: int = DEFAULT_MAX_RANK) -> CohomologyGroup:
-    """H^k(G; M) from the normalized complex: cocycles as a lattice computed
-    mod the exponent of M, classes from the Smith form of Z^k / B^k."""
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    complex_ = bar_complex(module, k + 1, max_rank=max_rank)
-    sub = homology_at(complex_, k)
-    return CohomologyGroup(module, k, sub, complex_.maps[k])
-
-
 def cohomology_range(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) -> list[CohomologyGroup]:
-    """H^0 through H^kmax off a single complex; cheaper than repeated calls."""
+    """H^0 through H^kmax off a single complex: cocycles as a lattice computed
+    mod the exponent of M, classes from the Smith form of Z^k / B^k."""
     if kmax < 0:
         raise ValueError("degree must be non-negative")
     complex_ = bar_complex(module, kmax + 1, max_rank=max_rank)

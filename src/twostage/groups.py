@@ -227,25 +227,6 @@ def _light_associativity_witness(table, gens):
     return None
 
 
-def _word_table(table, gens) -> list[list[int]]:
-    """For each element, a word in the generators (as a list of generator
-    positions) reaching it from the identity by right multiplication."""
-    n = len(table)
-    words = [None] * n
-    words[0] = []
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for pos, g in enumerate(gens):
-            y = table[x][g]
-            if words[y] is None:
-                words[y] = words[x] + [pos]
-                queue.append(y)
-    if any(w is None for w in words):
-        raise ValueError("generating set does not generate")  # unreachable for greedy gens
-    return words
-
-
 def automorphism_group(
     group: FiniteGroup, max_order: int = DEFAULT_MAX_AUT_ORDER
 ) -> list[tuple[int, ...]]:
@@ -264,7 +245,6 @@ def automorphism_group(
     gens = _greedy_generators(table)
     if not gens:
         return [(0,)]
-    words = _word_table(table, gens)
     orders = [group.element_order(i) for i in range(n)]
     # subgroup generated by each generator prefix, for incremental pruning
     prefix_subgroups = []
@@ -290,28 +270,7 @@ def automorphism_group(
 
     results = []
 
-    def build_map(images) -> list[int]:
-        phi = [0] * n
-        for x in range(n):
-            acc = 0
-            for pos in words[x]:
-                acc = table[acc][images[pos]]
-            phi[x] = acc
-        return phi
-
     def extend(k, images):
-        if k == len(gens):
-            phi = build_map(images)
-            if len(set(phi)) != n:
-                return
-            for a in range(n):
-                pa = phi[a]
-                ra = table[a]
-                for b in range(n):
-                    if phi[ra[b]] != table[pa][phi[b]]:
-                        return
-            results.append(tuple(phi))
-            return
         for img in candidates_per_gen[k]:
             # Define the candidate map on the subgroup generated by the
             # prefix, by closing over right multiplication, then check it
@@ -337,7 +296,10 @@ def automorphism_group(
                             break
                     if not ok:
                         break
-            if ok:
+            if ok and k + 1 == len(gens):
+                # The prefix is the whole group: partial is an automorphism.
+                results.append(tuple(partial[x] for x in range(n)))
+            elif ok:
                 extend(k + 1, imgs)
 
     extend(0, [])

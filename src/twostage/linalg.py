@@ -27,18 +27,18 @@ Conventions:
   column operation touches only the rows with a nonzero in its source
   column, the others being unchanged; and u^-1 and v are carried
   transposed, so their column updates are row updates.
-* ``integer_kernel(m)`` returns a matrix whose columns are a lattice basis
-  of ``{x : m @ x = 0}``, in column Hermite form, so equal kernels produce
-  byte-identical bases.
-* ``congruence_kernel(congruences, n)`` returns the column Hermite basis of
-  ``{x in Z^n : r . x = 0 mod d}`` over the given ``(r, d)``.  The lattice
-  contains ``E * Z^n`` for E the lcm of the moduli, so the basis is found
-  with every entry below E, by one Hermite pass mod E that carries its
-  column transform along.  This is the route for kernels into finite
-  groups, where the Smith form over Z of the stacked matrix grows entries
-  without bound; ``integer_kernel`` stays the route when the target has Z
-  summands.  A lattice has exactly one Hermite basis, so both routes give
-  the same matrix wherever both apply.
+* ``column_hermite(m)``, ``integer_kernel(m)`` and
+  ``congruence_kernel(columns, moduli)`` return the column Hermite basis
+  of a lattice (positive pivots in strictly increasing rows, entries left
+  of each pivot in [0, pivot)), so equal lattices give byte-identical
+  bases.  All three run on one core, a sparse lower echelon of the
+  generating columns (``_echelon(generators, m, e)``) and one reduction
+  pass (``_hermite``).  With e > 0 the lattice contains e * Z^m and every
+  entry is kept mod e: the route for kernels into finite groups, where
+  elimination over Z grows entries without bound.  With e = 0 the
+  arithmetic is over Z, nothing is adjoined or reduced, and each pivot is
+  made positive.  Smith stays a separate eliminator because a Hermite
+  basis only names a lattice; class coordinates come from Smith's u.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "smith_normal_form",
     "integer_kernel",
     "congruence_kernel",
-    "row_hermite",
     "column_hermite",
     "kronecker",
     "block_diag",
@@ -259,29 +258,19 @@ class SnfDecomposition:
     """Smith normal form ``u @ m @ v == s``.
 
     ``u_inv`` is tracked during the reduction (each row operation is
-    inverted on the fly); ``v_inv``, which nothing in the package reads, is
-    computed on first read.
+    inverted on the fly).
     """
 
-    __slots__ = ("s", "u", "v", "u_inv", "_v_inv", "rank", "diagonal")
+    __slots__ = ("s", "u", "v", "u_inv", "rank", "diagonal")
 
     def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix):
         self.s = s
         self.u = u
         self.v = v
         self.u_inv = u_inv
-        self._v_inv = None
         diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
         self.diagonal = tuple(diag)
         self.rank = sum(1 for d in diag if d != 0)
-
-    @property
-    def v_inv(self) -> IntMatrix:
-        # v is unimodular: its Smith form is u' @ v @ v' == I, so v^-1 = v' @ u'.
-        if self._v_inv is None:
-            dec = smith_normal_form(self.v)
-            self._v_inv = dec.v @ dec.u
-        return self._v_inv
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One integer solution x of m @ x = b, or None if there is none."""
@@ -459,128 +448,78 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def row_hermite(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of the row lattice of ``m`` (Hermite normal form).
-
-    Nonzero rows only, pivots positive with strictly increasing pivot
-    columns, and entries above each pivot reduced into [0, pivot).  Two
-    generating sets of the same row lattice produce the same output.
-    """
-    work = m.to_rows()
-    nrows = len(work)
-    ncols = m.cols
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, nrows):
-            if work[i][c] == 0:
-                continue
-            g, x, y = _xgcd(work[r][c], work[i][c])
-            p, q = work[r][c] // g, work[i][c] // g
-            new_r = [x * rv + y * iv for rv, iv in zip(work[r], work[i])]
-            new_i = [-q * rv + p * iv for rv, iv in zip(work[r], work[i])]
-            work[r], work[i] = new_r, new_i
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][c] // work[r][c]
-            if q != 0:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return IntMatrix._of(r, ncols, tuple(map(tuple, work[:r])))
+# -- lattice bases: one sparse Hermite core ----------------------------------
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of the column lattice of ``m``, as columns."""
-    return row_hermite(m.transpose()).transpose()
+    """Canonical (Hermite) basis of the column lattice of ``m``, as columns."""
+    basis = _echelon([dict(col) for col in m.nonzero_columns()], m.rows, 0)
+    return _matrix_of_columns(_hermite(basis, 0), m.rows)
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Lattice basis of {x : m @ x = 0}, columns in Hermite form.
 
-    The kernel of m is spanned by the columns of v beyond the rank in any
-    Smith decomposition u m v = s; Hermite reduction then makes the basis
-    canonical, so equal kernels compare equal entrywise.
+    x lies in the kernel exactly when (m x, x), a vector of the lattice
+    spanned by the columns of [m; I], vanishes on the first m.rows rows.
+    Those vectors are spanned by the echelon columns pivoting below row
+    m.rows, so these, cut to the last m.cols rows and reduced, are the
+    kernel's Hermite basis: equal kernels compare equal entrywise.
     """
-    dec = smith_normal_form(m)
-    cols = [dec.v.column(j) for j in range(dec.rank, m.cols)]
-    basis = IntMatrix.from_columns(cols, rows=m.cols)
-    return column_hermite(basis)
+    return _kernel([dict(col) for col in m.nonzero_columns()], m.rows, 0)
 
 
-# -- lattices cut out by congruences -----------------------------------------
+def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequence[int]) -> IntMatrix:
+    """Column Hermite basis of {x in Z^n : sum_j x_j c_j = 0 mod d_i in every row i}.
 
-
-def congruence_kernel(congruences: Sequence[tuple[Sequence[int], int]], ncols: int) -> IntMatrix:
-    """Column Hermite basis of {x in Z^ncols : r . x = 0 mod d for each (r, d)}.
-
-    Let E be the lcm of the moduli and C the matrix of the k rows, each
-    scaled to modulus E.  Then x lies in the lattice exactly when (C x, x)
-    lies in the lattice M spanned by the columns of [C; I] and
-    E * Z^(k + ncols).  M contains E * Z^(k + ncols), so its Hermite basis
-    has every entry below E and is computed with all arithmetic mod E
-    (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8).  The vectors of M
-    that vanish on the first k rows are spanned by its basis columns
-    pivoting below them, so those columns, cut to their last ncols rows,
-    are the answer: entry for entry the ``column_hermite`` of the same
-    lattice.
+    ``columns`` holds c_1, ..., c_n, one sparse column per unknown as its
+    ``(row, entry)`` pairs.  Let E be the lcm of the k moduli and C the
+    matrix of the columns, each row scaled to modulus E.  Then x lies in
+    the lattice exactly when (C x, x) lies in the lattice M spanned by the
+    columns of [C; I] and E * Z^(k + n), so M's Hermite basis has every
+    entry below E and is computed mod E (Domich, Kannan and Trotter 1987;
+    Cohen, Alg. 2.4.8).  As in ``integer_kernel``, its columns pivoting
+    below row k, cut to the last n rows, are the answer.
     """
     exponent = 1
-    for row, d in congruences:
+    for d in moduli:
         if d < 1:
             raise ValueError(f"congruence modulus must be positive, got {d}")
-        if len(row) != ncols:
-            raise ValueError(f"congruence of length {len(row)}, expected {ncols}")
         exponent = math.lcm(exponent, d)
-    top = len(congruences)
-    rows = [[x * (exponent // d) % exponent for x in row] for row, d in congruences]
-    generators = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
-    for j, g in enumerate(generators):
+    top = len(moduli)
+    scaled = []
+    for col in columns:
+        g = {}
+        for i, x in col:
+            if not 0 <= i < top:
+                raise ValueError(f"congruence row {i} outside the {top} moduli")
+            g[i] = g.get(i, 0) + x * (exponent // moduli[i])
+        scaled.append(g)
+    return _kernel(scaled, top, exponent)
+
+
+def _kernel(columns: list[dict], top: int, e: int) -> IntMatrix:
+    """Hermite basis of {x : sum_j x_j c_j = 0}, mod e when e > 0, for the
+    sparse columns c_j of height ``top``: the echelon columns of [C; I]
+    pivoting below row ``top``, cut to the last rows and reduced."""
+    for j, g in enumerate(columns):
         g[top + j] = 1
-    echelon = _echelon_mod(generators, top + ncols, exponent)
-    basis = [{i - top: x for i, x in col.items()} for col in echelon[top:]]
-    # Reduce each entry left of a pivot into [0, pivot), as row_hermite does.
-    for i, bi in enumerate(basis):
-        d = bi[i]
-        below = {k: y for k, y in bi.items() if k != i}
-        for bj in basis[:i]:
-            x = bj.get(i, 0)
-            if x >= d:
-                _axpy(bj, -(x // d), below, exponent)
-                if x % d:
-                    bj[i] = x % d
-                else:
-                    del bj[i]
-    return IntMatrix.from_columns([[col.get(k, 0) for k in range(ncols)] for col in basis], rows=ncols)
+    echelon = _echelon(columns, top + len(columns), e)
+    basis = [{i - top: x for i, x in col.items()} for col in echelon if min(col) >= top]
+    return _matrix_of_columns(_hermite(basis, e), len(columns))
 
 
-def _axpy(target: dict, f: int, source: dict, e: int) -> None:
-    """target += f * source, entries mod e, zeros dropped."""
-    for i, y in source.items():
-        z = (target.get(i, 0) + f * y) % e
-        if z:
-            target[i] = z
-        else:
-            target.pop(i, None)
+def _echelon(generators: list[dict], m: int, e: int) -> list[dict]:
+    """Lower echelon basis of the lattice spanned by ``generators``, sparse
+    columns of height m: the basis columns' pivots (first nonzero entries)
+    are positive, in strictly increasing rows.
 
-
-def _echelon_mod(generators: list[dict], m: int, e: int) -> list[dict]:
-    """Lower echelon basis, one column pivoting in each row, of the lattice
-    spanned by ``generators`` (sparse columns) and e * Z^m, all arithmetic
-    mod e (reducing mod e is free, since e * Z^m lies in the lattice).
-
-    Row i folds the columns whose first nonzero entry is in row i into one
-    by gcd steps and adjoins e * e_i: the pivot is the gcd d_i, and
-    (e / d_i) times the folded column goes on down.
+    For e > 0 the lattice also contains e * Z^m, so all arithmetic is mod e
+    and every row holds a pivot; for e = 0 the arithmetic is over Z and a
+    row that no column reaches holds none.  Row i folds the columns whose
+    first nonzero entry is in row i into one by gcd steps.  Mod e it then
+    adjoins e * e_i: the pivot is the gcd d_i, and (e / d_i) times the
+    folded column goes on down.
     """
     pending = [[] for _ in range(m)]
     for g in generators:
@@ -591,7 +530,8 @@ def _echelon_mod(generators: list[dict], m: int, e: int) -> list[dict]:
     for i in range(m):
         hits = pending[i]
         if not hits:
-            basis.append({i: e})
+            if e:
+                basis.append({i: e})
             continue
         w = hits[0]
         for x in hits[1:]:
@@ -603,24 +543,59 @@ def _echelon_mod(generators: list[dict], m: int, e: int) -> list[dict]:
                 w, x = _combine(w, s, x, t, e), _combine(w, -(b // g), x, a // g, e)
             if x:
                 pending[min(x)].append(x)
-        d, s, _ = _xgcd(w[i], e)
-        rest = _scaled(w, e // d, e)
-        rest.pop(i, None)
-        if rest:
-            pending[min(rest)].append(rest)
-        col = _scaled(w, s, e)
-        col[i] = d
-        basis.append(col)
+        if e:
+            d, s, _ = _xgcd(w[i], e)
+            rest = _scaled(w, e // d, e)
+            if rest:
+                pending[min(rest)].append(rest)
+            w = _scaled(w, s, e)
+            w[i] = d
+        elif w[i] < 0:
+            w = _scaled(w, -1, 0)
+        basis.append(w)
     return basis
 
 
+def _hermite(basis: list[dict], e: int) -> list[dict]:
+    """Reduce, in place, each entry left of a pivot of the lower echelon
+    ``basis`` into [0, pivot), top pivot first; e as in ``_echelon``.
+    A pivot's column is zero above it, so a reduction at one pivot leaves
+    the entries at the pivots above it as they are."""
+    for i, bi in enumerate(basis):
+        p = min(bi)
+        d = bi[p]
+        for bj in basis[:i]:
+            q = bj.get(p, 0) // d
+            if q:
+                _axpy(bj, -q, bi, e)
+    return basis
+
+
+def _matrix_of_columns(columns: list[dict], rows: int) -> IntMatrix:
+    return IntMatrix._of(len(columns), rows, _dense(columns, rows)).transpose()
+
+
+def _axpy(target: dict, f: int, source: dict, e: int) -> None:
+    """target += f * source, entries mod e (over Z for e = 0), zeros dropped."""
+    for i, y in source.items():
+        z = target.get(i, 0) + f * y
+        if e:
+            z %= e
+        if z:
+            target[i] = z
+        else:
+            target.pop(i, None)
+
+
 def _scaled(a: dict, s: int, e: int) -> dict:
-    """s * a, entries mod e, zeros dropped."""
-    return {i: s * x % e for i, x in a.items() if s * x % e}
+    """s * a, entries mod e (over Z for e = 0), zeros dropped."""
+    if e:
+        return {i: s * x % e for i, x in a.items() if s * x % e}
+    return {i: s * x for i, x in a.items() if s * x}
 
 
 def _combine(a: dict, s: int, b: dict, t: int, e: int) -> dict:
-    """s * a + t * b, entries mod e, zeros dropped."""
+    """s * a + t * b, entries mod e (over Z for e = 0), zeros dropped."""
     out = _scaled(a, s, e)
     _axpy(out, t, b, e)
     return out

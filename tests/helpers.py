@@ -332,6 +332,62 @@ def reference_smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     )
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """g, x, y with x*a + y*b == g == gcd(a, b), g >= 0."""
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def reference_column_hermite(m: IntMatrix) -> IntMatrix:
+    """Canonical basis of the column lattice of ``m``: the package's dense
+    Hermite routine as it was before lattice bases moved to the sparse
+    echelon, run as a row Hermite form of the transpose (pivots positive
+    in strictly increasing columns, entries above each pivot reduced into
+    [0, pivot), zero rows dropped)."""
+    work = m.transpose().to_rows()
+    nrows, ncols = len(work), m.rows
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        for i in range(r + 1, nrows):
+            if work[i][c] == 0:
+                continue
+            g, x, y = _xgcd(work[r][c], work[i][c])
+            p, q = work[r][c] // g, work[i][c] // g
+            new_r = [x * rv + y * iv for rv, iv in zip(work[r], work[i])]
+            new_i = [-q * rv + p * iv for rv, iv in zip(work[r], work[i])]
+            work[r], work[i] = new_r, new_i
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+        for i in range(r):
+            q = work[i][c] // work[r][c]
+            if q != 0:
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == nrows:
+            break
+    return IntMatrix.from_rows(work[:r], cols=ncols).transpose()
+
+
+def reference_integer_kernel(m: IntMatrix) -> IntMatrix:
+    """Hermite basis of {x : m @ x = 0} the way the package found it before
+    kernels moved to the sparse echelon: the columns of v beyond the rank of
+    a Smith form u m v = s, made canonical by the dense Hermite pass."""
+    dec = reference_smith_normal_form(m)
+    basis = IntMatrix.from_columns([dec.v.column(j) for j in range(dec.rank, m.cols)], rows=m.cols)
+    return reference_column_hermite(basis)
+
+
 def reference_oracle_cohomology(
     module: GModule,
     k: int,

@@ -99,9 +99,25 @@ class TestAutomorphismGroup:
             FiniteGroup.cyclic(6),
             FiniteGroup.from_cyclic_factors([2, 2]),
             FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)]),
+            FiniteGroup.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)]),
+            FiniteGroup.from_cyclic_factors([2, 4]),
+            FiniteGroup.from_cyclic_factors([2, 2, 2]),
         ]
         for g in cases:
             assert set(automorphism_group(g)) == brute_force_automorphisms(g)
+        # D4, C2 x C4 and C2^3
+        assert [len(automorphism_group(g)) for g in cases[-3:]] == [8, 8, 168]
+
+    def test_every_automorphism_is_a_homomorphism(self):
+        # On D4 x C2 (greedy generators 1, 2, 3), 64 of the 128 generator
+        # images that extend to a bijection along the search's spanning
+        # tree are not homomorphisms; only the prefix check rejects them.
+        g = FiniteGroup.from_permutations([(1, 2, 3, 0, 4, 5), (0, 3, 2, 1, 4, 5), (0, 1, 2, 3, 5, 4)])
+        auts = automorphism_group(g)
+        assert len(auts) == 64
+        t = g.table
+        for p in auts:
+            assert all(p[t[x][y]] == t[p[x]][p[y]] for x in range(g.order) for y in range(g.order))
 
     def test_klein_four_has_six(self):
         assert len(automorphism_group(FiniteGroup.from_cyclic_factors([2, 2]))) == 6
