@@ -13,9 +13,16 @@ pointed variant, pi_1 = Ext(A_n, A_{n+1}); forgetting the identification
 of homotopy groups extends pi_1 by the full automorphism group, all of
 which is realizable.
 
-Reports carry every number with a provenance string, and the orbit
-bookkeeping is cross-checked internally (orbit-stabilizer and Burnside)
-before a report is returned.
+Reports carry every number with a provenance string.  Aut(A) acts on
+H^{n+1} through a generating set S of at most log2 |Aut(A)| pairs, the
+only pairs whose k-invariants are transported; orbits are found by a
+traversal over their permutations, and each stabilizer order is
+|Aut(A)|/|orbit|.  Two routes are checked before a report is returned:
+- Schreier relations: every pair's action, a product of generators along
+  the Schreier tree of Aut(A), obeys s.j for every generator s and pair
+  j, so the generators' permutations are an action of Aut(A);
+- Burnside: the fixed classes of every pair, each |coker(A - I)| of its
+  matrix A on H's coordinates, sum to pi_0 |Aut(A)|.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .abelian import FgAbGroup, ext_group, hom_group, kernel_subgroup
 from .cohomology import DEFAULT_MAX_RANK, Derivations, cohomology_range
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
+from .linalg import _xgcd
 from .pialgebra import (
     DEFAULT_MAX_ENDOS,
     PiAut,
@@ -61,11 +69,7 @@ class Orbit:
 
     representative: tuple[int, ...]
     size: int
-    stabilizer_indices: tuple[int, ...]
-
-    @property
-    def stabilizer_order(self) -> int:
-        return len(self.stabilizer_indices)
+    stabilizer_order: int
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,10 @@ def moduli_case_a(
     """The full report for data in dimensions 1 and n.
 
     Computes the cohomology ladder, the derivation group, Aut(A), its
-    action on the k-invariant classes, and the per-orbit pi_1 extensions;
-    verifies the orbit-stabilizer identity and Burnside's count before
-    returning.
+    action on the k-invariant classes, and the per-orbit pi_1 extensions.
+    Only the generators of Aut(A) are transported (``act_on_kinvariants``);
+    every other pair acts by the product along the Schreier tree.  The
+    Schreier relations and Burnside's count are verified before returning.
     """
     n = algebra.n
     module = algebra.an
@@ -146,20 +151,15 @@ def moduli_case_a(
 
     top = ladder[n + 1]
     classes = top.classes()
-    perms = tuple(act_on_kinvariants(algebra, pair, top) for pair in aut.elements)
-    _check_action_laws(aut, perms, _strides(top.group))
-
-    orbits = _orbits(classes, perms)
-    _require(sum(o.size for o in orbits) == len(classes), "orbit sizes do not sum to |H^(n+1)|")
-    for o in orbits:
-        _require(
-            o.size * o.stabilizer_order == aut.order,
-            "orbit-stabilizer identity failed",
-        )
-    fixed_total = sum(sum(1 for i, img in enumerate(p) if i == img) for p in perms)
-    _require(fixed_total == len(orbits) * aut.order, "Burnside count disagrees with orbit count")
-    _require(orbits[0].representative == classes[0], "zero class is not the first orbit representative")
+    perms = tuple(act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators)
     _require(all(p[0] == 0 for p in perms), "zero class is not fixed by the automorphism action")
+    images = _action_along_tree(aut, perms, _strides(top.group))
+
+    orbits = _orbits(classes, perms, aut.order)
+    _require(sum(o.size for o in orbits) == len(classes), "orbit sizes do not sum to |H^(n+1)|")
+    _require(orbits[0].representative == classes[0], "zero class is not the first orbit representative")
+    fixed_total = sum(_fixed_count(i, top.group) for i in images)
+    _require(fixed_total == len(orbits) * aut.order, "Burnside count disagrees with orbit count")
 
     h_n = ladder[n].group
     pi_rows = [
@@ -296,22 +296,33 @@ def moduli_case_b(
     return report
 
 
-def _check_action_laws(aut: PiAut, perms: tuple[tuple[int, ...], ...], generators: tuple[int, ...]):
-    """The identity acts trivially and perms[i] perms[j] = perms[ij].  Every
-    perm is a homomorphism of H^(n+1), so products are compared on the
-    positions of H's canonical generators (``generators``) only."""
-    ident = perms[aut.identity_index]
-    _require(ident == tuple(range(len(ident))), "identity automorphism does not act trivially")
-    on_gens = [tuple([p[x] for x in generators]) for p in perms]
-    for i, p in enumerate(perms):
-        for j, images in enumerate(on_gens):
+def _action_along_tree(aut: PiAut, perms: tuple[tuple[int, ...], ...], generators: tuple[int, ...]) -> list:
+    """Every pair's action as the positions of its images of H's canonical
+    generators (``generators``), found along the Schreier tree: s.j sends
+    them to perm_s of j's images.  Every perm is a homomorphism of H, so
+    the images determine it.
+
+    The Schreier relations perm_s(images of j) = images of s.j must hold
+    for every pair j and generator s.  Then the generators' permutations
+    obey every relation of P among them, and the images are an action of
+    P: the identity acts trivially and the action respects composition."""
+    images = [None] * aut.order
+    images[aut.identity_index] = generators
+    for k, g, j in aut.tree:
+        perm = perms[g]
+        images[k] = tuple([perm[x] for x in images[j]])
+    for perm, step in zip(perms, aut.step):
+        for j, k in enumerate(step):
             _require(
-                tuple([p[y] for y in images]) == on_gens[aut.compose(i, j)],
+                tuple([perm[x] for x in images[j]]) == images[k],
                 "automorphism action is not compatible with composition",
             )
+    return images
 
 
-def _orbits(classes, perms) -> tuple[Orbit, ...]:
+def _orbits(classes, perms, order: int) -> tuple[Orbit, ...]:
+    """Orbits of the group generated by ``perms`` (one per generator of a
+    group of the given order), each led by its lowest-index class."""
     count = len(classes)
     seen = [False] * count
     orbits = []
@@ -320,18 +331,60 @@ def _orbits(classes, perms) -> tuple[Orbit, ...]:
             continue
         frontier = [start]
         seen[start] = True
-        members = [start]
+        size = 1
         while frontier:
             x = frontier.pop()
             for p in perms:
                 y = p[x]
                 if not seen[y]:
                     seen[y] = True
-                    members.append(y)
+                    size += 1
                     frontier.append(y)
-        stab = tuple(i for i, p in enumerate(perms) if p[start] == start)
-        orbits.append(Orbit(representative=classes[start], size=len(members), stabilizer_indices=stab))
+        _require(order % size == 0, "orbit size does not divide the order of Aut(A)")
+        orbits.append(Orbit(representative=classes[start], size=size, stabilizer_order=order // size))
     return tuple(orbits)
+
+
+def _fixed_count(images: tuple[int, ...], group: FgAbGroup) -> int:
+    """The classes a pair fixes, from the positions ``images`` of its images
+    of the canonical generators of H = ``group`` = Z/d_1 + ... + Z/d_r.
+
+    With A the matrix of those images' coordinates, |Fix| = |ker(A - I)| =
+    |coker(A - I)|, the index in Z^r of the lattice L spanned by the
+    columns of A - I and every d_i e_i.  Row by row, gcd steps fold the
+    columns into one pivot column, started at d_i e_i; the pivots' entries
+    multiply to the index.  The columns left over span the part of L that
+    is zero down to row i, which still holds every later d_k e_k, so their
+    entries in row k may be taken mod d_k."""
+    factors = group.invariant_factors
+    r = len(factors)
+    strides = _strides(group)
+    cols = [
+        [(x // stride) % d - (i == j) for i, (d, stride) in enumerate(zip(factors, strides))]
+        for j, x in enumerate(images)
+    ]
+    index = 1
+    for i, d in enumerate(factors):
+        pivot = [d if k == i else 0 for k in range(r)]
+        rest = []
+        for col in cols:
+            a, b = pivot[i], col[i] % d
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                col, pivot = (
+                    [(b // g * u - a // g * v) % m for u, v, m in zip(pivot, col, factors)],
+                    [(x * u + y * v) % m for u, v, m in zip(pivot, col, factors)],
+                )
+                pivot[i] = g
+            elif b:
+                col = [(b // a * u - v) % m for u, v, m in zip(pivot, col, factors)]
+            col[i] = 0
+            if any(col):
+                rest.append(col)
+        index *= pivot[i]
+        cols = rest
+    return index
+
 
 
 def _class_label(coords: tuple[int, ...]) -> str:

@@ -10,10 +10,12 @@ quadratic function on elements when n = 2.
 
 ``pi_aut`` computes the group of compatible automorphism pairs, each
 held as one permutation of the stages' elements, so that compatibility
-and composition are read off permutations.  ``act_on_kinvariants`` gives
-the action of a pair on H^{n+1}, whose orbits count homotopy types.  It
-is linear: only the generators of H^{n+1} are transported, and every
-class follows by coordinate arithmetic.
+and composition are read off permutations.  The group is held as a
+generating set of at most log2 |P| pairs with a Schreier tree, not as a
+composition table.  ``act_on_kinvariants`` gives the action of a pair on
+H^{n+1}, whose orbits count homotopy types; it runs on the generators
+only.  It is linear: only the generators of H^{n+1} are transported, and
+every class follows by coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -299,17 +301,29 @@ class SymbolicAut:
 
 
 class PiAut:
-    """The finite group of compatible automorphism pairs, with its
-    composition table; identity at a known index.
+    """The finite group of compatible automorphism pairs, held as a small
+    generating set and a Schreier tree; identity at a known index.  No
+    composition table is built.
 
     Pairs compose as permutations of the stages' elements, (p s)(x) =
     p.points[s.points[x]].  A pair and its permutation determine each
     other, and so do its images of the stages' generators
-    (``generator_points``); composites are looked up by those.  So the
-    duplicate, closure and identity checks keep their meaning.
+    (``generator_points``); products are looked up by those.
+
+    ``generators`` is chosen greedily in the sorted order of the pairs: a
+    pair joins it when the traversal from the identity by the generators
+    so far has not reached it.  ``step[g][j]`` is the index of
+    generators[g] . j for every pair j, and ``tree`` lists every other pair
+    k as (k, g, j), k = generators[g] . j, parents before children.  Every
+    product of a generator with a pair is looked up; a set that contains
+    the identity, is reached from it this way and is closed under these
+    products is a group.  So the duplicate, closure and identity checks
+    keep their meaning at |P|.|S| lookups (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.1).  |S| <= log2 |P|:
+    each new generator at least doubles the group reached.
     """
 
-    __slots__ = ("case", "elements", "table", "identity_index")
+    __slots__ = ("case", "elements", "identity_index", "generators", "step", "tree")
 
     def __init__(self, case: str, elements: Sequence):
         elements = sorted(elements, key=lambda p: p.key())
@@ -318,32 +332,49 @@ class PiAut:
         index = {k: i for i, k in enumerate(keys)}
         if len(index) != len(elements):
             raise InternalConsistencyError("duplicate automorphism pairs")
-        table = []
-        for p in elements:
-            row = tuple([index.get(tuple([p.points[x] for x in k])) for k in keys])
-            if None in row:
-                raise InternalConsistencyError("automorphism pairs are not closed under composition")
-            table.append(row)
-        self.case = case
-        self.elements = tuple(elements)
-        self.table = tuple(table)
         ident = next((i for i, p in enumerate(elements) if p.points == tuple(range(len(p.points)))), None)
         if ident is None:
             raise InternalConsistencyError("no identity among the automorphism pairs")
+        generators, step, tree = [], [], []
+        reached = [False] * len(elements)
+        reached[ident] = True
+        found = [ident]
+
+        def visit(g: int, j: int):
+            points = elements[generators[g]].points
+            k = index.get(tuple([points[y] for y in keys[j]]))
+            if k is None:
+                raise InternalConsistencyError("automorphism pairs are not closed under composition")
+            step[g][j] = k
+            if not reached[k]:
+                reached[k] = True
+                tree.append((k, g, j))
+                found.append(k)
+
+        for candidate in range(len(elements)):
+            if reached[candidate]:
+                continue
+            generators.append(candidate)
+            step.append([None] * len(elements))
+            old = len(found)
+            # the pairs reached so far are closed under the earlier generators
+            for j in found[:old]:
+                visit(len(generators) - 1, j)
+            # pairs reached from here on meet every generator
+            while old < len(found):
+                for g in range(len(generators)):
+                    visit(g, found[old])
+                old += 1
+        self.case = case
+        self.elements = tuple(elements)
         self.identity_index = ident
+        self.generators = tuple(generators)
+        self.step = tuple(map(tuple, step))
+        self.tree = tuple(tree)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def compose(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inverse(self, i: int) -> int:
-        for j in range(len(self.elements)):
-            if self.table[i][j] == self.identity_index:
-                return j
-        raise InternalConsistencyError("element without inverse in automorphism group")
 
     def __repr__(self):
         return f"PiAut(case {self.case}, order {self.order})"

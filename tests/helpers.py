@@ -722,6 +722,90 @@ def reference_pi_aut(algebra) -> tuple[list, list, int]:
     return keys, table, identity
 
 
+def composition_table(aut) -> list[list[int]]:
+    """The composition table of a group of automorphism pairs, from the
+    pairs' ``points`` alone: (p s)(x) = p.points[s.points[x]], looked up
+    among the pairs' permutations."""
+    index = {p.points: i for i, p in enumerate(aut.elements)}
+    return [[index[tuple(p.points[x] for x in s.points)] for s in aut.elements] for p in aut.elements]
+
+
+def inverse_index(table, identity: int, i: int) -> int:
+    """The j with i j = identity in a composition table."""
+    return next(j for j, k in enumerate(table[i]) if k == identity)
+
+
+def polynomial_orbit_sizes(r: int, s: int, degree: int) -> list[int]:
+    """Sorted orbit sizes of GL_r(F_2) x GL_s(F_2) on H^degree((Z/2)^r; (Z/2)^s)
+    with trivial action, modelled without cohomology.
+
+    H*((Z/2)^r; F_2) is the polynomial ring F_2[x_1..x_r] on degree-1
+    classes, so H^degree with coefficients F_2^s is the degree part of that
+    ring tensored with F_2^s.  GL_r acts by linear substitution of the
+    x_i, GL_s on the coefficients; the elementary matrices I + E_ij
+    generate GL over F_2.  An element is a bitmask over the basis
+    (monomial, coefficient coordinate)."""
+    monomials = [m for m in itertools.product(range(degree + 1), repeat=r) if sum(m) == degree]
+    mono_index = {m: i for i, m in enumerate(monomials)}
+    width = len(monomials) * s
+
+    def bit(m, t):
+        return 1 << (mono_index[m] * s + t)
+
+    def substitution(i, j):
+        # x_j -> x_j + x_i sends x_j^a to the sum of C(a, k) x_j^(a-k) x_i^k
+        out = []
+        for m in monomials:
+            terms = []
+            for k in range(m[j] + 1):
+                if not (m[j] - k) & k:  # C(m_j, k) is odd (Lucas)
+                    target = list(m)
+                    target[j] -= k
+                    target[i] += k
+                    terms.append(tuple(target))
+            out.extend(sum(bit(u, t) for u in terms) for t in range(s))
+        return out
+
+    def coefficient_step(i, j):
+        # e_i -> e_i + e_j on the coefficients
+        out = []
+        for m in monomials:
+            for t in range(s):
+                out.append(bit(m, t) | (bit(m, j) if t == i else 0))
+        return out
+
+    generators = [substitution(i, j) for i in range(r) for j in range(r) if i != j]
+    generators += [coefficient_step(i, j) for i in range(s) for j in range(s) if i != j]
+
+    def act(images, v):
+        out = 0
+        b = 0
+        while v:
+            if v & 1:
+                out ^= images[b]
+            v >>= 1
+            b += 1
+        return out
+
+    seen = bytearray(1 << width)
+    sizes = []
+    for start in range(1 << width):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        frontier, size = [start], 1
+        while frontier:
+            v = frontier.pop()
+            for g in generators:
+                w = act(g, v)
+                if not seen[w]:
+                    seen[w] = 1
+                    size += 1
+                    frontier.append(w)
+        sizes.append(size)
+    return sorted(sizes)
+
+
 def quaternion_group() -> FiniteGroup:
     # elements: 1, -1, i, -i, j, -j, k, -k  (index = 2*axis + sign)
     names = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from math import gcd
 
-from helpers import det_leibniz, module_structures
+from helpers import composition_table, det_leibniz, inverse_index, module_structures
 
 from twostage.abelian import FgAbGroup, ext_group, hom_group
 from twostage.cohomology import (
@@ -299,19 +299,20 @@ def suite_action_laws():
         aut = pi_aut(algebra)
         coh = cohomology_range(algebra.an, algebra.n + 1)[-1]
         perms = [act_on_kinvariants(algebra, p, coh) for p in aut.elements]
+        table = composition_table(aut)
         width = len(perms[0])
         ident = tuple(range(width))
         assert perms[aut.identity_index] == ident
         cases += 1
         for i in range(aut.order):
-            inv = aut.inverse(i)
+            inv = inverse_index(table, aut.identity_index, i)
             assert tuple(perms[i][perms[inv][x]] for x in range(width)) == ident
             assert perms[i][0] == 0  # the split class is fixed
             cases += 1
         for i in range(aut.order):
             for j in range(aut.order):
                 composed = tuple(perms[i][perms[j][x]] for x in range(width))
-                assert composed == perms[aut.compose(i, j)]
+                assert composed == perms[table[i][j]]
                 cases += 1
     return cases
 

@@ -34,6 +34,8 @@ MODULI_SAMPLES = [
     "c2c2_z2z2",
     "c6_z2z2_rebased",
     "c8_z2",
+    "c2x3_z2",
+    "c2c2_z2x3",
 ]
 
 GOLDEN_RUNS = [

@@ -1,18 +1,22 @@
 """Moduli reports: orbit bookkeeping, per-basepoint extensions, and the
 structural invariants both report shapes must satisfy."""
 
+import itertools
 import json
+import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from twostage import moduli
 from twostage.abelian import AbHom, FgAbGroup
 from twostage.cli import parse_input
 from twostage.cohomology import cohomology_range
 from twostage.errors import InternalConsistencyError, SizeBoundError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
-from twostage.moduli import _check_action_laws, moduli_case_a, moduli_case_b
+from twostage.moduli import _action_along_tree, _fixed_count, _orbits, moduli_case_a, moduli_case_b
 from twostage.pialgebra import (
     QuadraticMap,
     TwoStageDim1N,
@@ -23,7 +27,9 @@ from twostage.pialgebra import (
     pi_aut,
 )
 
-from helpers import hom_inverse, totient
+from helpers import composition_table, hom_inverse, polynomial_orbit_sizes, totient
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def case_a(group_order, base_order, n=2):
@@ -77,20 +83,132 @@ def test_cyclic_orbits_match_the_closed_form(m, k, n):
     assert sorted(o.size for o in report.orbit_decomposition.orbits) == sorted(totient(e) for e in divisors)
 
 
-def test_action_law_check_catches_a_swapped_permutation():
+def extends_to_an_action(aut, table, generator_perms, size):
+    """Whether permutations of the classes, one per generator of Aut(A),
+    extend to an action: the product along any path from the identity
+    gives the same permutation, and the whole obeys the composition
+    table."""
+    action = {aut.identity_index: tuple(range(size))}
+    frontier = [aut.identity_index]
+    while frontier:
+        j = frontier.pop()
+        for g, perm in zip(aut.generators, generator_perms):
+            k = table[g][j]
+            moved = tuple(perm[x] for x in action[j])
+            if k not in action:
+                action[k] = moved
+                frontier.append(k)
+            elif action[k] != moved:
+                return False
+    return all(
+        tuple(action[i][action[j][x]] for x in range(size)) == action[table[i][j]]
+        for i in range(aut.order)
+        for j in range(aut.order)
+    )
+
+
+def test_action_check_catches_a_substituted_generator_permutation(monkeypatch):
+    # Only the generators of Aut(A) are transported.  Substitute for one
+    # generator's permutation another valid class permutation: one that
+    # some other pair induces, or one that moves the zero class.  The
+    # report is refused exactly when the generators' permutations, so
+    # changed, no longer extend to an action of Aut(A), the law the
+    # pairwise check of every transported pair used to test.  A
+    # substitution that is another action of Aut(A) cannot be told from
+    # the true one without transporting more pairs: on (C3, Z/3), Aut(A) =
+    # C2 x C2 acts on H^3 = Z/3 through involutions, and any choice of
+    # involutions for its two generators is an action.
     klein = TwoStageDim1N(2, GModule.trivial(FiniteGroup.from_cyclic_factors([2, 2]), FgAbGroup.cyclic(2)))
-    for alg in (case_a(3, 3), klein):
+    for alg, induced_refusals in ((case_a(3, 3), 0), (klein, 6)):
         top = cohomology_range(alg.an, alg.n + 1)[-1]
         aut = pi_aut(alg)
-        perms = [act_on_kinvariants(alg, pair, top) for pair in aut.elements]
-        generators = _strides(top.group)
-        _check_action_laws(aut, tuple(perms), generators)
-        swaps = [(i, j) for i in range(aut.order) for j in range(aut.order) if perms[i] != perms[j]]
-        assert swaps
-        for i, j in swaps:
-            broken = perms[:i] + [perms[j]] + perms[i + 1 :]
-            with pytest.raises(InternalConsistencyError):
-                _check_action_laws(aut, tuple(broken), generators)
+        table = composition_table(aut)
+        size = top.group.order
+        induced = [act_on_kinvariants(alg, pair, top) for pair in aut.elements]
+        moves_zero = tuple((x + 1) % size for x in range(size))
+        refused = {"induced": 0, "moves zero": 0}
+        for position, g in enumerate(aut.generators):
+            target = aut.elements[g].key()
+            for other in sorted(set(induced) - {induced[g]}) + [moves_zero]:
+                perms = [induced[h] for h in aut.generators]
+                perms[position] = other
+
+                def substituted(algebra, pair, coh, other=other, target=target):
+                    return other if pair.key() == target else act_on_kinvariants(algebra, pair, coh)
+
+                monkeypatch.setattr(moduli, "act_on_kinvariants", substituted)
+                if extends_to_an_action(aut, table, perms, size):
+                    moduli_case_a(alg)
+                else:
+                    refused["moves zero" if other is moves_zero else "induced"] += 1
+                    with pytest.raises(InternalConsistencyError):
+                        moduli_case_a(alg)
+                monkeypatch.undo()
+        assert refused == {"induced": induced_refusals, "moves zero": len(aut.generators)}
+
+
+def case_a_moduli_samples():
+    return [
+        path.stem
+        for path in sorted(SAMPLES.glob("*.json"))
+        if json.loads(path.read_text())["case"] == "A" and (SAMPLES / "golden" / f"{path.stem}.moduli.txt").exists()
+    ]
+
+
+@pytest.mark.parametrize("name", case_a_moduli_samples())
+def test_burnside_count_matches_the_traversal(name):
+    algebra, _ = parse_input((SAMPLES / f"{name}.json").read_text())
+    aut = pi_aut(algebra)
+    top = cohomology_range(algebra.an, algebra.n + 1)[-1]
+    perms = [act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators]
+    images = _action_along_tree(aut, perms, _strides(top.group))
+    orbits = _orbits(top.classes(), perms, aut.order)
+    fixed = [_fixed_count(i, top.group) for i in images]
+    assert sum(fixed) == len(orbits) * aut.order
+    if top.group.order * aut.order <= 200_000:
+        # every pair's fixed classes counted one by one
+        full = {aut.identity_index: tuple(range(top.group.order))}
+        for k, g, j in aut.tree:
+            full[k] = tuple(perms[g][x] for x in full[j])
+        assert fixed == [sum(1 for x, y in enumerate(full[k]) if x == y) for k in range(aut.order)]
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2), (2, 4), (4, 8), (3, 9), (2, 4, 4), (6,), (2, 2, 4, 8)])
+def test_fixed_count_matches_enumeration(factors):
+    # random endomorphisms of Z/d_1 + ... + Z/d_r, invertible or not,
+    # their fixed elements counted one by one
+    group = FgAbGroup.from_cyclic_factors(list(factors))
+    factors = group.invariant_factors
+    strides = _strides(group)
+    rng = random.Random(11)
+    for _ in range(50):
+        # a generator of order d goes to an element of order dividing d
+        images = [[rng.randrange(gcd(m, d)) * (m // gcd(m, d)) for m in factors] for d in factors]
+        fixed = 0
+        for x in itertools.product(*(range(d) for d in factors)):
+            y = [sum(k * image[i] for k, image in zip(x, images)) % m for i, m in enumerate(factors)]
+            fixed += list(x) == y
+        positions = tuple(sum(c * s for c, s in zip(image, strides)) for image in images)
+        assert _fixed_count(positions, group) == fixed
+
+
+# (Z/2)^r acting trivially on (Z/2)^s: H^3 is the cubic part of
+# F_2[x_1..x_r] tensored with F_2^s, with GL_r x GL_s acting by
+# substitution; helpers.polynomial_orbit_sizes counts its orbits without
+# the bar complex or the transport.
+@pytest.mark.parametrize("r, s", [(1, 1), (2, 1), (2, 2), (3, 1), (2, 3)])
+def test_orbits_match_the_polynomial_model(r, s):
+    doc = {
+        "case": "A",
+        "n": 2,
+        "group": {"cyclic_factors": [2] * r},
+        "module": {"coefficients": {"cyclic_factors": [2] * s}, "action": "trivial"},
+    }
+    algebra, _ = parse_input(json.dumps(doc))
+    report = moduli_case_a(algebra)
+    sizes = polynomial_orbit_sizes(r, s, 3)
+    assert report.pi0 == len(sizes)
+    assert sorted(o.size for o in report.orbit_decomposition.orbits) == sizes
 
 
 def test_coprime_orders_give_single_type():

@@ -23,7 +23,9 @@ from twostage.pialgebra import (
 )
 
 from helpers import (
+    composition_table,
     hom_inverse,
+    inverse_index,
     reference_abelian_automorphisms,
     reference_act_on_kinvariants,
     reference_pi_aut,
@@ -153,20 +155,21 @@ def test_pi_aut_negation_action():
 def test_pi_aut_group_laws():
     for alg in (trivial_alg(3, 3), negation_alg(), trivial_alg(4, 2)):
         aut = pi_aut(alg)
+        table = composition_table(aut)
         n = aut.order
         ident = aut.identity_index
         for i in range(n):
-            row = [aut.compose(i, j) for j in range(n)]
-            col = [aut.compose(j, i) for j in range(n)]
+            row = [table[i][j] for j in range(n)]
+            col = [table[j][i] for j in range(n)]
             assert sorted(row) == list(range(n))
             assert sorted(col) == list(range(n))
-            j = aut.inverse(i)
-            assert aut.compose(i, j) == ident
-            assert aut.compose(j, i) == ident
+            j = inverse_index(table, ident, i)
+            assert table[i][j] == ident
+            assert table[j][i] == ident
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert aut.compose(aut.compose(i, j), k) == aut.compose(i, aut.compose(j, k))
+                    assert table[table[i][j]][k] == table[i][table[j][k]]
 
 
 def test_pi_aut_case_b_examples():
@@ -234,6 +237,7 @@ def test_action_fixes_zero_and_is_compatible_with_composition():
         H = cohomology_range(alg.an, alg.n + 1)[-1]
         aut = pi_aut(alg)
         perms = [act_on_kinvariants(alg, pair, H) for pair in aut.elements]
+        table = composition_table(aut)
         size = H.group.order
         for p in perms:
             assert p[0] == 0
@@ -241,7 +245,7 @@ def test_action_fixes_zero_and_is_compatible_with_composition():
         for i in range(aut.order):
             for j in range(aut.order):
                 composed = tuple(perms[i][perms[j][x]] for x in range(size))
-                assert composed == perms[aut.compose(i, j)]
+                assert composed == perms[table[i][j]]
 
 
 def test_action_on_z3_matches_multiplication():
@@ -336,7 +340,7 @@ def test_pi_aut_matches_the_homomorphism_reference(name):
     aut = pi_aut(alg)
     keys, table, identity = reference_pi_aut(alg)
     assert [p.key() for p in aut.elements] == keys
-    assert [list(row) for row in aut.table] == table
+    assert composition_table(aut) == table
     assert aut.identity_index == identity
 
 
@@ -359,10 +363,11 @@ def test_points_are_the_pairs_on_elements(name):
             first, second = element_positions(alg.an, pair.psi_n), element_positions(alg.an1, pair.psi_n1)
         assert pair.points == tuple(first + [len(first) + y for y in second])
         assert sorted(pair.points) == list(range(len(pair.points)))
+    table = composition_table(aut)
     for i, p in enumerate(aut.elements):
         for j, s in enumerate(aut.elements):
             composite = tuple(p.points[x] for x in s.points)
-            assert aut.elements[aut.compose(i, j)].points == composite
+            assert aut.elements[table[i][j]].points == composite
 
 
 def test_pi_aut_composes_in_order_where_it_is_not_abelian():
@@ -371,10 +376,39 @@ def test_pi_aut_composes_in_order_where_it_is_not_abelian():
     # composition order swapped gives a different table.
     for alg in (klein_alg([2, 2]), swap_two_alg(), stable_alg(3, [2, 2], [2, 2], [[1, 0], [0, 1]])):
         aut = pi_aut(alg)
-        swapped = [[aut.table[j][i] for j in range(aut.order)] for i in range(aut.order)]
-        assert swapped != [list(row) for row in aut.table]
-        assert [list(row) for row in aut.table] == reference_pi_aut(alg)[1]
+        table = composition_table(aut)
+        swapped = [[table[j][i] for j in range(aut.order)] for i in range(aut.order)]
+        assert swapped != table
+        assert table == reference_pi_aut(alg)[1]
     assert pi_aut(klein_alg([2, 2])).order == 36
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+def test_schreier_tree_reaches_every_pair_from_a_greedy_generating_set(name):
+    aut = pi_aut(PAIR_CASES[name]())
+    table = composition_table(aut)
+    everything = set(range(aut.order))
+    # each generator is the first pair, in sorted order, outside the
+    # subgroup the earlier ones generate, so each at least doubles it
+    subgroup = {aut.identity_index}
+    for g in aut.generators:
+        assert g == min(everything - subgroup)
+        subgroup.add(g)
+        while True:
+            grown = subgroup | {table[a][b] for a in subgroup for b in subgroup}
+            if grown == subgroup:
+                break
+            subgroup = grown
+    assert subgroup == everything
+    assert 2 ** len(aut.generators) <= aut.order
+    for g, step in zip(aut.generators, aut.step):
+        assert list(step) == table[g]
+    reached = {aut.identity_index}
+    for k, g, j in aut.tree:
+        assert j in reached and k not in reached
+        assert table[aut.generators[g]][j] == k
+        reached.add(k)
+    assert reached == everything
 
 
 @pytest.mark.parametrize(
@@ -407,7 +441,8 @@ def test_pi_aut_rejects_pairs_not_closed_under_composition():
     # order 4, and the stabilizer of the identity q is GL_2(F_2) = S3.
     for case, alg in (("A", trivial_alg(1, 5)), ("B", stable_alg(3, [2, 2], [2, 2], [[1, 0], [0, 1]]))):
         aut = pi_aut(alg)
-        p = next(i for i in range(aut.order) if aut.compose(i, i) != aut.identity_index)
+        table = composition_table(aut)
+        p = next(i for i in range(aut.order) if table[i][i] != aut.identity_index)
         with pytest.raises(InternalConsistencyError, match="^automorphism pairs are not closed under composition$"):
             PiAut(case, [aut.elements[aut.identity_index], aut.elements[p]])
 
