@@ -42,7 +42,7 @@ uses the invariant-factor decomposition, Ext(Z/d, B) = B/dB.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SizeBoundError, ValidationError, Violation
 from .linalg import (
@@ -305,7 +305,7 @@ class AbHom:
     ``columns`` holds the matrix's nonzero columns, for ``sparse_image``.
     """
 
-    __slots__ = ("source", "target", "matrix", "columns")
+    __slots__ = ("source", "target", "matrix", "columns", "_key")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
         if matrix.shape != (target.ngens, source.ngens):
@@ -317,6 +317,7 @@ class AbHom:
         self.target = target
         self.matrix = matrix
         self.columns = matrix.nonzero_columns()
+        self._key = None
         for j, rel in enumerate(source.relation_columns):
             if not target.is_zero_sparse(sparse_image(self.columns, rel)):
                 raise ValidationError(
@@ -330,6 +331,14 @@ class AbHom:
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
         return cls(group, group, IntMatrix.identity(group.ngens))
+
+    @classmethod
+    def from_key(cls, source: FgAbGroup, target: FgAbGroup, key: Sequence[Sequence[int]]) -> "AbHom":
+        """The map sending generator j to the element with canonical
+        coordinates key[j], reduced; ``key`` is its ``canonical_key``."""
+        f = cls(source, target, IntMatrix.from_columns([target.lift(y) for y in key], rows=target.ngens))
+        f._key = tuple(map(tuple, key))
+        return f
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "AbHom":
@@ -357,8 +366,11 @@ class AbHom:
         return all(self.target.is_zero(self.matrix.column(j)) for j in range(self.matrix.cols))
 
     def canonical_key(self) -> tuple:
-        """Hashable form: canonical coordinates of every generator image."""
-        return tuple(self.target.reduce(self.matrix.column(j)) for j in range(self.matrix.cols))
+        """Hashable form: canonical coordinates of every generator image,
+        computed on first use."""
+        if self._key is None:
+            self._key = tuple(self.target.reduce(self.matrix.column(j)) for j in range(self.matrix.cols))
+        return self._key
 
     def cokernel(self) -> FgAbGroup:
         return FgAbGroup(hstack(self.target.presentation, self.matrix))
@@ -484,35 +496,15 @@ def kernel_subgroup(f: AbHom) -> Subquotient:
     return Subquotient(f.source.ngens, _preimage_basis(f), f.source.presentation)
 
 
-class HomGroup:
-    """Hom(A, B) in normal form together with generating homomorphisms."""
+class HomGroup(NamedTuple):
+    """Hom(A, B) in normal form.  ``images`` presents it as a subquotient of
+    B^m, m the generators of A: a homomorphism is the class of its
+    generator images, stacked column by column (None when m = 0)."""
 
-    __slots__ = ("source", "target", "group", "generators", "_sub")
-
-    def __init__(self, source: FgAbGroup, target: FgAbGroup, group: FgAbGroup,
-                 generators: tuple[AbHom, ...], sub: Subquotient | None):
-        self.source = source
-        self.target = target
-        self.group = group
-        self.generators = generators
-        self._sub = sub
-
-    def hom_at(self, coords: Sequence[int]) -> AbHom:
-        """The homomorphism with the given canonical coordinates."""
-        if self._sub is None:
-            if any(coords):
-                raise ValueError("nonzero coordinates in a trivial Hom group")
-            return AbHom.zero(self.source, self.target)
-        flat = self._sub.representative(coords)
-        return AbHom(self.source, self.target, _unflatten(flat, self.target.ngens, self.source.ngens))
-
-    def all_homs(self, limit: int | None = None) -> list[AbHom]:
-        return [self.hom_at(c) for c in self.group.element_coords(limit)]
-
-
-def _unflatten(flat: Sequence[int], rows: int, ncols: int) -> IntMatrix:
-    # Column-stacked layout: entry (i, j) of the matrix sits at j*rows + i.
-    return IntMatrix(rows, ncols, [flat[j * rows + i] for i in range(rows) for j in range(ncols)])
+    source: FgAbGroup
+    target: FgAbGroup
+    group: FgAbGroup
+    images: Subquotient | None
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
@@ -521,19 +513,17 @@ def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
     Generator images live in B^m (m = generators of A); requiring A's
     relations to die is the kernel of the evaluation map B^m -> B^r given
     by the Kronecker matrix of the relation block.  The kernel subquotient
-    machinery then yields the normal form and honest generating maps.
+    machinery then yields the normal form.
     """
     m = a.ngens
     if m == 0:
-        return HomGroup(a, b, FgAbGroup.trivial(), (), None)
+        return HomGroup(a, b, FgAbGroup.trivial(), None)
     bm = direct_sum([b] * m)
     rels = a.presentation
     br = direct_sum([b] * rels.cols)
     eval_matrix = kronecker(rels.transpose(), IntMatrix.identity(b.ngens))
-    f = AbHom(bm, br, eval_matrix)
-    sub = kernel_subgroup(f)
-    gens = tuple(AbHom(a, b, _unflatten(flat, b.ngens, m)) for flat in sub.generator_representatives())
-    return HomGroup(a, b, sub.group, gens, sub)
+    sub = kernel_subgroup(AbHom(bm, br, eval_matrix))
+    return HomGroup(a, b, sub.group, sub)
 
 
 def ext_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -8,14 +8,17 @@ n+1 (n >= 2), glued by the map q induced by precomposition with the Hopf
 map: a homomorphism out of A_n/2A_n in the stable range n >= 3, and a
 quadratic function on elements when n = 2.
 
-``pi_aut`` computes the group of compatible automorphism pairs, each
-held as one permutation of the stages' elements, so that compatibility
-and composition are read off permutations.  The group is held as a
-generating set of at most log2 |P| pairs with a Schreier tree, not as a
-composition table.  ``act_on_kinvariants`` gives the action of a pair on
-H^{n+1}, whose orbits count homotopy types; it runs on the generators
-only.  It is linear: only the generators of H^{n+1} are transported, and
-every class follows by coordinate arithmetic.
+``abelian_automorphisms`` builds Aut of a finite abelian stage one
+generator image at a time, pruning images dependent on the socle, instead
+of filtering End.  ``pi_aut`` computes the group of compatible
+automorphism pairs, each held as one permutation of the stages' elements
+(read off the built images), so that compatibility and composition are
+read off permutations.  The group is held as a generating set of at most
+log2 |P| pairs with a Schreier tree, not as a composition table.
+``act_on_kinvariants`` gives the action of a pair on H^{n+1}, whose orbits
+count homotopy types; it runs on the generators only.  It is linear: only
+the generators of H^{n+1} are transported, and every class follows by
+coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abelian import AbHom, FgAbGroup, hom_group
+from .abelian import AbHom, FgAbGroup
 from .cohomology import Cocycle, CohomologyGroup
 from .errors import (
     InternalConsistencyError,
@@ -215,14 +218,16 @@ class TwoStageDimNN1:
 class AutPairA:
     """(phi, psi): a group automorphism and a compatible automorphism of
     the finite A_n, psi(g.m) = phi(g).psi(m).  As one permutation,
-    ``points`` is phi on A_1, then psi on A_n numbered from |A_1| on."""
+    ``points`` is phi on A_1, then psi on A_n numbered from |A_1| on;
+    ``psi_map`` must be psi's ``_element_map``, as ``abelian_automorphisms``
+    gives it."""
 
     __slots__ = ("phi", "psi", "points")
 
-    def __init__(self, phi: tuple[int, ...], psi: AbHom):
+    def __init__(self, phi: tuple[int, ...], psi: AbHom, psi_map: Sequence[int]):
         self.phi = tuple(phi)
         self.psi = psi
-        self.points = self.phi + tuple(len(self.phi) + y for y in _element_map(psi))
+        self.points = self.phi + tuple(len(self.phi) + y for y in psi_map)
 
     def key(self):
         return (self.phi, self.psi.canonical_key())
@@ -239,14 +244,15 @@ class AutPairA:
 class AutPairB:
     """(psi_n, psi_n1): automorphisms of the two finite stages commuting with q.
     As one permutation, ``points`` is psi_n on A_n, then psi_n1 on
-    A_(n+1) numbered from |A_n| on."""
+    A_(n+1) numbered from |A_n| on, from their ``_element_map``s, as
+    ``abelian_automorphisms`` gives them."""
 
     __slots__ = ("psi_n", "psi_n1", "points")
 
-    def __init__(self, psi_n: AbHom, psi_n1: AbHom):
+    def __init__(self, psi_n: AbHom, psi_n1: AbHom, map_n: Sequence[int], map_n1: Sequence[int]):
         self.psi_n = psi_n
         self.psi_n1 = psi_n1
-        self.points = _element_map(psi_n) + tuple(psi_n.source.order + y for y in _element_map(psi_n1))
+        self.points = tuple(map_n) + tuple(len(map_n) + y for y in map_n1)
 
     def key(self):
         return (self.psi_n.canonical_key(), self.psi_n1.canonical_key())
@@ -380,32 +386,63 @@ class PiAut:
         return f"PiAut(case {self.case}, order {self.order})"
 
 
-def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) -> list[AbHom]:
-    """All automorphisms of a finite abelian group, sorted canonically.
+def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) -> list[tuple[AbHom, tuple[int, ...]]]:
+    """All automorphisms of a finite abelian group, sorted canonically,
+    each with its ``_element_map``.
 
-    An endomorphism of a finite group is bijective when it is injective,
-    and it is injective when no element of prime order maps to 0.  So only
-    the socle is mapped: for each prime p, the elements of order p form
-    (Z/p)^r on the basis (d/p) e_i, e_i a canonical generator whose
-    invariant factor d is divisible by p.
+    They are built, not filtered out of End (``_automorphism_images``).
+    With invariant factors d_1 | ... | d_k, f(e_i) is one of the
+    prod_l gcd(d_i, d_l) elements killed by d_i; ``max_endos`` bounds
+    |End|, the product over i, before anything is listed.  Each
+    automorphism is lifted to the presentation's generators and checked by
+    ``AbHom``; its element map is read off its images of the e_i.
     """
     if not group.is_finite:
         raise SizeBoundError("cannot enumerate automorphisms of an infinite group")
-    endos = hom_group(group, group).all_homs(max_endos)
     factors = group.invariant_factors
-    exponent = factors[-1] if factors else 1
-    socle = []  # per prime p: the radix (p, ..., p) and the basis, lifted
-    for p in range(2, exponent + 1):
-        if exponent % p or any(p % q == 0 for q in range(2, p)):
-            continue
-        basis = [[d // p if j == i else 0 for j in range(len(factors))] for i, d in enumerate(factors) if d % p == 0]
-        socle.append(((p,) * len(basis), [group.lift(b) for b in basis]))
+    endos = math.prod(math.gcd(a, b) for a in factors for b in factors)
+    if endos > max_endos:
+        raise SizeBoundError("group too large to enumerate", requested=endos, bound=max_endos)
+    coords = [group.reduce(e) for e in IntMatrix.identity(group.ngens).data]  # of the generators
+    built = []
+    for images in _automorphism_images(factors):
+        # the canonical key: the images of the presentation's generators
+        key = tuple(
+            tuple(sum(c * x[l] for c, x in zip(g, images)) % d for l, d in enumerate(factors))
+            for g in coords
+        )
+        built.append((key, images))
+    built.sort()
+    return [(AbHom.from_key(group, group, key), _extend(factors, group, images)) for key, images in built]
 
-    def injective(f: AbHom) -> bool:
-        # position 0 is the zero element; no other element may land there
-        return all(0 not in _extend(radix, group, [group.reduce(f(b)) for b in basis])[1:] for radix, basis in socle)
 
-    return sorted((f for f in endos if injective(f)), key=lambda f: f.canonical_key())
+def _automorphism_images(factors: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """Each automorphism of Z/d_1 x ... x Z/d_k as its images of the
+    canonical generators e_i, in canonical coordinates.  An endomorphism
+    of a finite group is bijective when it is injective on the socle: for
+    each prime p, the (d_i/p) f(e_i) with p | d_i are independent over F_p.
+    Images are chosen generator by generator, each socle vector reduced
+    against an echelon basis of the earlier ones (each row zero at the
+    earlier rows' pivots); a choice reducing to 0 is pruned."""
+    level = [((), {})]  # (images so far, per prime: echelon rows as (pivot, row))
+    for d in factors:
+        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+        grown = []
+        for x in itertools.product(*(range(0, m, m // math.gcd(d, m)) for m in factors)):
+            # (d/p) x on the basis (m/p) e_l of the socle, p | m
+            vectors = [[(d // p * c % m) // (m // p) for c, m in zip(x, factors) if m % p == 0] for p in primes]
+            for chosen, bases in level:
+                rows = {}
+                for p, v in zip(primes, vectors):
+                    for pivot, row in bases.get(p, ()):
+                        v = [(a * row[pivot] - v[pivot] * b) % p for a, b in zip(v, row)]
+                    if not any(v):
+                        break
+                    rows[p] = bases.get(p, ()) + ((next(j for j, a in enumerate(v) if a), v),)
+                else:
+                    grown.append((chosen + (x,), {**bases, **rows}))
+        level = grown
+    return [chosen for chosen, _ in level]
 
 
 def pi_aut(
@@ -435,13 +472,12 @@ def _pi_aut_case_a(algebra: TwoStageDim1N, max_group_aut: int, max_endos: int) -
     # The bound on base_autos bounds these lists: |A_n| <= |End(A_n)|.
     action = [_element_map(AbHom(base, base, m)) for m in module.action]
     pairs = []
-    for psi in base_autos:
-        points = _element_map(psi)
+    for psi, points in base_autos:
         psi_g = [[points[y] for y in a] for a in action]
         g_psi = [[a[y] for y in points] for a in action]
         for phi in group_autos:
             if all(psi_g[g] == g_psi[phi[g]] for g in range(group.order)):
-                pairs.append(AutPairA(phi, psi))
+                pairs.append(AutPairA(phi, psi, points))
     return PiAut("A", pairs)
 
 
@@ -455,12 +491,11 @@ def _pi_aut_case_b(algebra: TwoStageDimNN1, max_endos: int) -> PiAut | SymbolicA
     # not.  The bound on autos_n bounds these lists: |A_n| <= |End(A_n)|.
     strides = _strides(an1)
     q_points = [sum(a * s for a, s in zip(an1.reduce(q(x)), strides)) for x in an.elements()]
-    q_f = [[q_points[y] for y in _element_map(f)] for f in autos_n]
+    q_f = [[q_points[y] for y in points] for _, points in autos_n]
     pairs = []
-    for g in autos_n1:
-        points = _element_map(g)
+    for g, points in autos_n1:
         g_q = [points[y] for y in q_points]
-        pairs.extend(AutPairB(f, g) for f, qf in zip(autos_n, q_f) if qf == g_q)
+        pairs.extend(AutPairB(f, g, f_map, points) for (f, f_map), qf in zip(autos_n, q_f) if qf == g_q)
     return PiAut("B", pairs)
 
 

@@ -500,7 +500,7 @@ def _lookup(f: dict, t: tuple, normalized: bool, zero):
 def module_structures(group, base):
     """Every module structure on ``base``: all assignments of coefficient
     automorphisms to group elements that satisfy the action axioms."""
-    auts = [h.matrix for h in abelian_automorphisms(base)]
+    auts = [h.matrix for h, _ in abelian_automorphisms(base)]
     found = []
     for choice in itertools.product(range(len(auts)), repeat=group.order - 1):
         mats = [IntMatrix.identity(base.ngens)] + [auts[i] for i in choice]
@@ -649,11 +649,83 @@ def transport_quadratic(q: QuadraticMap, psi_n: AbHom, psi_n1: AbHom) -> Quadrat
     return QuadraticMap(q.source, q.target, values, max_order=q.source.order)
 
 
+def hom_at(h, coords) -> AbHom:
+    """The homomorphism with canonical coordinates ``coords`` in
+    ``h.group``, for h = hom_group(A, B): its generator images unstacked
+    from ``h.images``."""
+    a, b = h.source, h.target
+    if h.images is None:
+        if any(coords):
+            raise ValueError("nonzero coordinates in a trivial Hom group")
+        return AbHom.zero(a, b)
+    flat = h.images.representative(coords)
+    # Column-stacked layout: entry (i, j) of the matrix sits at j*rows + i.
+    return AbHom(a, b, IntMatrix(b.ngens, a.ngens, [flat[j * b.ngens + i] for i in range(b.ngens) for j in range(a.ngens)]))
+
+
+def all_homs(h, limit: int | None = None) -> list:
+    """Every homomorphism of h = hom_group(A, B), in the order of
+    ``h.group.element_coords``; refused above ``limit`` of them."""
+    return [hom_at(h, c) for c in h.group.element_coords(limit)]
+
+
+def hom_generators(h) -> list:
+    """The homomorphisms at the canonical generators of ``h.group``."""
+    width = len(h.group.coordinate_moduli())
+    return [hom_at(h, [int(i == j) for j in range(width)]) for i in range(width)]
+
+
 def reference_abelian_automorphisms(group, max_endos: int = 4096) -> list:
     """Automorphisms of a finite abelian group by the Smith-form test:
     the endomorphisms whose cokernel and kernel are trivial."""
-    endos = hom_group(group, group).all_homs(max_endos)
+    endos = all_homs(hom_group(group, group), max_endos)
     return sorted((f for f in endos if is_bijective(f)), key=lambda f: f.canonical_key())
+
+
+def divisibility_chains(max_order: int) -> list[tuple[int, ...]]:
+    """Every chain d_1 | d_2 | ... | d_k with d_1 >= 2 and product at most
+    ``max_order``, the empty chain (the trivial group) included."""
+
+    def grow(chain, order):
+        yield chain
+        last = chain[-1] if chain else 1
+        for d in range(max(2, last), max_order // order + 1, last):
+            yield from grow(chain + (d,), order * d)
+
+    return list(grow((), 1))
+
+
+def aut_order(invariant_factors) -> int:
+    """|Aut(Z/d_1 x ... x Z/d_k)| in closed form, the product over primes of
+    the order for each p-primary part (Hillar and Rhea, "Automorphisms of
+    finite abelian groups", Amer. Math. Monthly 114, 2007, Theorem 4.1).
+
+    For the part Z/p^e_1 x ... x Z/p^e_n, e_1 <= ... <= e_n, with (1-based)
+    a_k = max{l : e_l = e_k} and b_k = min{l : e_l = e_k}, the order is
+    prod_k (p^a_k - p^(k-1)) . prod_j p^(e_j (n - a_j)) . prod_i p^((e_i - 1)(n - b_i + 1)).
+    """
+    total = 1
+    exponent = max(invariant_factors, default=1)
+    for p in range(2, exponent + 1):
+        if exponent % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        e = []
+        for d in invariant_factors:
+            k = 0
+            while d % p == 0:
+                d //= p
+                k += 1
+            if k:
+                e.append(k)
+        e.sort()
+        n = len(e)
+        a = [max(l for l in range(1, n + 1) if e[l - 1] == x) for x in e]
+        b = [min(l for l in range(1, n + 1) if e[l - 1] == x) for x in e]
+        for k in range(1, n + 1):
+            total *= p ** a[k - 1] - p ** (k - 1)
+            total *= p ** (e[k - 1] * (n - a[k - 1]))
+            total *= p ** ((e[k - 1] - 1) * (n - b[k - 1] + 1))
+    return total
 
 
 def reference_act_on_kinvariants(algebra, pair, coh) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ MODULI_SAMPLES = [
     "c8_z2",
     "c2x3_z2",
     "c2c2_z2x3",
+    "stable_rebased_q",
 ]
 
 GOLDEN_RUNS = [
@@ -199,6 +200,14 @@ class TestSizeErrors:
         status, _, err = run_cli(["moduli", path], capsys)
         assert status == EXIT_CODES["E_SIZE"] == 4
         assert "error[E_SIZE]" in err
+
+    def test_stage_over_the_endomorphism_bound(self, tmp_path, capsys):
+        # |End((Z/2)^4)| = 2^16 is over the default max_endos, though |Aut| = 20160 is not
+        doc = {"case": "B", "n": 3, "an": {"cyclic_factors": [2, 2, 2, 2]}, "an1": {"cyclic_factors": [2]}, "q": "zero"}
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, doc)], capsys)
+        assert status == 4
+        assert out == ""
+        assert err == "error[E_SIZE]: group too large to enumerate (requested 65536, bound 4096)\n"
 
     def test_max_group_order_flag_tightens_bound(self, capsys):
         argv = ["moduli", SAMPLES / "orbits_z3.json", "--max-group-order", "2"]

@@ -343,9 +343,9 @@ def test_case_b_conjugated_q_gives_same_report():
     z4, z2 = FgAbGroup.cyclic(4), FgAbGroup.cyclic(2)
     q = AbHom(z4.modulo(2), z2, IntMatrix.from_rows([[1]]))
     base = moduli_case_b(TwoStageDimNN1(3, z4, z2, q))
-    for f in abelian_automorphisms(z4):
+    for f, _ in abelian_automorphisms(z4):
         f_bar = AbHom(z4.modulo(2), z4.modulo(2), hom_inverse(f).matrix)
-        for g in abelian_automorphisms(z2):
+        for g, _ in abelian_automorphisms(z2):
             other = moduli_case_b(TwoStageDimNN1(3, z4, z2, g @ q @ f_bar))
             assert other.pi0 == base.pi0
             assert other.aut_order == base.aut_order

@@ -1,10 +1,13 @@
 """Two-stage data validation, automorphism pairs, and the action on
 k-invariant classes."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twostage import pialgebra
-from twostage.abelian import AbHom, FgAbGroup
+from twostage.abelian import AbHom, FgAbGroup, hom_group
 from twostage.cohomology import Cocycle, cohomology_range
 from twostage.errors import InternalConsistencyError, SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule
@@ -23,9 +26,12 @@ from twostage.pialgebra import (
 )
 
 from helpers import (
+    aut_order,
     composition_table,
+    divisibility_chains,
     hom_inverse,
     inverse_index,
+    random_unimodular,
     reference_abelian_automorphisms,
     reference_act_on_kinvariants,
     reference_pi_aut,
@@ -205,9 +211,9 @@ def test_case_b_conjugation_preserves_aut_order():
     z4, z2 = FgAbGroup.cyclic(4), FgAbGroup.cyclic(2)
     q = AbHom(z4.modulo(2), z2, IntMatrix.from_rows([[1]]))
     base_order = pi_aut(TwoStageDimNN1(3, z4, z2, q)).order
-    for f in abelian_automorphisms(z4):
+    for f, _ in abelian_automorphisms(z4):
         f_bar = AbHom(z4.modulo(2), z4.modulo(2), hom_inverse(f).matrix)
-        for g in abelian_automorphisms(z2):
+        for g, _ in abelian_automorphisms(z2):
             q_conj = g @ q @ f_bar
             assert pi_aut(TwoStageDimNN1(3, z4, z2, q_conj)).order == base_order
 
@@ -215,8 +221,8 @@ def test_case_b_conjugation_preserves_aut_order():
     q2 = QuadraticMap(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), [(0,), (1,)])
     alg2 = TwoStageDimNN1(2, FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), q2)
     base2 = pi_aut(alg2).order
-    for f in abelian_automorphisms(FgAbGroup.cyclic(2)):
-        for g in abelian_automorphisms(FgAbGroup.cyclic(4)):
+    for f, _ in abelian_automorphisms(FgAbGroup.cyclic(2)):
+        for g, _ in abelian_automorphisms(FgAbGroup.cyclic(4)):
             moved = transport_quadratic(q2, f, g)
             assert pi_aut(TwoStageDimNN1(2, FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), moved)).order == base2
 
@@ -419,21 +425,89 @@ def test_schreier_tree_reaches_every_pair_from_a_greedy_generating_set(name):
         FgAbGroup.from_cyclic_factors([2, 2, 2]),
         FgAbGroup(IntMatrix.from_rows([[-2, 0], [2, 2]])),
         FgAbGroup.cyclic(4096),
+        FgAbGroup.from_cyclic_factors([2, 6]),
+        FgAbGroup.from_cyclic_factors([3, 3]),
+        FgAbGroup.from_cyclic_factors([4, 4]),
+        FgAbGroup.from_cyclic_factors([2, 8]),
+        FgAbGroup.from_cyclic_factors([2, 2, 4]),
+        FgAbGroup(IntMatrix.from_columns([[4, 2], [0, 2]], rows=2)),
     ],
-    ids=["Z/12", "Z/4xZ/2", "(Z/2)^3", "relations [[-2, 0], [2, 2]]", "Z/4096"],
+    ids=[
+        "Z/12",
+        "Z/4xZ/2",
+        "(Z/2)^3",
+        "relations [[-2, 0], [2, 2]]",
+        "Z/4096",
+        "Z/2xZ/6",
+        "(Z/3)^2",
+        "Z/4xZ/4",
+        "Z/2xZ/8",
+        "Z/2xZ/2xZ/4",
+        "Z/2xZ/4 on relations [[4, 2], [0, 2]]",
+    ],
 )
 def test_abelian_automorphisms_match_the_smith_form_filter(group):
-    got = [f.canonical_key() for f in abelian_automorphisms(group)]
-    assert got == [f.canonical_key() for f in reference_abelian_automorphisms(group)]
+    autos = abelian_automorphisms(group)
+    expected = reference_abelian_automorphisms(group)
+    # the keys set from the built images are those of the lifted matrices
+    assert [f.canonical_key() for f, _ in autos] == [f.canonical_key() for f in expected]
+    assert all(f.equals(g) for (f, _), g in zip(autos, expected))
+    # the element maps read off the built images are those of the lifted maps
+    assert all(points == pialgebra._element_map(f) for f, points in autos)
+
+
+# Chains of order at most 32 whose End has at most 4096 elements.
+SMALL_CHAINS = [
+    c for c in divisibility_chains(32) if math.prod(math.gcd(a, b) for a in c for b in c) <= 4096
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_CHAINS), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_abelian_automorphisms_match_the_reference_on_random_presentations(chain, ones, rng):
+    # U diag(1, ..., 1, d_1, ..., d_k) V: new generators (U) and a new
+    # basis of the relation lattice (V), with ``ones`` generators of order 1.
+    n = ones + len(chain)
+    diag = [1] * ones + list(chain)
+    d = IntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+    group = FgAbGroup(random_unimodular(rng, n) @ d @ random_unimodular(rng, n))
+    assert group.invariant_factors == chain
+    autos = abelian_automorphisms(group)
+    expected = reference_abelian_automorphisms(group)
+    assert [f.canonical_key() for f, _ in autos] == [f.canonical_key() for f in expected]
+    assert all(f.equals(g) for (f, _), g in zip(autos, expected))
+    assert all(points == pialgebra._element_map(f) for f, points in autos)
+
+
+def test_automorphism_counts_match_the_closed_form():
+    assert [aut_order(c) for c in [(8,), (2, 4), (2, 2, 2), (4, 4), (3, 3), (2, 6)]] == [4, 8, 168, 96, 48, 12]
+    checked = 0
+    for chain in divisibility_chains(64):
+        if math.prod(math.gcd(a, b) for a in chain for b in chain) > 4096:
+            continue
+        assert len(abelian_automorphisms(FgAbGroup.from_cyclic_factors(chain))) == aut_order(chain), chain
+        checked += 1
+    assert checked == 104
+
+
+def test_the_bound_counts_endomorphisms_in_closed_form():
+    group = FgAbGroup.from_cyclic_factors([2, 2, 2, 2])
+    with pytest.raises(SizeBoundError) as refused:
+        abelian_automorphisms(group)
+    assert refused.value.requested == 65536 == hom_group(group, group).group.order
+    assert refused.value.bound == 4096
+    # A raised bound lets it through: GL_4(F_2)
+    assert len(abelian_automorphisms(group, max_endos=65536)) == aut_order((2, 2, 2, 2)) == 20160
 
 
 def test_pi_aut_rejects_duplicate_pairs():
     a = pi_aut(trivial_alg(3, 3)).elements
     with pytest.raises(InternalConsistencyError, match="^duplicate automorphism pairs$"):
-        PiAut("A", list(a) + [AutPairA(a[1].phi, a[1].psi)])
+        PiAut("A", list(a) + [AutPairA(a[1].phi, a[1].psi, pialgebra._element_map(a[1].psi))])
     b = pi_aut(stable_alg(3, [4], [2])).elements
+    maps = [pialgebra._element_map(f) for f in (b[1].psi_n, b[1].psi_n1)]
     with pytest.raises(InternalConsistencyError, match="^duplicate automorphism pairs$"):
-        PiAut("B", list(b) + [AutPairB(b[1].psi_n, b[1].psi_n1)])
+        PiAut("B", list(b) + [AutPairB(b[1].psi_n, b[1].psi_n1, *maps)])
 
 
 def test_pi_aut_rejects_pairs_not_closed_under_composition():
@@ -533,6 +607,7 @@ def test_pi_aut_refuses_a_large_stage_before_listing_its_elements(alg, monkeypat
         raise AssertionError("listed the elements of a stage before the max_endos bound")
 
     monkeypatch.setattr(pialgebra, "_element_map", refuse)
+    monkeypatch.setattr(pialgebra, "_automorphism_images", refuse)
     monkeypatch.setattr(FgAbGroup, "elements", refuse)
     with pytest.raises(SizeBoundError):
         pi_aut(alg)
