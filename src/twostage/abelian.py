@@ -41,12 +41,14 @@ uses the invariant-factor decomposition, Ext(Z/d, B) = B/dB.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import NamedTuple, Sequence
 
 from .errors import SizeBoundError, ValidationError, Violation
 from .linalg import (
     IntMatrix,
+    _matrix_of_columns,
     block_diag,
     column_hermite,
     congruence_kernel,
@@ -90,11 +92,20 @@ class FgAbGroup:
     def __init__(self, presentation: IntMatrix):
         dec = smith_normal_form(presentation)
         diag = list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal))
-        self._set_smith(diag, dec.u.nonzero_rows(), dec.u_inv.nonzero_rows(), presentation, ())
+        # Only the coordinate slots' u rows and u^-1 columns are ever read.
+        slots = [i for i, d in enumerate(diag) if d != 1]
+        u_rows = [()] * len(diag)
+        for i in slots:
+            u_rows[i] = tuple((j, c) for j, c in enumerate(dec.u_row(i)) if c)
+        columns = [dec.u_inv_column(i) for i in slots]
+        uinv_rows = tuple(tuple((s, col[j]) for s, col in zip(slots, columns) if col[j]) for j in range(len(diag)))
+        self._set_smith(diag, tuple(u_rows), uinv_rows, presentation, ())
 
     def _set_smith(self, diag, u_rows, uinv_rows, presentation, summands) -> None:
         # Slot i has diagonal entry diag[i] and coordinate u_rows[i] . x;
-        # uinv_rows takes slots back to generators.  Rows are sparse.
+        # uinv_rows takes coordinate slots back to generators.  Rows are
+        # sparse, and hold only what is read: u_rows[i] is empty at a slot
+        # with d_i = 1, and uinv_rows restricts u^-1 to the coordinate slots.
         self._presentation = presentation
         self._summands = summands
         self.ngens = len(diag)
@@ -119,9 +130,16 @@ class FgAbGroup:
     @property
     def relation_columns(self) -> tuple:
         """The presentation's columns as their ``(generator, entry)`` pairs
-        with nonzero entry; built on first read, like the presentation."""
+        with nonzero entry; built on first read, a direct sum's from its
+        summands' shifted into their blocks."""
         if self._relation_columns is None:
-            self._relation_columns = self.presentation.nonzero_columns()
+            if self._presentation is None:
+                offsets = itertools.accumulate((g.ngens for g in self._summands), initial=0)
+                self._relation_columns = tuple(
+                    tuple((k + i, x) for i, x in col) for g, k in zip(self._summands, offsets) for col in g.relation_columns
+                )
+            else:
+                self._relation_columns = self.presentation.nonzero_columns()
         return self._relation_columns
 
     # -- constructors --------------------------------------------------
@@ -303,20 +321,20 @@ class AbHom:
     constructor verifies that every source relation maps into the target
     relation lattice, so the map is well defined on the quotients.
     ``columns`` holds the matrix's nonzero columns, for ``sparse_image``.
+    A map given by its columns alone (``matrix`` None, as the bar
+    differentials are) builds its matrix when read.
     """
 
-    __slots__ = ("source", "target", "matrix", "columns", "_key")
+    __slots__ = ("source", "target", "_matrix", "columns", "_key")
 
-    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
-        if matrix.shape != (target.ngens, source.ngens):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match map "
-                f"{source.ngens} gens -> {target.ngens} gens"
-            )
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix | None, columns=None):
+        shape = (target.ngens, len(columns)) if matrix is None else matrix.shape
+        if shape != (target.ngens, source.ngens):
+            raise ValueError(f"matrix shape {shape} does not match map {source.ngens} gens -> {target.ngens} gens")
         self.source = source
         self.target = target
-        self.matrix = matrix
-        self.columns = matrix.nonzero_columns()
+        self._matrix = matrix
+        self.columns = matrix.nonzero_columns() if columns is None else columns
         self._key = None
         for j, rel in enumerate(source.relation_columns):
             if not target.is_zero_sparse(sparse_image(self.columns, rel)):
@@ -327,6 +345,12 @@ class AbHom:
                         {"relation_column": j, "relation": source.presentation.column(j)},
                     )
                 )
+
+    @property
+    def matrix(self) -> IntMatrix:
+        if self._matrix is None:
+            self._matrix = _matrix_of_columns([dict(col) for col in self.columns], self.target.ngens)
+        return self._matrix
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
@@ -398,34 +422,36 @@ def sparse_image(columns: Sequence[Sequence[tuple[int, int]]], vec) -> dict[int,
 class Subquotient:
     """A subquotient L/K of an ambient Z^m, with exact coordinates both ways.
 
-    ``basis`` holds the column Hermite basis of the numerator lattice L;
-    ``group`` presents L/K on those basis columns.  ``class_coords`` sends
-    any ambient vector lying in L to canonical coordinates of its class,
-    and ``representative`` lifts canonical coordinates back to an ambient
-    vector.  Together these are the sections that make cohomology classes
-    and k-invariant transport concrete.
+    ``basis`` holds the column Hermite basis of the numerator lattice L,
+    ``denominator`` the sparse columns spanning K, as ``(row, entry)``
+    pairs; ``group`` presents L/K on the basis columns.  ``class_coords``
+    sends any ambient vector lying in L to canonical coordinates of its
+    class, and ``representative`` lifts canonical coordinates back to an
+    ambient vector.  Together these are the sections that make cohomology
+    classes and k-invariant transport concrete.
 
     The basis comes from ``_preimage_basis`` (computed mod the exponent
     when the target is finite, over Z otherwise) or is the identity, and is
     in Hermite form either way.  Coordinates in the basis come from forward
     substitution on the Hermite pivots: each column is zero above its pivot
-    row, so the pivot rows, taken top down, fix the coefficients one at a
-    time.  The columns are independent, so this is the one solution any
-    exact solver finds, and the presentation of ``group`` does not depend
-    on how it was found.
+    row, so the pivot rows a vector reaches, taken top down, fix the
+    coefficients one at a time.  The columns are independent, so this is
+    the one solution any exact solver finds, and the presentation of
+    ``group`` does not depend on how it was found.
     """
 
-    __slots__ = ("ambient_rank", "basis", "group", "_columns")
+    __slots__ = ("ambient_rank", "basis", "group", "_columns", "_pivots")
 
-    def __init__(self, ambient_rank: int, basis: IntMatrix, denominator: IntMatrix):
-        if basis.rows != ambient_rank or denominator.rows != ambient_rank:
-            raise ValueError("numerator and denominator must live in the ambient space")
+    def __init__(self, ambient_rank: int, basis: IntMatrix, denominator: Sequence[Sequence[tuple[int, int]]]):
+        if basis.rows != ambient_rank:
+            raise ValueError("the numerator must live in the ambient space")
         self.ambient_rank = ambient_rank
         self.basis = basis
         self._columns = basis.nonzero_columns()
+        self._pivots = {col[0][0]: k for k, col in enumerate(self._columns)}
         rel_cols = []
-        for j in range(denominator.cols):
-            c = self.coefficients(denominator.column(j))
+        for col in denominator:
+            c = self._solve(dict(col))
             if c is None:
                 raise ValueError("denominator lattice is not contained in the numerator lattice")
             rel_cols.append(c)
@@ -435,18 +461,32 @@ class Subquotient:
         """The c with basis @ c == vec, or None when vec is not in L."""
         if len(vec) != self.ambient_rank:
             raise ValueError(f"vector of length {len(vec)} outside ambient rank {self.ambient_rank}")
-        rest = list(vec)
-        coeffs = []
-        for col in self._columns:
-            pivot_row, pivot = col[0]
-            c, r = divmod(rest[pivot_row], pivot)
+        return self._solve({i: x for i, x in enumerate(vec) if x})
+
+    def _solve(self, rest: dict) -> tuple[int, ...] | None:
+        """``coefficients`` of {row: entry}, consumed top row first: that
+        row must be a pivot row, whose column clears it and reaches only
+        rows below it."""
+        coeffs = [0] * len(self._columns)
+        todo = sorted(-row for row in rest)  # rows negated, so pop() gives the top one
+        while todo:
+            row = -todo.pop()
+            x = rest.pop(row)
+            if not x:
+                continue
+            k = self._pivots.get(row)
+            if k is None:
+                return None
+            col = self._columns[k]
+            c, r = divmod(x, col[0][1])
             if r:
                 return None
-            if c:
-                for i, x in col:
-                    rest[i] -= c * x
-            coeffs.append(c)
-        return None if any(rest) else tuple(coeffs)
+            coeffs[k] = c
+            for i, y in col[1:]:
+                if i not in rest:
+                    bisect.insort(todo, -i)
+                rest[i] = rest.get(i, 0) - c * y
+        return tuple(coeffs)
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         c = self.coefficients(vec)
@@ -493,7 +533,7 @@ def kernel_subgroup(f: AbHom) -> Subquotient:
     The numerator is the preimage of the target relation lattice under the
     matrix of f; the denominator is the source relation lattice.
     """
-    return Subquotient(f.source.ngens, _preimage_basis(f), f.source.presentation)
+    return Subquotient(f.source.ngens, _preimage_basis(f), f.source.relation_columns)
 
 
 class HomGroup(NamedTuple):
@@ -581,7 +621,7 @@ def homology_at(complex_: CochainComplex, k: int) -> Subquotient:
         numerator = _preimage_basis(complex_.maps[k])
     else:
         numerator = IntMatrix.identity(g.ngens)
-    denominator = g.presentation
+    denominator = g.relation_columns
     if k > 0:
-        denominator = hstack(denominator, complex_.maps[k - 1].matrix)
+        denominator += complex_.maps[k - 1].columns
     return Subquotient(g.ngens, numerator, denominator)

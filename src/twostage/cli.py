@@ -12,6 +12,7 @@ bound exceeded, 5 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -408,6 +409,7 @@ def _cmd_moduli(algebra, bounds: Bounds, args) -> tuple[int, str]:
             max_rank=bounds.max_rank,
             max_group_aut=bounds.max_aut_order,
             max_endos=bounds.max_endos,
+            max_enumeration=bounds.max_enumeration,
         )
     else:
         report = moduli_case_b(algebra, max_endos=bounds.max_endos)
@@ -491,7 +493,9 @@ def _parse_degrees(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call of ``main``, not at import, and then reused.
     parser = argparse.ArgumentParser(
         prog="twostage",
         description="Moduli of two-stage homotopy types: reports, cohomology, input checking.",
@@ -508,8 +512,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
         p.add_argument("--max-group-order", type=int, default=None, dest="max_group_order")
         p.add_argument("--output", default=None, help="write the report to this path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.degrees is not None:
             args.degrees = _parse_degrees(args.degrees)

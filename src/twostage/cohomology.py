@@ -28,7 +28,6 @@ from typing import Sequence
 from .abelian import AbHom, CochainComplex, Subquotient, direct_sum, homology_at, kernel_subgroup, sparse_image
 from .errors import InternalConsistencyError, SizeBoundError
 from .groups import GModule
-from .linalg import IntMatrix
 
 __all__ = [
     "Cocycle",
@@ -108,47 +107,42 @@ def bar_complex(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) ->
     groups = [direct_sum([module.base] * c) for c in counts]
     maps = []
     for k in range(kmax):
-        maps.append(AbHom(groups[k], groups[k + 1], _differential_matrix(module, k)))
+        maps.append(AbHom(groups[k], groups[k + 1], None, _differential_columns(module, k)))
     return CochainComplex(groups, maps)
 
 
-def _differential_matrix(module: GModule, k: int) -> IntMatrix:
+def _differential_columns(module: GModule, k: int) -> tuple:
+    """d: C^k -> C^(k+1) as its nonzero columns, ``(row, entry)`` pairs top first."""
     n = module.group.order
     mb = module.base.ngens
     table = module.group.table
-    rows = (n - 1) ** (k + 1) * mb
-    cols = (n - 1) ** k * mb
-    out = [[0] * cols for _ in range(rows)]
+    out = [{} for _ in range((n - 1) ** k * mb)]
 
-    def add_identity_block(row_block: int, col_block: int, sign: int):
-        r0, c0 = row_block * mb, col_block * mb
+    def add_identity_block(r0: int, col_block: int, sign: int):
+        c0 = col_block * mb
         for i in range(mb):
-            out[r0 + i][c0 + i] += sign
+            out[c0 + i][r0 + i] = out[c0 + i].get(r0 + i, 0) + sign
 
     for s in itertools.product(range(1, n), repeat=k + 1):
-        row_block = _tuple_index(s, n)
+        r0 = _tuple_index(s, n) * mb
         # g1 acts on the tail
-        tail = _tuple_index(s[1:], n)
+        c0 = _tuple_index(s[1:], n) * mb
         act = module.action[s[0]]
-        r0, c0 = row_block * mb, tail * mb
         for i in range(mb):
-            row = out[r0 + i]
-            arow = act.data[i]
-            for j in range(mb):
-                a = arow[j]
+            for j, a in enumerate(act.data[i]):
                 if a:
-                    row[c0 + j] += a
+                    out[c0 + j][r0 + i] = out[c0 + j].get(r0 + i, 0) + a
         # interior multiplications, dropped when they hit the identity
         sign = -1
         for i in range(k):
             merged = table[s[i]][s[i + 1]]
             if merged != 0:
                 t = s[:i] + (merged,) + s[i + 2 :]
-                add_identity_block(row_block, _tuple_index(t, n), sign)
+                add_identity_block(r0, _tuple_index(t, n), sign)
             sign = -sign
         # drop the last coordinate
-        add_identity_block(row_block, _tuple_index(s[:-1], n), sign)
-    return IntMatrix._of(rows, cols, tuple(map(tuple, out)))
+        add_identity_block(r0, _tuple_index(s[:-1], n), sign)
+    return tuple(tuple(sorted((r, x) for r, x in col.items() if x)) for col in out)
 
 
 class CohomologyGroup:

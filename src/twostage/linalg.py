@@ -12,21 +12,25 @@ skips the check through the private ``IntMatrix._of``.
 
 Conventions:
 
-* ``smith_normal_form(m)`` returns ``(s, u, v)`` with ``u @ m @ v == s``,
-  ``u`` and ``v`` unimodular, ``s`` diagonal with non-negative entries in a
-  divisibility chain ``d1 | d2 | ...`` and zeros trailing.  It is one
-  general reduction with no special case for any shape of input; a sum of
-  copies of one group never reaches it, since ``abelian.direct_sum``
-  assembles the sum's Smith data from the summands'.  Its pivot rule
-  (smallest |entry|, ties to the lowest row and then column) and its
-  sequence of row and column operations fix s, u, v and u^-1 entry for
-  entry.  Rows are sparse, and four shortcuts leave that sequence as it
+* ``smith_normal_form(m)`` gives ``u @ m @ v == s``, ``u`` and ``v``
+  unimodular, ``s`` diagonal with non-negative entries in a divisibility
+  chain ``d1 | d2 | ...`` and zeros trailing.  It is one general reduction
+  with no special case for any shape of input; a sum of copies of one
+  group never reaches it, since ``abelian.direct_sum`` assembles the sum's
+  Smith data from the summands'.  Its pivot rule (smallest |entry|, ties
+  to the lowest row and then column) and its sequence of row and column
+  operations fix s, u, v and u^-1 entry for entry.  Only the working
+  matrix is eliminated, and each operation is logged: u, u^-1 and v are
+  products of the logged operations, so a row of u or a column of u^-1
+  is the row log replayed last to first on a unit vector, O(1) per
+  operation while the vector stays sparse.  A group reads its few
+  coordinate slots that way; whole transforms are replayed only when
+  read.  Rows are sparse, and three shortcuts leave the sequence as it
   is: the pivot search stops at an entry of absolute value 1, since only
   a strictly smaller entry displaces the one found; a unit pivot divides
-  everything, so its "pivot divides the submatrix" sweep is skipped; a
-  column operation touches only the rows with a nonzero in its source
-  column, the others being unchanged; and u^-1 and v are carried
-  transposed, so their column updates are row updates.
+  everything, so its "pivot divides the submatrix" sweep is skipped; and
+  a column operation touches only the rows with a nonzero in its source
+  column, the others being unchanged.
 * ``column_hermite(m)``, ``integer_kernel(m)`` and
   ``congruence_kernel(columns, moduli)`` return the column Hermite basis
   of a lattice (positive pivots in strictly increasing rows, entries left
@@ -43,6 +47,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -257,27 +262,71 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 class SnfDecomposition:
     """Smith normal form ``u @ m @ v == s``.
 
-    ``u_inv`` is tracked during the reduction (each row operation is
-    inverted on the fly).
+    A form from ``smith_normal_form`` keeps the log of its row and column
+    operations, not u, u^-1 and v: ``u_row`` and ``u_inv_column`` replay
+    the row log for one row or column, and ``s``, ``u``, ``v`` and
+    ``u_inv`` are built by replay on first read.  The public constructor
+    takes the four matrices as they are.
     """
 
-    __slots__ = ("s", "u", "v", "u_inv", "rank", "diagonal")
-
     def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix):
-        self.s = s
-        self.u = u
-        self.v = v
-        self.u_inv = u_inv
-        diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
-        self.diagonal = tuple(diag)
-        self.rank = sum(1 for d in diag if d != 0)
+        # Set on the instance, the matrices shadow the replaying properties.
+        self.s, self.u, self.v, self.u_inv = s, u, v, u_inv
+        self._of(s.shape, tuple(s.data[i][i] for i in range(min(s.shape))), None, None, ())
+
+    def _of(self, shape, diagonal, row_log, col_log, negated) -> "SnfDecomposition":
+        # The private constructor, from the operation log.
+        self.shape, self.diagonal, self.rank = shape, diagonal, sum(1 for d in diagonal if d != 0)
+        self._row_log, self._col_log, self._negated = row_log, col_log, negated
+        return self
+
+    def _replay_rows(self, starts, inverse: bool) -> list[dict]:
+        # Negating row i last negates row i of u and column i of u^-1.
+        signs = {i: -1 if i in self._negated else 1 for i in starts}
+        return _replay(self._row_log, self.shape[0], signs, inverse)
+
+    def u_row(self, i: int) -> tuple[int, ...]:
+        """Row i of u: e_i^T times the row operations, last to first."""
+        if self._row_log is None:
+            return self.u.row(i)
+        return tuple(x.get(i, 0) for x in self._replay_rows((i,), False))
+
+    def u_inv_column(self, c: int) -> tuple[int, ...]:
+        """Column c of u^-1: the inverse row operations, last to first, on e_c."""
+        if self._row_log is None:
+            return self.u_inv.column(c)
+        return tuple(x.get(c, 0) for x in self._replay_rows((c,), True))
+
+    @functools.cached_property
+    def s(self) -> IntMatrix:
+        rows, cols = self.shape
+        diagonal = [{i: d} for i, d in enumerate(self.diagonal)] + [{}] * (rows - len(self.diagonal))
+        return IntMatrix._of(rows, cols, _dense(diagonal, cols))
+
+    @functools.cached_property
+    def u(self) -> IntMatrix:
+        # Position p of the replay holds column p of u (and row p of u^-1).
+        rows = self.shape[0]
+        return IntMatrix._of(rows, rows, _dense(self._replay_rows(range(rows), False), rows)).transpose()
+
+    @functools.cached_property
+    def u_inv(self) -> IntMatrix:
+        rows = self.shape[0]
+        return IntMatrix._of(rows, rows, _dense(self._replay_rows(range(rows), True), rows))
+
+    @functools.cached_property
+    def v(self) -> IntMatrix:
+        cols = self.shape[1]
+        v_rows = _replay(self._col_log, cols, dict.fromkeys(range(cols), 1), False)
+        return IntMatrix._of(cols, cols, _dense(v_rows, cols))
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One integer solution x of m @ x = b, or None if there is none."""
-        if len(b) != self.s.rows:
-            raise ValueError(f"rhs length {len(b)} does not match {self.s.rows} rows")
+        rows, cols = self.shape
+        if len(b) != rows:
+            raise ValueError(f"rhs length {len(b)} does not match {rows} rows")
         w = self.u.apply(b)
-        z = [0] * self.s.cols
+        z = [0] * cols
         for i, wi in enumerate(w):
             d = self.diagonal[i] if i < len(self.diagonal) else 0
             if d == 0:
@@ -301,37 +350,35 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     folding an offending row into the pivot row), so the diagonal comes out
     in a divisibility chain without a separate fix-up pass.
 
-    Rows of the working matrix, of u, and of u^-1 and v carried transposed
-    are dicts of their nonzero entries, so every update is one sparse row
-    operation (see the module docstring for why the shortcuts are exact).
+    Rows of the working matrix are dicts of their nonzero entries, so every
+    update is one sparse row operation (see the module docstring for why
+    the shortcuts are exact).  Each operation is logged for ``_replay``;
+    the final sign fixes are kept as the set of negated rows.
     """
     rows, cols = m.rows, m.cols
     a = [dict(r) for r in m.nonzero_rows()]
-    u = [{i: 1} for i in range(rows)]
-    u_inv_t = [{i: 1} for i in range(rows)]
-    v_t = [{j: 1} for j in range(cols)]
+    row_log, col_log = [], []
 
     def row_swap(i, j):
-        for w in (a, u, u_inv_t):
-            w[i], w[j] = w[j], w[i]
+        a[i], a[j] = a[j], a[i]
+        row_log.append((i, j, 0))
 
     def col_swap(t, j):
         # Rows above t are zero from column t on, so they keep both entries.
         for r in a[t:]:
-            x, y = r.pop(t, 0), r.pop(j, 0)
-            if y:
-                r[t] = y
-            if x:
-                r[j] = x
-        v_t[t], v_t[j] = v_t[j], v_t[t]
+            if t in r or j in r:
+                x, y = r.pop(t, 0), r.pop(j, 0)
+                if y:
+                    r[t] = y
+                if x:
+                    r[j] = x
+        col_log.append((t, j, 0))
 
     def row_addmul(i, j, q):
-        # row i += q * row j; on u^-1, column j -= q * column i.
-        if q == 0:
-            return
-        _addmul(a[i], q, a[j])
-        _addmul(u[i], q, u[j])
-        _addmul(u_inv_t[j], -q, u_inv_t[i])
+        # row i += q * row j
+        if q:
+            _addmul(a[i], q, a[j])
+            row_log.append((i, j, q))
 
     def col_addmul(j, k, q, holders):
         # col j += q * col k; ``holders`` are the rows with a nonzero in column k.
@@ -343,29 +390,28 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
                 r[j] = x
             else:
                 del r[j]
-        _addmul(v_t[j], q, v_t[k])
-
-    def row_negate(i):
-        for w in (a, u, u_inv_t):
-            w[i] = {k: -x for k, x in w[i].items()}
+        col_log.append((j, k, q))
 
     def pivot(t):
         # Rows from t on hold entries only from column t on.  Row by row,
-        # the minimal |entry| at its lowest column; a strictly smaller one
-        # replaces it, so nothing after an entry of absolute value 1 can.
+        # the minimal |entry|; a strictly smaller one replaces it, so
+        # nothing after an entry of absolute value 1 can.  In the row found,
+        # the pivot is the lowest column holding that minimum.
         best = None
         for i in range(t, rows):
             if a[i]:
-                x, j = min((abs(x), j) for j, x in a[i].items())
+                x = min(map(abs, a[i].values()))
                 if best is None or x < best[0]:
-                    best = (x, i, j)
+                    best = (x, i)
                     if x == 1:
                         break
         if best is not None:
-            if best[1] != t:
-                row_swap(t, best[1])
-            if best[2] != t:
-                col_swap(t, best[2])
+            x, i = best
+            if i != t:
+                row_swap(t, i)
+            j = min(j for j, y in a[t].items() if abs(y) == x)
+            if j != t:
+                col_swap(t, j)
         return best
 
     t = 0
@@ -401,16 +447,34 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
             row_addmul(t, offender, 1)
         t += 1
 
-    for i in range(limit):
-        if a[i].get(i, 0) < 0:
-            row_negate(i)
+    diagonal = tuple(a[i].get(i, 0) for i in range(limit))
+    negated = frozenset(i for i, d in enumerate(diagonal) if d < 0)
+    dec = SnfDecomposition.__new__(SnfDecomposition)
+    return dec._of((rows, cols), tuple(map(abs, diagonal)), row_log, col_log, negated)
 
-    return SnfDecomposition(
-        IntMatrix._of(rows, cols, _dense(a, cols)),
-        IntMatrix._of(rows, rows, _dense(u, rows)),
-        IntMatrix._of(cols, cols, tuple(zip(*_dense(v_t, cols)))),
-        IntMatrix._of(rows, rows, tuple(zip(*_dense(u_inv_t, rows)))),
-    )
+
+def _replay(log: Sequence[tuple[int, int, int]], n: int, starts: dict, inverse: bool) -> list[dict]:
+    """The vectors x * e_s, for ``starts`` = {s: x}, with the operations of
+    ``log`` applied last to first (Cohen, GTM 138, section 2.4.3), by
+    position: entry p of the result is {s: entry p of the vector from s}.
+
+    A log entry (i, j, q) is "line i += q * line j", or the swap of lines i
+    and j when q == 0.  Transposed (a row of u, a column of v) the addition
+    adds q * x_i to x_j; inverted (a column of u^-1) it subtracts q * x_j
+    from x_i; a swap is its own transpose and inverse.
+    """
+    out = [{} for _ in range(n)]
+    for s, x in starts.items():
+        out[s][s] = x
+    for i, j, q in reversed(log):
+        if not q:
+            out[i], out[j] = out[j], out[i]
+        elif inverse:
+            if out[j]:
+                _addmul(out[i], -q, out[j])
+        elif out[i]:
+            _addmul(out[j], q, out[i])
+    return out
 
 
 def _addmul(target: dict, q: int, source: dict) -> None:

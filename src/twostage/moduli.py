@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, ext_group, hom_group, kernel_subgroup
-from .cohomology import DEFAULT_MAX_RANK, Derivations, cohomology_range
+from .cohomology import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_RANK, Derivations, cohomology_range
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
 from .linalg import _xgcd
@@ -134,6 +134,7 @@ def moduli_case_a(
     max_rank: int = DEFAULT_MAX_RANK,
     max_group_aut: int = DEFAULT_MAX_AUT_ORDER,
     max_endos: int = DEFAULT_MAX_ENDOS,
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> ModuliReport:
     """The full report for data in dimensions 1 and n.
 
@@ -146,11 +147,12 @@ def moduli_case_a(
     n = algebra.n
     module = algebra.an
     ladder = cohomology_range(module, n + 1, max_rank=max_rank)
+    top = ladder[n + 1]
+    # Every class is listed: refuse an H^(n+1) over the bound before any Aut work.
+    classes = top.classes(max_enumeration)
     der = Derivations(module, kernel_subgroup(ladder[1].differential))
     aut = pi_aut(algebra, max_group_aut=max_group_aut, max_endos=max_endos)
 
-    top = ladder[n + 1]
-    classes = top.classes()
     perms = tuple(act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators)
     _require(all(p[0] == 0 for p in perms), "zero class is not fixed by the automorphism action")
     images = _action_along_tree(aut, perms, _strides(top.group))

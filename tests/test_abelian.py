@@ -3,6 +3,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import twostage.abelian
 from twostage.abelian import (
@@ -31,6 +32,7 @@ from helpers import (
     random_unimodular,
     reference_column_hermite,
     reference_integer_kernel,
+    reference_smith_normal_form,
 )
 
 
@@ -115,6 +117,64 @@ class TestElements:
 
     def test_trivial_group_has_one_element(self):
         assert FgAbGroup.trivial().elements() == [()]
+
+
+@st.composite
+def presentations(draw):
+    """Relation matrices 0..6 x 0..6 with small entries times a common
+    factor: rows beyond the rank give free slots, the factor torsion ones."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    factor = draw(st.sampled_from([1, 2, 3, 4]))
+    flat = draw(st.lists(st.integers(-5, 5), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, [factor * x for x in flat])
+
+
+def dense_reference_group(presentation):
+    """The group on every row of the reference Smith form's u and u^-1."""
+    dec = reference_smith_normal_form(presentation)
+    g = FgAbGroup.__new__(FgAbGroup)
+    diag = list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal))
+    g._set_smith(diag, dec.u.nonzero_rows(), dec.u_inv.nonzero_rows(), presentation, ())
+    return g
+
+
+class TestReplayedCoordinates:
+    """A group replays only its coordinate slots' u rows and u^-1 columns;
+    its coordinates must be those of the full dense transforms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations(), presentations(), st.randoms(use_true_random=False))
+    @example(IntMatrix.zeros(3, 0), IntMatrix.from_rows([[2, 0], [0, 4]]), random.Random(1))
+    @example(IntMatrix.from_rows([[0, 0], [3, 6]]), IntMatrix.zeros(0, 2), random.Random(2))
+    def test_reduce_and_lift_match_the_dense_reference(self, first, second, rng):
+        for got, want in (
+            (FgAbGroup(first), dense_reference_group(first)),
+            (
+                direct_sum([FgAbGroup(first), FgAbGroup(second)]),
+                direct_sum([dense_reference_group(first), dense_reference_group(second)]),
+            ),
+        ):
+            assert got.coordinate_moduli() == want.coordinate_moduli()
+            for _ in range(5):
+                v = [rng.randint(-20, 20) for _ in range(got.ngens)]
+                assert got.reduce(v) == want.reduce(v)
+                c = [rng.randint(-20, 20) for _ in got.coordinate_moduli()]
+                assert got.lift(c) == want.lift(c)
+
+    def test_building_a_group_builds_no_whole_transform(self, monkeypatch):
+        seen = []
+
+        def recording(m):
+            seen.append(smith_normal_form(m))
+            return seen[-1]
+
+        monkeypatch.setattr(twostage.abelian, "smith_normal_form", recording)
+        g = FgAbGroup(IntMatrix.from_rows([[2, 4, 0], [6, 8, 0], [0, 0, 0]]))
+        assert g.reduce(g.lift((1, 1, 5))) == (1, 1, 5)
+        hom_group(g, FgAbGroup.cyclic(4))
+        assert len(seen) > 1
+        for dec in seen:
+            assert not {"s", "u", "v", "u_inv"} & vars(dec).keys()
 
 
 class TestAbHom:

@@ -131,6 +131,28 @@ def test_output_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     ).read_text(encoding="utf-8")
 
 
+def test_no_flag_carries_over_between_calls(monkeypatch, capsys):
+    """The argument parser is built once per process; each call parses afresh."""
+    import twostage.cli as cli_module
+
+    oracle_calls = []
+    real = cli_module.oracle_cohomology
+
+    def recording(*args, **kwargs):
+        oracle_calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "oracle_cohomology", recording)
+    status, _, _ = run_cli(["cohomology", SAMPLES / "two_types_z2.json", "--degrees", "0..2", "--oracle"], capsys)
+    assert status == 0 and oracle_calls
+    oracle_calls.clear()
+    status, out, err = run_cli(["moduli", SAMPLES / "two_types_z2.json"], capsys)
+    assert (status, err, oracle_calls) == (0, "", [])
+    assert out == (GOLDEN / "two_types_z2.moduli.txt").read_text(encoding="utf-8")
+    args = cli_module._parser().parse_args(["moduli", "input.json"])
+    assert (args.degrees, args.oracle, args.output, args.max_group_order) == (None, False, None, None)
+
+
 class TestParseErrors:
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -208,6 +230,28 @@ class TestSizeErrors:
         assert status == 4
         assert out == ""
         assert err == "error[E_SIZE]: group too large to enumerate (requested 65536, bound 4096)\n"
+
+    def test_classes_over_max_enumeration_are_refused_before_aut(self, tmp_path, capsys, monkeypatch):
+        import twostage.moduli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Aut(A) built for classes that are not listed")
+
+        monkeypatch.setattr(twostage.moduli, "pi_aut", refuse)
+        module = {"coefficients": {"cyclic_factors": [2, 2]}, "action": "trivial"}
+        doc = case_a_doc(group={"cyclic_factors": [2, 2]}, module=module, bounds={"max_enumeration": 100})
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, doc)], capsys)
+        assert (status, out) == (4, "")
+        assert err == "error[E_SIZE]: group too large to enumerate (requested 256, bound 100)\n"
+
+    def test_default_bounds_refuse_two_to_the_thirty_classes(self, tmp_path, capsys):
+        # (C2^3, (Z/2)^3) is inside every other default bound, but its H^3
+        # has 2^30 classes: listing them ran out of memory (exit 5).
+        module = {"coefficients": {"cyclic_factors": [2, 2, 2]}, "action": "trivial"}
+        doc = case_a_doc(group={"cyclic_factors": [2, 2, 2]}, module=module)
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, doc)], capsys)
+        assert (status, out) == (4, "")
+        assert err == f"error[E_SIZE]: group too large to enumerate (requested {2 ** 30}, bound {2 ** 20})\n"
 
     def test_max_group_order_flag_tightens_bound(self, capsys):
         argv = ["moduli", SAMPLES / "orbits_z3.json", "--max-group-order", "2"]

@@ -166,6 +166,15 @@ def test_differentials_compose_to_zero_on_random_modules():
                 assert complex_.groups[k + 2].is_zero(composite.column(j))
 
 
+def test_differentials_are_built_as_sorted_sparse_columns():
+    # C2 on Z/2, trivially: d0 m = g.m - m = 0 and d1 f (g, g) = g.f(g) - f(1) + f(g) = 2 f(g).
+    complex_ = bar_complex(GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.cyclic(2)), 2)
+    assert [f.columns for f in complex_.maps] == [((),), (((0, 2),),)]
+    assert [f.matrix.to_rows() for f in complex_.maps] == [[[0]], [[2]]]
+    for f in bar_complex(GModule.trivial(s3(), FgAbGroup.from_cyclic_factors([2, 2])), 3).maps:
+        assert f.columns == f.matrix.nonzero_columns()
+
+
 def test_bar_complex_size_bound():
     m = GModule.trivial(FiniteGroup.cyclic(5), FgAbGroup.cyclic(2))
     with pytest.raises(SizeBoundError):

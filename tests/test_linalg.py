@@ -150,6 +150,27 @@ class TestSmithNormalForm:
         got, want = smith_normal_form(m), reference_smith_normal_form(m)
         assert (got.s, got.u, got.v, got.u_inv) == (want.s, want.u, want.v, want.u_inv)
 
+    @settings(max_examples=300, deadline=None)
+    @given(smith_inputs())
+    @example(IntMatrix.zeros(0, 3))
+    @example(IntMatrix.zeros(3, 0))
+    @example(IntMatrix.from_rows([[2, 4], [6, 8], [0, 0], [-3, 5], [1, 0]]))
+    @example(IntMatrix.from_rows([[-4, 6, 0], [0, 0, 0], [10, -14, 0]]))
+    def test_replayed_rows_and_columns_match_the_reference(self, m):
+        """One row of u or column of u^-1, replayed from the log, is the
+        reference's entry for entry, and replaying builds neither matrix."""
+        got, want = smith_normal_form(m), reference_smith_normal_form(m)
+        for i in range(m.rows):
+            assert got.u_row(i) == want.u.row(i)
+            assert got.u_inv_column(i) == want.u_inv.column(i)
+        assert not {"s", "u", "v", "u_inv"} & vars(got).keys()
+        assert (got.diagonal, got.rank) == (want.diagonal, want.rank)
+
+    def test_rows_and_columns_of_a_form_given_by_its_matrices(self):
+        want = reference_smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8], [1, 3]]))
+        assert [want.u_row(i) for i in range(3)] == list(want.u.data)
+        assert [want.u_inv_column(i) for i in range(3)] == want.u_inv.columns()
+
     def test_deterministic_repeat(self):
         m = IntMatrix.from_rows([[6, 4, 2], [2, 8, 10], [4, 2, 6]])
         first = smith_normal_form(m)
