@@ -32,7 +32,8 @@ coordinate slots whose Smith row reads one of them are reduced
 (``FgAbGroup.is_zero_sparse``; a group's relation columns and its
 generator-to-slot index are built on first use).  Such a check costs O(nonzeros), not the rank of the
 source times the rank of the target, and accepts exactly what the dense
-check did.
+check did.  A map given by its canonical key (``AbHom.from_key``) is
+checked in the target's canonical coordinates instead, with no matrix.
 
 Hom and Ext are computed honestly from presentations: Hom(A, B) is the
 kernel of the induced map B^m -> B^r evaluated on A's relations, and Ext
@@ -322,10 +323,11 @@ class AbHom:
     relation lattice, so the map is well defined on the quotients.
     ``columns`` holds the matrix's nonzero columns, for ``sparse_image``.
     A map given by its columns alone (``matrix`` None, as the bar
-    differentials are) builds its matrix when read.
+    differentials are) builds its matrix when read; a map given by its
+    ``canonical_key`` alone (``from_key``) builds both when read.
     """
 
-    __slots__ = ("source", "target", "_matrix", "columns", "_key")
+    __slots__ = ("source", "target", "_matrix", "_columns", "_key")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix | None, columns=None):
         shape = (target.ngens, len(columns)) if matrix is None else matrix.shape
@@ -334,23 +336,35 @@ class AbHom:
         self.source = source
         self.target = target
         self._matrix = matrix
-        self.columns = matrix.nonzero_columns() if columns is None else columns
+        self._columns = matrix.nonzero_columns() if columns is None else columns
         self._key = None
         for j, rel in enumerate(source.relation_columns):
-            if not target.is_zero_sparse(sparse_image(self.columns, rel)):
-                raise ValidationError(
-                    Violation(
-                        "hom.matrix",
-                        "matrix does not send source relations into target relations",
-                        {"relation_column": j, "relation": source.presentation.column(j)},
-                    )
-                )
+            if not target.is_zero_sparse(sparse_image(self._columns, rel)):
+                self._refuse(j)
+
+    def _refuse(self, j: int):
+        raise ValidationError(
+            Violation(
+                "hom.matrix",
+                "matrix does not send source relations into target relations",
+                {"relation_column": j, "relation": self.source.presentation.column(j)},
+            )
+        )
 
     @property
     def matrix(self) -> IntMatrix:
         if self._matrix is None:
-            self._matrix = _matrix_of_columns([dict(col) for col in self.columns], self.target.ngens)
+            if self._columns is None:
+                self._matrix = IntMatrix.from_columns([self.target.lift(y) for y in self._key], rows=self.target.ngens)
+            else:
+                self._matrix = _matrix_of_columns([dict(col) for col in self._columns], self.target.ngens)
         return self._matrix
+
+    @property
+    def columns(self) -> tuple:
+        if self._columns is None:
+            self._columns = self.matrix.nonzero_columns()
+        return self._columns
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
@@ -359,9 +373,34 @@ class AbHom:
     @classmethod
     def from_key(cls, source: FgAbGroup, target: FgAbGroup, key: Sequence[Sequence[int]]) -> "AbHom":
         """The map sending generator j to the element with canonical
-        coordinates key[j], reduced; ``key`` is its ``canonical_key``."""
-        f = cls(source, target, IntMatrix.from_columns([target.lift(y) for y in key], rows=target.ngens))
-        f._key = tuple(map(tuple, key))
+        coordinates key[j]; ``key`` is its ``canonical_key``.
+
+        The key is checked in the target's canonical coordinates: the map
+        is well defined when every source relation r gives sum_j r_j key[j]
+        = 0 in each coordinate, mod its modulus.  ``reduce`` kills exactly
+        the relation lattice and ``reduce(lift(y)) = y``, so this is the
+        constructor's check on the lifted matrix, with the same refusal.
+        ``matrix`` and ``columns`` are lifted only when read."""
+        key = tuple(map(tuple, key))
+        if len(key) != source.ngens:
+            shape = (target.ngens, len(key))
+            raise ValueError(f"matrix shape {shape} does not match map {source.ngens} gens -> {target.ngens} gens")
+        moduli = target.coordinate_moduli()
+        for y in key:
+            if len(y) != len(moduli):
+                raise ValueError(f"expected {len(moduli)} coordinates, got {len(y)}")
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f._matrix = None
+        f._columns = None
+        f._key = key
+        for j, rel in enumerate(source.relation_columns):
+            w = [0] * len(moduli)
+            for g, r in rel:
+                w = [a + r * y for a, y in zip(w, key[g])]
+            if any(a % m if m else a for a, m in zip(w, moduli)):
+                f._refuse(j)
         return f
 
     @classmethod

@@ -311,11 +311,18 @@ class GModule:
 
     ``action[g]`` is an integer matrix on the base group's generators.
     Construction checks that every matrix is a well defined endomorphism,
-    that the identity acts as the identity, and that the action respects
-    the multiplication table, reporting a witness pair on failure.
+    then holds each element's action in canonical coordinates:
+    ``canonical_action[g][i]`` is the canonical coordinates of g . e_i for
+    the canonical generators e_i, a k x k matrix by columns, each row l
+    mod the invariant factor d_l.  An endomorphism is fixed by its images
+    of the e_i, and composing is multiplying these matrices mod the d_l
+    (d_i f(e_i) = 0, so row l of a product is well defined mod d_l).  So
+    the identity and the action law are checked on them, each distinct
+    pair of matrices multiplied once, reporting the first witness pair in
+    the order of the multiplication table on failure.
     """
 
-    __slots__ = ("group", "base", "action")
+    __slots__ = ("group", "base", "action", "canonical_action")
 
     def __init__(self, group: FiniteGroup, base: FgAbGroup, action: Sequence[IntMatrix]):
         if not base.is_finite:
@@ -327,24 +334,30 @@ class GModule:
                 Violation("module.action", f"need one matrix per group element, got {len(action)} for order {group.order}")
             )
         violations = []
-        homs = []
         for g, mat in enumerate(action):
             try:
-                homs.append(AbHom(base, base, mat))
+                AbHom(base, base, mat)
             except ValidationError:
                 violations.append(
                     Violation("module.action", f"matrix for element {g} is not an endomorphism", {"element": g})
                 )
         if violations:
             raise ValidationError(violations)
-        ident = AbHom.identity(base)
-        if not homs[0].equals(ident):
+        factors = base.invariant_factors
+        units = [base.lift(e) for e in IntMatrix.identity(len(factors)).data]
+        images = tuple(tuple(base.reduce(mat.apply(e)) for e in units) for mat in action)
+        ident = tuple(tuple(int(i == l) for l in range(len(factors))) for i in range(len(factors)))
+        if images[0] != ident:
             violations.append(Violation("module.action", "identity element must act as the identity"))
+        products = {}  # each distinct pair of matrices is multiplied once
         n = group.order
         for g in range(n):
             for h in range(n):
                 gh = group.table[g][h]
-                if not (homs[g] @ homs[h]).equals(homs[gh]):
+                pair = (images[g], images[h])
+                if pair not in products:
+                    products[pair] = _compose(*pair, factors)
+                if products[pair] != images[gh]:
                     violations.append(
                         Violation(
                             "module.action",
@@ -361,6 +374,7 @@ class GModule:
         self.group = group
         self.base = base
         self.action = tuple(action)
+        self.canonical_action = images
 
     @classmethod
     def trivial(cls, group: FiniteGroup, base: FgAbGroup) -> "GModule":
@@ -371,8 +385,16 @@ class GModule:
         return self.action[g].apply(vec)
 
     def is_trivial_action(self) -> bool:
-        ident = AbHom.identity(self.base)
-        return all(AbHom(self.base, self.base, m).equals(ident) for m in self.action)
+        # element 0 acts as the identity
+        return all(m == self.canonical_action[0] for m in self.canonical_action)
 
     def __repr__(self):
         return f"GModule({self.base.symbol()} over group of order {self.group.order})"
+
+
+def _compose(f, g, factors) -> tuple:
+    """f after g for endomorphisms given by their images of the canonical
+    generators (columns of canonical coordinates), row l mod factors[l]."""
+    return tuple(
+        tuple(sum(c * x[l] for c, x in zip(column, f) if c) % d for l, d in enumerate(factors)) for column in g
+    )

@@ -10,11 +10,16 @@ quadratic function on elements when n = 2.
 
 ``abelian_automorphisms`` builds Aut of a finite abelian stage one
 generator image at a time, pruning images dependent on the socle, instead
-of filtering End.  ``pi_aut`` computes the group of compatible
-automorphism pairs, each held as one permutation of the stages' elements
-(read off the built images), so that compatibility and composition are
-read off permutations.  The group is held as a generating set of at most
-log2 |P| pairs with a Schreier tree, not as a composition table.
+of filtering End.  Each automorphism is held in canonical coordinates: its
+key is checked there (``AbHom.from_key``), its element map is built along
+the search tree, and its matrix on the presentation's generators is lifted
+only where it is read (the transport of case A's generating pairs).
+``pi_aut`` computes the group of compatible automorphism pairs, each held
+as one permutation of the stages' elements (read off the built images and,
+for the module's action, off ``GModule.canonical_action``), so that
+compatibility and composition are read off permutations.  The group is
+held as a generating set of at most log2 |P| pairs with a Schreier tree,
+not as a composition table.
 ``act_on_kinvariants`` gives the action of a pair on H^{n+1}, whose orbits
 count homotopy types; it runs on the generators only.  It is linear: only
 the generators of H^{n+1} are transported, and every class follows by
@@ -394,8 +399,11 @@ def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) 
     With invariant factors d_1 | ... | d_k, f(e_i) is one of the
     prod_l gcd(d_i, d_l) elements killed by d_i; ``max_endos`` bounds
     |End|, the product over i, before anything is listed.  Each
-    automorphism is lifted to the presentation's generators and checked by
-    ``AbHom``; its element map is read off its images of the e_i.
+    automorphism's ``canonical_key`` is read off its images of the e_i
+    through the presentation's generators' sparse canonical coordinates,
+    and checked by ``AbHom.from_key`` in canonical coordinates; its matrix
+    on the generators is lifted only if read.  Its element map is built
+    along the search.
     """
     if not group.is_finite:
         raise SizeBoundError("cannot enumerate automorphisms of an infinite group")
@@ -403,35 +411,55 @@ def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) 
     endos = math.prod(math.gcd(a, b) for a in factors for b in factors)
     if endos > max_endos:
         raise SizeBoundError("group too large to enumerate", requested=endos, bound=max_endos)
-    coords = [group.reduce(e) for e in IntMatrix.identity(group.ngens).data]  # of the generators
+    # each generator of the presentation as (canonical generator, coefficient) pairs
+    coords = [[(i, c) for i, c in enumerate(group.reduce(e)) if c] for e in IntMatrix.identity(group.ngens).data]
     built = []
-    for images in _automorphism_images(factors):
-        # the canonical key: the images of the presentation's generators
+    for images, points in _automorphism_images(group):
+        # the canonical key: the images of the presentation's generators;
+        # images are reduced, so a generator that is some e_i keeps its image
         key = tuple(
-            tuple(sum(c * x[l] for c, x in zip(g, images)) % d for l, d in enumerate(factors))
-            for g in coords
+            images[terms[0][0]]
+            if len(terms) == 1 and terms[0][1] == 1
+            else tuple(sum(c * images[i][l] for i, c in terms) % d for l, d in enumerate(factors))
+            for terms in coords
         )
-        built.append((key, images))
+        built.append((key, points))
     built.sort()
-    return [(AbHom.from_key(group, group, key), _extend(factors, group, images)) for key, images in built]
+    return [(AbHom.from_key(group, group, key), points) for key, points in built]
 
 
-def _automorphism_images(factors: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """Each automorphism of Z/d_1 x ... x Z/d_k as its images of the
-    canonical generators e_i, in canonical coordinates.  An endomorphism
-    of a finite group is bijective when it is injective on the socle: for
-    each prime p, the (d_i/p) f(e_i) with p | d_i are independent over F_p.
-    Images are chosen generator by generator, each socle vector reduced
-    against an echelon basis of the earlier ones (each row zero at the
-    earlier rows' pivots); a choice reducing to 0 is pruned."""
-    level = [((), {})]  # (images so far, per prime: echelon rows as (pivot, row))
-    for d in factors:
+def _automorphism_images(group: FgAbGroup) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Each automorphism of a finite Z/d_1 x ... x Z/d_k as its images of the
+    canonical generators e_i, in canonical coordinates, with its element
+    map (``_extend`` of the images).  An endomorphism of a finite group is
+    bijective when it is injective on the socle: for each prime p, the
+    (d_i/p) f(e_i) with p | d_i are independent over F_p.  Images are
+    chosen generator by generator, each socle vector reduced against an
+    echelon basis of the earlier ones (each row zero at the earlier rows'
+    pivots); a choice reducing to 0 is pruned.
+
+    The element maps are built along the same search.  A node that has
+    chosen f(e_1), ..., f(e_j) holds, for each coordinate l, the l-th
+    coordinate times its stride of sum_{i <= j} c_i f(e_i) for every
+    (c_1, ..., c_j) in mixed-radix order; a child extends these lists by
+    its image, so every automorphism below a node shares its lists.  At a
+    leaf the strided coordinates add up to the positions."""
+    factors = group.invariant_factors
+    if not factors:
+        return [((), (0,))]
+    strides = _strides(group)
+    # (images so far, per prime: echelon rows as (pivot, row), strided coordinate lists)
+    level = [((), {}, tuple([0] for _ in factors))]
+    for depth, d in enumerate(factors):
+        leaf = depth + 1 == len(factors)
         primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
         grown = []
         for x in itertools.product(*(range(0, m, m // math.gcd(d, m)) for m in factors)):
             # (d/p) x on the basis (m/p) e_l of the socle, p | m
             vectors = [[(d // p * c % m) // (m // p) for c, m in zip(x, factors) if m % p == 0] for p in primes]
-            for chosen, bases in level:
+            # per coordinate: the multiples c x_l (c < d) times the stride, and the strided modulus
+            offsets = [([k * c * s for k in range(d)], m * s) for c, m, s in zip(x, factors, strides)]
+            for chosen, bases, lists in level:
                 rows = {}
                 for p, v in zip(primes, vectors):
                     for pivot, row in bases.get(p, ()):
@@ -440,9 +468,16 @@ def _automorphism_images(factors: Sequence[int]) -> list[tuple[tuple[int, ...], 
                         break
                     rows[p] = bases.get(p, ()) + ((next(j for j, a in enumerate(v) if a), v),)
                 else:
-                    grown.append((chosen + (x,), {**bases, **rows}))
+                    lists = tuple(
+                        [(a + o) % m for a in lst for o in offs] if offs[-1] else [a for a in lst for _ in offs]
+                        for lst, (offs, m) in zip(lists, offsets)
+                    )
+                    if leaf:
+                        grown.append((chosen + (x,), tuple(map(sum, zip(*lists)))))
+                    else:
+                        grown.append((chosen + (x,), {**bases, **rows}, lists))
         level = grown
-    return [chosen for chosen, _ in level]
+    return level
 
 
 def pi_aut(
@@ -470,7 +505,7 @@ def _pi_aut_case_a(algebra: TwoStageDim1N, max_group_aut: int, max_endos: int) -
     base_autos = abelian_automorphisms(base, max_endos=max_endos)
     # (phi, psi) is kept when psi g = phi(g) psi on every element of A_n.
     # The bound on base_autos bounds these lists: |A_n| <= |End(A_n)|.
-    action = [_element_map(AbHom(base, base, m)) for m in module.action]
+    action = [_extend(base.invariant_factors, base, images) for images in module.canonical_action]
     pairs = []
     for psi, points in base_autos:
         psi_g = [[points[y] for y in a] for a in action]

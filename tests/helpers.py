@@ -497,18 +497,114 @@ def _lookup(f: dict, t: tuple, normalized: bool, zero):
     return f[t]
 
 
+def candidate_actions(group, base) -> list:
+    """Every assignment of coefficient automorphisms (as matrices on the
+    generators) to the group elements, identity at element 0."""
+    auts = [h.matrix for h, _ in abelian_automorphisms(base)]
+    return [
+        [IntMatrix.identity(base.ngens)] + [auts[i] for i in choice]
+        for choice in itertools.product(range(len(auts)), repeat=group.order - 1)
+    ]
+
+
 def module_structures(group, base):
     """Every module structure on ``base``: all assignments of coefficient
     automorphisms to group elements that satisfy the action axioms."""
-    auts = [h.matrix for h, _ in abelian_automorphisms(base)]
     found = []
-    for choice in itertools.product(range(len(auts)), repeat=group.order - 1):
-        mats = [IntMatrix.identity(base.ngens)] + [auts[i] for i in choice]
+    for mats in candidate_actions(group, base):
         try:
             found.append(GModule(group, base, mats))
         except ValidationError:
             continue
     return found
+
+
+def violations_of(build) -> list | None:
+    """The violations ``build()`` is refused with, as ``(field, message,
+    witness)``, or None when it is not refused."""
+    try:
+        build()
+    except ValidationError as e:
+        assert e.code == "E_VALIDATION"
+        return [(v.field, v.message, v.witness) for v in e.violations]
+    return None
+
+
+def reference_gmodule_violations(group, base, action) -> list:
+    """The violations a module structure breaks, as ``(field, message,
+    witness)``, by the matrix route: each matrix validated as an ``AbHom``,
+    the identity compared with ``equals``, and all |G|^2 products
+    ``action(g) @ action(h)`` compared with ``action(gh)``, stopping at the
+    first failing pair in table order.  Empty when the action is valid."""
+    violations = []
+    homs = []
+    for g, mat in enumerate(action):
+        try:
+            homs.append(AbHom(base, base, mat))
+        except ValidationError:
+            violations.append(("module.action", f"matrix for element {g} is not an endomorphism", {"element": g}))
+    if violations:
+        return violations
+    if not homs[0].equals(AbHom.identity(base)):
+        violations.append(("module.action", "identity element must act as the identity", None))
+    n = group.order
+    failing = next(
+        ((g, h) for g in range(n) for h in range(n) if not (homs[g] @ homs[h]).equals(homs[group.table[g][h]])),
+        None,
+    )
+    if failing is not None:
+        g, h = failing
+        witness = {"g": g, "h": h, "gh": group.table[g][h]}
+        violations.append(("module.action", "action(g) after action(h) differs from action(g h)", witness))
+    return violations
+
+
+def cyclic_periodic_cohomology(order: int, moduli, generator, kmax: int) -> list[tuple[int, ...]]:
+    """Invariant factors of H^k(C_order; M) for k = 0..kmax, by the periodic
+    resolution of Z over Z[C_m] (Brown, *Cohomology of Groups*, GTM 87,
+    III.1): H^0 = M^G, H^(2i) = M^G / NM and H^(2i+1) = ker N / (g-1)M,
+    with N = 1 + g + ... + g^(m-1).
+
+    M = Z/moduli[0] x Z/moduli[1] x ... on coordinate tuples, and the
+    generator g acts by the integer matrix ``generator`` (a list of rows).
+    Brute force over the elements of M, with subgroups, cosets and orders
+    counted by hand; nothing from the package's cohomology, linear algebra
+    or abelian groups."""
+    elements = list(itertools.product(*(range(d) for d in moduli)))
+    zero = tuple(0 for _ in moduli)
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, moduli))
+
+    def act(x):
+        return tuple(sum(c * a for c, a in zip(row, x)) % d for row, d in zip(generator, moduli))
+
+    def norm(x):
+        total = zero
+        for _ in range(order):
+            total = add(total, x)
+            x = act(x)
+        return total
+
+    def quotient(numerator, denominator):
+        # each class by its least element
+        rep = {x: min(add(x, y) for y in denominator) for x in numerator}
+        classes = sorted(set(rep.values()))
+        return abelian_type_from_elements(classes, lambda a, b: rep[add(a, b)], rep[zero])
+
+    fixed = [x for x in elements if act(x) == x]
+    norms = {norm(x) for x in elements}
+    kernel = [x for x in elements if norm(x) == zero]
+    differences = {add(act(x), tuple(-a % d for a, d in zip(x, moduli))) for x in elements}
+    out = []
+    for k in range(kmax + 1):
+        if k == 0:
+            out.append(abelian_type_from_elements(fixed, add, zero))
+        elif k % 2 == 0:
+            out.append(quotient(fixed, norms))
+        else:
+            out.append(quotient(kernel, differences))
+    return out
 
 
 def enumerate_homs_bruteforce(a, b) -> set:

@@ -37,6 +37,7 @@ MODULI_SAMPLES = [
     "c2x3_z2",
     "c2c2_z2x3",
     "stable_rebased_q",
+    "stable_z2x4_z2_q",
 ]
 
 GOLDEN_RUNS = [

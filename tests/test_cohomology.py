@@ -23,7 +23,13 @@ from twostage.errors import SizeBoundError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
 
-from helpers import abelianization, module_structures, quaternion_group, reference_oracle_cohomology
+from helpers import (
+    abelianization,
+    cyclic_periodic_cohomology,
+    module_structures,
+    quaternion_group,
+    reference_oracle_cohomology,
+)
 
 
 def cyclic_module(group, size, multiplier):
@@ -467,6 +473,45 @@ def test_oracle_on_large_coefficients_matches_periodic_closed_form():
     # = M[2].  An |M| x |M| addition table would have 2^24 cells.
     m = GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.cyclic(4096))
     assert [oracle_cohomology(m, k) for k in range(4)] == [(4096,), (2,), (2,), (2,)]
+
+
+# (order of the cyclic group, coefficient moduli, matrix of the generator)
+PERIODIC_CASES = [
+    *[(m, [2], [[1]]) for m in range(2, 9)],
+    *[(m, [3], [[1]]) for m in (3, 6)],
+    *[(m, [3], [[-1]]) for m in (2, 4, 6)],
+    *[(m, [4], [[-1]]) for m in (2, 4, 6)],
+    *[(m, [2, 2], [[0, 1], [1, 0]]) for m in (2, 4, 6, 8)],
+    # C4 through C2 on Z/2 x Z/4, where H^odd and H^even differ
+    (4, [2, 4], [[1, 0], [2, 1]]),
+    (4, [2, 4], [[1, 1], [0, 1]]),
+]
+
+
+@pytest.mark.parametrize(
+    "order,moduli,generator", PERIODIC_CASES, ids=[f"C{m} on {d} by {g}" for m, d, g in PERIODIC_CASES]
+)
+def test_cyclic_groups_match_the_periodic_resolution(order, moduli, generator):
+    # g^i acts by the i-th power of the generator's matrix; C_m's table
+    # multiplies element indices mod m
+    power = [IntMatrix.identity(len(moduli))]
+    for _ in range(order - 1):
+        power.append(IntMatrix.from_rows(generator) @ power[-1])
+    module = GModule(FiniteGroup.cyclic(order), FgAbGroup.from_cyclic_factors(moduli), power)
+    got = [h.group.invariant_factors for h in cohomology_range(module, 3)]
+    assert got == cyclic_periodic_cohomology(order, moduli, generator, 3)
+
+
+def test_periodic_resolution_oracle_closed_forms():
+    # C2 on Z/4 by negation: M^G = M[2], NM = 0, ker N = M, (g-1)M = 2M
+    assert cyclic_periodic_cohomology(2, [4], [[-1]], 3) == [(2,), (2,), (2,), (2,)]
+    # C4 swapping (Z/2)^2: N = 2(1 + g) = 0, and M^G = (g-1)M is the diagonal
+    assert cyclic_periodic_cohomology(4, [2, 2], [[0, 1], [1, 0]], 2) == [(2,), (2,), (2,)]
+    # C3 on Z/2, trivially: N = 3 is invertible, so H^k = 0 for k > 0
+    assert cyclic_periodic_cohomology(3, [2], [[1]], 3) == [(2,), (), (), ()]
+    # C4 on Z/2 x Z/4 by (x, y) -> (x, y + 2x): N = 2(1 + g) = 0, M^G = 0 x Z/4
+    # and (g-1)M = 0 x 2Z/4, so H^1 = (Z/2)^2 but H^2 = Z/4
+    assert cyclic_periodic_cohomology(4, [2, 4], [[1, 0], [2, 1]], 2) == [(4,), (2, 2), (4,)]
 
 
 def test_counting_adds_linearly_in_the_group_order():

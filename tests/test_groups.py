@@ -1,11 +1,28 @@
+import itertools
+
 import pytest
 
-from twostage.abelian import FgAbGroup
+from twostage import pialgebra
+from twostage.abelian import AbHom, FgAbGroup
 from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, automorphism_group
 from twostage.linalg import IntMatrix
 
-from helpers import abelianization, brute_force_automorphisms, is_abelian, quaternion_group, totient
+from helpers import (
+    abelianization,
+    brute_force_automorphisms,
+    candidate_actions,
+    is_abelian,
+    quaternion_group,
+    reference_gmodule_violations,
+    totient,
+    violations_of,
+)
+
+
+def gmodule_violations(group, base, action) -> list:
+    """The violations GModule reports, as ``(field, message, witness)``."""
+    return violations_of(lambda: GModule(group, base, action)) or []
 
 
 class TestFiniteGroupValidation:
@@ -184,3 +201,107 @@ class TestGModule:
         bad = IntMatrix.from_rows([[0, 1], [1, 0]])  # sends C4 generator into C2 slot
         with pytest.raises(ValidationError):
             GModule(g, base, [IntMatrix.identity(2), bad, bad])
+
+
+REBASED_Z2_Z4 = FgAbGroup(IntMatrix.from_rows([[4, 2], [0, 2]]))
+# an automorphism of it whose square is not the identity
+NOT_AN_INVOLUTION = next(
+    f.matrix
+    for f, _ in pialgebra.abelian_automorphisms(REBASED_Z2_Z4)
+    if not (f @ f).equals(AbHom.identity(REBASED_Z2_Z4))
+)
+
+
+@pytest.mark.parametrize(
+    "group,base",
+    [
+        (FiniteGroup.cyclic(2), FgAbGroup.cyclic(3)),
+        (FiniteGroup.cyclic(3), FgAbGroup.cyclic(7)),
+        (FiniteGroup.cyclic(4), FgAbGroup.cyclic(5)),
+        (FiniteGroup.cyclic(4), FgAbGroup.from_cyclic_factors([2, 2])),
+        (FiniteGroup.from_cyclic_factors([2, 2]), FgAbGroup.from_cyclic_factors([2, 2])),
+        (FiniteGroup.cyclic(3), FgAbGroup.from_cyclic_factors([2, 2])),
+        (FiniteGroup.from_cyclic_factors([2, 2]), REBASED_Z2_Z4),
+        (FiniteGroup.cyclic(2), FgAbGroup.from_cyclic_factors([3, 3])),
+    ],
+    ids=["C2 on Z/3", "C3 on Z/7", "C4 on Z/5", "C4 on (Z/2)^2", "C2xC2 on (Z/2)^2", "C3 on (Z/2)^2",
+         "C2xC2 on Z/2xZ/4 rebased", "C2 on (Z/3)^2"],
+)
+def test_action_checks_match_the_matrix_route(group, base):
+    # Every assignment of automorphisms to the elements, the module
+    # structures and the assignments breaking the action law alike.
+    accepted = 0
+    for action in candidate_actions(group, base):
+        want = reference_gmodule_violations(group, base, action)
+        assert gmodule_violations(group, base, action) == want
+        if want:
+            continue
+        accepted += 1
+        module = GModule(group, base, action)
+        homs = [AbHom(base, base, m) for m in action]
+        assert module.is_trivial_action() == all(h.equals(AbHom.identity(base)) for h in homs)
+        # the stored canonical matrices give the element maps pi_aut reads
+        for h, images in zip(homs, module.canonical_action):
+            assert pialgebra._extend(base.invariant_factors, base, images) == pialgebra._element_map(h)
+    assert accepted
+
+
+def s3_on_klein_four():
+    """S3 acting faithfully on (Z/2)^2 (S3 = GL_2(F_2)), found from the
+    images of its two generators, elements 1 and 2 of its table."""
+    group = FiniteGroup.from_permutations([(1, 0, 2), (0, 2, 1)])
+    base = FgAbGroup.from_cyclic_factors([2, 2])
+    auts = [f.matrix for f, _ in pialgebra.abelian_automorphisms(base)]
+    for a, b in itertools.product(auts, repeat=2):
+        mats, frontier = {0: IntMatrix.identity(2)}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g, m in ((1, a), (2, b)):
+                y = group.table[x][g]
+                if y not in mats:
+                    mats[y] = mats[x] @ m
+                    frontier.append(y)
+        action = [mats[g] for g in range(group.order)]
+        if not reference_gmodule_violations(group, base, action):
+            if len(set(GModule(group, base, action).canonical_action)) == group.order:
+                return group, base, action
+    raise AssertionError("no faithful action found")
+
+
+S3, KLEIN_FOUR, FAITHFUL = s3_on_klein_four()
+
+
+def test_a_faithful_nonabelian_action_is_accepted():
+    assert gmodule_violations(S3, KLEIN_FOUR, FAITHFUL) == []
+
+
+@pytest.mark.parametrize(
+    "group,base,action",
+    [
+        # g -> action(g^-1) reverses products, so it breaks the law unless
+        # composition is read in the wrong order
+        (S3, KLEIN_FOUR, [FAITHFUL[S3.inverse[g]] for g in range(S3.order)]),
+        # not an endomorphism: sends the C4 generator into the C2 slot
+        (
+            FiniteGroup.cyclic(3),
+            FgAbGroup.from_cyclic_factors([2, 4]),
+            [IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[0, 1], [1, 0]])],
+        ),
+        # the identity element acts by 2, and the law breaks too
+        (FiniteGroup.cyclic(2), FgAbGroup.cyclic(5), [IntMatrix.from_rows([[2]]), IntMatrix.identity(1)]),
+        # a law-breaking pair past the first: g g = g^2 holds, g g^2 = g^3 does not
+        (
+            FiniteGroup.cyclic(4),
+            FgAbGroup.cyclic(5),
+            [IntMatrix.from_rows([[x]]) for x in (1, 2, 4, 2)],
+        ),
+        # on a rebased presentation, through lifts and reductions: g g = e
+        # fails for an automorphism of order 4
+        (FiniteGroup.cyclic(2), REBASED_Z2_Z4, [IntMatrix.identity(2), NOT_AN_INVOLUTION]),
+    ],
+    ids=["anti-homomorphism", "non-endomorphism", "identity", "law", "law rebased"],
+)
+def test_corrupted_actions_are_refused_like_the_matrix_route(group, base, action):
+    want = reference_gmodule_violations(group, base, action)
+    assert want
+    assert gmodule_violations(group, base, action) == want

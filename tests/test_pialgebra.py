@@ -36,6 +36,7 @@ from helpers import (
     reference_act_on_kinvariants,
     reference_pi_aut,
     transport_quadratic,
+    violations_of,
 )
 
 
@@ -331,6 +332,15 @@ PAIR_CASES = {
     "A trivial C2 Z/4xZ/2": lambda: TwoStageDim1N(
         2, GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.from_cyclic_factors([4, 2]))
     ),
+    # a matrix that is not symmetric: (x, y) -> (x, y + 2x)
+    "A shear C2 Z/2xZ/4": lambda: TwoStageDim1N(
+        2,
+        GModule(
+            FiniteGroup.cyclic(2),
+            FgAbGroup.from_cyclic_factors([2, 4]),
+            [IntMatrix.identity(2), IntMatrix.from_rows([[1, 0], [2, 1]])],
+        ),
+    ),
     "B n=2 q on Z/2 into Z/4": lambda: stable_alg(2, [2], [4], [(0,), (1,)]),
     "B n=2 q = xy on (Z/2)^2": lambda: stable_alg(2, [2, 2], [2], [(0,), (0,), (0,), (1,)]),
     "B n=2 zero q on Z/4": lambda: stable_alg(2, [4], [2]),
@@ -456,6 +466,23 @@ def test_abelian_automorphisms_match_the_smith_form_filter(group):
     assert all(points == pialgebra._element_map(f) for f, points in autos)
 
 
+def random_presentation(chain, ones, rng) -> FgAbGroup:
+    """U diag(1, ..., 1, d_1, ..., d_k) V: new generators (U) and a new
+    basis of the relation lattice (V), with ``ones`` generators of order 1."""
+    n = ones + len(chain)
+    diag = [1] * ones + list(chain)
+    d = IntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+    group = FgAbGroup(random_unimodular(rng, n) @ d @ random_unimodular(rng, n))
+    assert group.invariant_factors == chain
+    return group
+
+
+def lifted_hom(source, target, key):
+    """The map with canonical key ``key`` by the matrix route: its
+    generator matrix lifted from the key and validated by ``AbHom``."""
+    return AbHom(source, target, IntMatrix.from_columns([target.lift(y) for y in key], rows=target.ngens))
+
+
 # Chains of order at most 32 whose End has at most 4096 elements.
 SMALL_CHAINS = [
     c for c in divisibility_chains(32) if math.prod(math.gcd(a, b) for a in c for b in c) <= 4096
@@ -465,18 +492,61 @@ SMALL_CHAINS = [
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_CHAINS), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_abelian_automorphisms_match_the_reference_on_random_presentations(chain, ones, rng):
-    # U diag(1, ..., 1, d_1, ..., d_k) V: new generators (U) and a new
-    # basis of the relation lattice (V), with ``ones`` generators of order 1.
-    n = ones + len(chain)
-    diag = [1] * ones + list(chain)
-    d = IntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-    group = FgAbGroup(random_unimodular(rng, n) @ d @ random_unimodular(rng, n))
-    assert group.invariant_factors == chain
+    group = random_presentation(chain, ones, rng)
     autos = abelian_automorphisms(group)
     expected = reference_abelian_automorphisms(group)
     assert [f.canonical_key() for f, _ in autos] == [f.canonical_key() for f in expected]
     assert all(f.equals(g) for (f, _), g in zip(autos, expected))
     assert all(points == pialgebra._element_map(f) for f, points in autos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SMALL_CHAINS),
+    st.sampled_from(SMALL_CHAINS),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+def test_from_key_matches_the_lifted_matrix_on_random_presentations(chain, target_chain, ones, rng):
+    source = random_presentation(chain, ones, rng)
+    target = random_presentation(target_chain, 1, rng)
+    # every automorphism's key, and random keys that mostly break a relation
+    keys = [f.canonical_key() for f, _ in abelian_automorphisms(source)][:50]
+    keys = [(source, source, key) for key in keys]
+    for _ in range(20):
+        key = [tuple(rng.randrange(d) for d in target.invariant_factors) for _ in range(source.ngens)]
+        keys.append((source, target, key))
+    for a, b, key in keys:
+        want = violations_of(lambda: lifted_hom(a, b, key))
+        assert violations_of(lambda: AbHom.from_key(a, b, key)) == want
+        if want is not None:
+            assert want[0][0] == "hom.matrix" and "relation_column" in want[0][2]
+            continue
+        lazy, eager = AbHom.from_key(a, b, key), lifted_hom(a, b, key)
+        assert lazy._matrix is None and lazy._columns is None
+        assert lazy.canonical_key() == eager.canonical_key() == tuple(map(tuple, key))
+        assert lazy.columns == eager.columns
+        assert lazy.matrix == eager.matrix
+
+
+def test_from_key_refuses_a_relation_sent_outside_the_lattice():
+    # Z/2 x Z/4 on relations [[4, 2], [0, 2]]: x_0 -> (0, 1), x_1 -> 0
+    # sends the second relation 2 x_0 + 2 x_1 to (0, 2), not 0
+    group = FgAbGroup(IntMatrix.from_rows([[4, 2], [0, 2]]))
+    key = [(0, 1), (0, 0)]
+    want = violations_of(lambda: lifted_hom(group, group, key))
+    assert want == [
+        (
+            "hom.matrix",
+            "matrix does not send source relations into target relations",
+            {"relation_column": 1, "relation": (2, 2)},
+        )
+    ]
+    assert violations_of(lambda: AbHom.from_key(group, group, key)) == want
+    with pytest.raises(ValueError, match="does not match map"):
+        AbHom.from_key(group, group, key[:1])
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        AbHom.from_key(group, group, [(0,), (1,)])
 
 
 def test_automorphism_counts_match_the_closed_form():
