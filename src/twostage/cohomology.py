@@ -13,8 +13,10 @@ with terms landing on degenerate tuples dropped.  Cohomology is then a
 subquotient computation over Z, so classes come with exact coordinates
 and honest cocycle representatives.
 
-``oracle_cohomology`` recomputes the same groups by enumerating every
-cochain function and counting cosets, with no matrices anywhere.  It
+``oracle_cohomology`` recomputes the same groups by deciding every
+cochain function and counting cosets, with no matrices anywhere: the
+cocycles come from a depth-first search over the cochain's slots that
+drops a prefix as soon as it completes a nonzero coboundary value.  It
 exists to catch systematic errors in the linear-algebra route and is used
 by the test suite and the command line ``--oracle`` flag.
 """
@@ -175,6 +177,13 @@ class CohomologyGroup:
     def cocycle_at(self, coords: Sequence[int]) -> Cocycle:
         return Cocycle(self.module, self.degree, self._sub.representative(coords))
 
+    def cocycles(self) -> Subquotient:
+        """Z^k, the kernel of the differential, as a subquotient of C^k:
+        the Hermite basis of H^k's numerator over C^k's relations alone,
+        with no coboundaries and no second kernel computation."""
+        sub = self._sub
+        return Subquotient(sub.ambient_rank, sub.basis, self.differential.source.relation_columns)
+
     def classes(self, limit: int | None = None) -> list[tuple[int, ...]]:
         return self.group.element_coords(limit)
 
@@ -229,18 +238,23 @@ def oracle_cohomology(
 ) -> tuple[int, ...]:
     """H^k(G; M) as invariant factors, by sheer enumeration.
 
-    Enumerates every cochain function, filters cocycles pointwise, builds
-    the coset space modulo coboundaries, and reads off the isomorphism
-    type by counting element orders.  No matrices are involved at any
-    point, which is what makes this an independent check on the Smith
-    normal form route.  ``normalized=False`` enumerates unnormalized
-    cochains (functions on all tuples, nothing dropped) as a debugging
-    cross-check; the answer must be the same.
+    Decides every cochain function, keeping the cocycles, builds the
+    coset space modulo the enumerated coboundaries, and reads off the
+    isomorphism type by counting element orders.  No matrices are
+    involved at any point, which is what makes this an independent check
+    on the Smith normal form route.  ``normalized=False`` enumerates
+    unnormalized cochains (functions on all tuples, nothing dropped) as a
+    debugging cross-check; the answer must be the same.
 
     Elements of M are numbered by their position in
     ``base.element_coords()``, so a cochain is a tuple of small integers,
-    one per tuple slot.  The cocycle filter evaluates df one tuple at a
-    time and stops at the first nonzero value.
+    one per tuple slot.  The cocycles are found by a depth-first search
+    over the slots (``_cocycle_search``): each value df(s) is tested as
+    soon as the last slot it reads is set, and a nonzero one drops every
+    cochain that extends the prefix.  The cost is set by the prefixes
+    that pass their completed values, not by |C^k|; the size bound still
+    counts cochains, |C^k| and |C^(k-1)|, and is checked before anything
+    is built.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -258,19 +272,9 @@ def oracle_cohomology(
     arith = _PackedArithmetic(base.coordinate_moduli(), k + 2)
     act = _action_indices(module, arith)
 
-    cochains = itertools.product(range(size), repeat=len(domain) ** k)
     checks = _coboundary_stencil(group.table, domain, k, act, arith, normalized)
     decode = arith.decode
-    cocycles = []
-    for f in cochains:
-        for row in checks:
-            total = 0
-            for table, slot in row:
-                total += table[f[slot]]
-            if decode(total):
-                break
-        else:
-            cocycles.append(f)
+    cocycles = _cocycle_search(size, len(domain) ** k, checks, decode)
 
     zero_fn = (0,) * len(domain) ** k
     if k == 0:
@@ -297,6 +301,52 @@ def oracle_cohomology(
         return rep_of[tuple(map(add, c1, c2))]
 
     return _invariant_factors_by_counting(cosets, add_cosets, rep_of[zero_fn])
+
+
+def _cocycle_search(size: int, slots: int, checks: list, decode) -> list[tuple[int, ...]]:
+    """Every cochain on which each stencil row of ``checks`` decodes to
+    0, in ``itertools.product(range(size), repeat=slots)`` order.
+
+    A depth-first search sets the slots left to right.  Each row waits in
+    the bucket of its largest slot and is evaluated as soon as that slot
+    is set, so a value that completes a nonzero row is dropped with every
+    extension of its prefix.  The search is a loop over the slot index,
+    not a recursion: there may be thousands of slots.
+    """
+    if not slots:
+        return [()]
+    buckets = [[] for _ in range(slots)]
+    for row in checks:
+        buckets[max(slot for _, slot in row)].append(row)
+    last = slots - 1
+    f = [0] * slots
+    out = []
+    j = value = 0
+    while True:
+        rows = buckets[j]
+        while value < size:
+            f[j] = value
+            for row in rows:
+                total = 0
+                for table, slot in row:
+                    total += table[f[slot]]
+                if decode(total):
+                    break
+            else:
+                break
+            value += 1
+        if value == size:
+            # every value of slot j fails: back up one slot
+            if not j:
+                return out
+            j -= 1
+            value = f[j] + 1
+        elif j == last:
+            out.append(tuple(f))
+            value += 1
+        else:
+            j += 1
+            value = 0
 
 
 def _action_indices(module: GModule, arith: "_PackedArithmetic") -> list[list[int]]:

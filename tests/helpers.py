@@ -491,6 +491,24 @@ def reference_oracle_cohomology(
     return abelian_type_from_elements(cosets, add_cosets, zero_fn)
 
 
+def reference_cocycle_filter(size: int, slots: int, checks: list, decode) -> list[tuple[int, ...]]:
+    """The enumeration oracle's cocycle filter as it was before the
+    depth-first search: every cochain of ``itertools.product`` order is
+    listed, and its stencil rows are evaluated in turn up to the first
+    nonzero one."""
+    cocycles = []
+    for f in itertools.product(range(size), repeat=slots):
+        for row in checks:
+            total = 0
+            for table, slot in row:
+                total += table[f[slot]]
+            if decode(total):
+                break
+        else:
+            cocycles.append(f)
+    return cocycles
+
+
 def _lookup(f: dict, t: tuple, normalized: bool, zero):
     if normalized and any(g == 0 for g in t):
         return zero

@@ -53,6 +53,7 @@ GOLDEN_RUNS = [
     ("c4_z4.cohomology.txt", ["cohomology", "c4_z4.json", "--degrees", "0..2", "--oracle"]),
     ("negation_action.check.txt", ["check", "negation_action.json"]),
     ("stable_quadratic.check.txt", ["check", "stable_quadratic.json"]),
+    ("c4_z4.check.txt", ["check", "c4_z4.json"]),
 ]
 
 

@@ -16,6 +16,7 @@ from twostage.cohomology import (
     oracle_cohomology,
     _action_indices,
     _coboundary_stencil,
+    _cocycle_search,
     _invariant_factors_by_counting,
     _PackedArithmetic,
 )
@@ -28,6 +29,7 @@ from helpers import (
     cyclic_periodic_cohomology,
     module_structures,
     quaternion_group,
+    reference_cocycle_filter,
     reference_oracle_cohomology,
 )
 
@@ -375,10 +377,14 @@ def test_oracle_size_bound():
 def test_oracle_refuses_before_enumerating(monkeypatch):
     import itertools
 
+    import twostage.cohomology
+
     def no_product(*args, **kwargs):
         raise AssertionError("enumeration started before the size check")
 
     monkeypatch.setattr(itertools, "product", no_product)
+    monkeypatch.setattr(twostage.cohomology, "_cocycle_search", no_product)
+    monkeypatch.setattr(twostage.cohomology, "_coboundary_stencil", no_product)
     m = GModule.trivial(FiniteGroup.cyclic(3), FgAbGroup.cyclic(2))
     with pytest.raises(SizeBoundError) as info:
         oracle_cohomology(m, 12, max_enumeration=2 ** 20)
@@ -388,6 +394,54 @@ def test_oracle_refuses_before_enumerating(monkeypatch):
     with pytest.raises(SizeBoundError) as info:
         oracle_cohomology(trivial, 1, max_enumeration=3)
     assert info.value.requested == 5
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_cocycle_search_lists_the_full_products_cocycles_in_order(normalized):
+    for module, kmax in oracle_pool():
+        group, base = module.group, module.base
+        domain = list(range(1, group.order)) if normalized else list(range(group.order))
+        for k in range(kmax + 1):
+            arith = _PackedArithmetic(base.coordinate_moduli(), k + 2)
+            checks = _coboundary_stencil(group.table, domain, k, _action_indices(module, arith), arith, normalized)
+            args = (base.order, len(domain) ** k, checks, arith.decode)
+            assert _cocycle_search(*args) == reference_cocycle_filter(*args), (module, k)
+
+
+def test_cocycle_search_runs_without_recursion():
+    # With M = 0 every prefix passes, so the search goes all the way down
+    # (C8, degree 4): 7^4 = 2401 slots.
+    zero = GModule.trivial(FiniteGroup.cyclic(8), FgAbGroup.trivial())
+    for k in (3, 4):
+        assert oracle_cohomology(zero, k) == ()
+    # The trivial group has no normalized slots above degree 0: its one
+    # cochain there is the empty one.
+    trivial = GModule.trivial(FiniteGroup.trivial(), FgAbGroup.cyclic(5))
+    for k in range(3):
+        want = (5,) if k == 0 else ()
+        assert oracle_cohomology(trivial, k) == want
+        assert oracle_cohomology(trivial, k, normalized=False) == want
+        assert reference_oracle_cohomology(trivial, k) == want
+
+
+@pytest.mark.parametrize(
+    "group,k",
+    [
+        (s3(), 2),
+        (FiniteGroup.cyclic(6), 2),
+        (FiniteGroup.from_cyclic_factors([2, 2]), 3),
+    ],
+    ids=["s3_degree2", "c6_degree2", "c2c2_degree3"],
+)
+def test_oracle_past_the_full_products_reach(group, k):
+    # 2^25, 2^25 and 2^27 cochains: far more than the full product could
+    # list, but the search only extends prefixes that pass their rows.
+    module = GModule.trivial(group, FgAbGroup.cyclic(2))
+    count = 2 ** ((group.order - 1) ** k)
+    with pytest.raises(SizeBoundError):
+        oracle_cohomology(module, k)
+    want = cohomology_range(module, k)[k].group
+    assert oracle_cohomology(module, k, max_enumeration=count) == want.invariant_factors
 
 
 # The dict-based reference is slow on large unnormalized enumerations
@@ -563,9 +617,20 @@ def _normal_forms(module, kmax):
     return [h.group.normal_form for h in cohomology_range(module, kmax)]
 
 
+def test_cocycles_off_the_ladder_match_kernel_subgroup():
+    # Z^k from H^k's numerator is the kernel of d_k computed afresh: the
+    # Hermite basis is unique, so group and representatives agree.
+    for module, kmax in oracle_pool():
+        for h in cohomology_range(module, kmax):
+            got = h.cocycles()
+            want = kernel_subgroup(h.differential)
+            assert got.group.same_presentation(want.group), (module, h.degree)
+            assert got.generator_representatives() == want.generator_representatives()
+
+
 def test_derivations_from_a_ladder_differential_match_derivations():
-    # moduli_case_a reads Der off the ladder's d1 instead of building a
-    # second complex; the kernel must come out the same.
+    # moduli_case_a reads Der off the ladder instead of building a second
+    # complex; the kernel must come out the same, from d1 or from Z^1.
     modules = [
         cyclic_module(FiniteGroup.cyclic(2), 3, 2),
         cyclic_module(FiniteGroup.cyclic(3), 3, 1),
@@ -574,7 +639,8 @@ def test_derivations_from_a_ladder_differential_match_derivations():
     ]
     for m in modules:
         ladder = cohomology_range(m, 3)
-        got = Derivations(m, kernel_subgroup(ladder[1].differential))
         want = derivations(m)
-        assert got.group.same_presentation(want.group)
-        assert [z.vector for z in got.representatives] == [z.vector for z in want.representatives]
+        for sub in (kernel_subgroup(ladder[1].differential), ladder[1].cocycles()):
+            got = Derivations(m, sub)
+            assert got.group.same_presentation(want.group)
+            assert [z.vector for z in got.representatives] == [z.vector for z in want.representatives]
