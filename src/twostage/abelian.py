@@ -16,14 +16,14 @@ Kernels and homology share one numerator: the lattice of vectors a map
 sends into the target's relation lattice, as its column Hermite basis.
 When the target is finite of exponent E, that lattice contains E * Z^m and
 is cut out by one congruence per coordinate slot of the target, read off
-the rows of its Smith form; the basis is then computed mod E
-(``linalg.congruence_kernel``), each unknown's congruence column read off
-the map's sparse column through the target's generator-to-slot index.  A
-target with Z summands (the stable case with free groups) goes through
-``integer_kernel`` of [F | -R] instead.  The Hermite basis of a lattice is
-unique and the class coordinates come from the Smith form of the
-subquotient's presentation, so the route taken does not change a single
-coordinate.
+the rows of its Smith form; the basis is then lifted one prime factor of
+E at a time (``linalg.congruence_kernel``), each unknown's congruence
+column read off the map's sparse column through the target's
+generator-to-slot index.  A target with Z summands (the stable case with
+free groups) goes through ``integer_kernel`` of [F | -R] instead.  The
+Hermite basis of a lattice is unique and the class coordinates come from
+the Smith form of the subquotient's presentation, so the route taken does
+not change a single coordinate.
 
 Checks that a map sends relations into relations (``AbHom``) and that
 d∘d vanishes (``CochainComplex``) run on sparse columns: the image of a
@@ -172,9 +172,6 @@ class FgAbGroup:
     @property
     def normal_form(self) -> tuple[int, tuple[int, ...]]:
         return (self.free_rank, self.invariant_factors)
-
-    def is_isomorphic_to(self, other: "FgAbGroup") -> bool:
-        return self.normal_form == other.normal_form
 
     @property
     def is_trivial(self) -> bool:
@@ -416,15 +413,6 @@ class AbHom:
             raise ValueError("composition mismatch: inner target differs from outer source")
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
 
-    def equals(self, other: "AbHom") -> bool:
-        if not (
-            self.source.same_presentation(other.source)
-            and self.target.same_presentation(other.target)
-        ):
-            return False
-        diff = self.matrix - other.matrix
-        return all(self.target.is_zero(diff.column(j)) for j in range(diff.cols))
-
     def is_zero_map(self) -> bool:
         return all(self.target.is_zero(self.matrix.column(j)) for j in range(self.matrix.cols))
 
@@ -434,15 +422,6 @@ class AbHom:
         if self._key is None:
             self._key = tuple(self.target.reduce(self.matrix.column(j)) for j in range(self.matrix.cols))
         return self._key
-
-    def cokernel(self) -> FgAbGroup:
-        return FgAbGroup(hstack(self.target.presentation, self.matrix))
-
-    def is_surjective(self) -> bool:
-        return self.cokernel().is_trivial
-
-    def is_injective(self) -> bool:
-        return kernel_subgroup(self).group.is_trivial
 
     def __repr__(self):
         return f"AbHom({self.source.symbol()} -> {self.target.symbol()})"

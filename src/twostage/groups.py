@@ -176,18 +176,6 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         return _greedy_generators(self.table)
 
-    def relabel(self, perm: Sequence[int]) -> "FiniteGroup":
-        """The isomorphic group with element i renamed to perm[i]."""
-        n = self.order
-        perm = tuple(perm)
-        if sorted(perm) != list(range(n)) or perm[0] != 0:
-            raise ValueError("relabeling must be a permutation fixing the identity")
-        new = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                new[perm[i]][perm[j]] = perm[self.table[i][j]]
-        return FiniteGroup(new)
-
     def __repr__(self):
         return f"FiniteGroup(order {self.order})"
 

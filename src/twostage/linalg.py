@@ -34,15 +34,15 @@ Conventions:
 * ``column_hermite(m)``, ``integer_kernel(m)`` and
   ``congruence_kernel(columns, moduli)`` return the column Hermite basis
   of a lattice (positive pivots in strictly increasing rows, entries left
-  of each pivot in [0, pivot)), so equal lattices give byte-identical
-  bases.  All three run on one core, a sparse lower echelon of the
-  generating columns (``_echelon(generators, m, e)``) and one reduction
-  pass (``_hermite``).  With e > 0 the lattice contains e * Z^m and every
-  entry is kept mod e: the route for kernels into finite groups, where
-  elimination over Z grows entries without bound.  With e = 0 the
-  arithmetic is over Z, nothing is adjoined or reduced, and each pivot is
-  made positive.  Smith stays a separate eliminator because a Hermite
-  basis only names a lattice; class coordinates come from Smith's u.
+  of each pivot in [0, pivot)).  A lattice has one Hermite basis, so every
+  route to it gives the same bytes.  Over Z, a sparse lower echelon of
+  the generating columns (``_echelon``) is reduced by ``_hermite``.  A
+  congruence lattice contains E * Z^n, E the lcm of its moduli, so no
+  entry need grow past E: it is lifted one prime factor of E at a time,
+  each step a sparse row reduction mod p (``_kernel_mod_p``, with the
+  rows over F_2 held as ints and added by XOR), and no identity block is
+  adjoined.  Smith stays a separate eliminator because a Hermite basis
+  only names a lattice; class coordinates come from Smith's u.
 """
 
 from __future__ import annotations
@@ -151,9 +151,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def to_rows(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
@@ -164,9 +161,6 @@ class IntMatrix:
     def nonzero_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each column as its ``(row, entry)`` pairs with nonzero entry, top first."""
         return _nonzero(zip(*self.data), self.rows) if self.rows else ((),) * self.cols
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
 
     def __eq__(self, other) -> bool:
         return (
@@ -184,14 +178,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}: [{body}])"
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols, [a + b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)])
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols, [a - b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)])
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-x for r in self.data for x in r])
@@ -218,10 +204,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
-
-    def _check_same_shape(self, other: "IntMatrix"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
 def _nonzero(lines, width: int) -> tuple:
@@ -260,25 +242,17 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 
 class SnfDecomposition:
-    """Smith normal form ``u @ m @ v == s``.
+    """Smith normal form ``u @ m @ v == s``, as ``smith_normal_form`` finds it.
 
-    A form from ``smith_normal_form`` keeps the log of its row and column
-    operations, not u, u^-1 and v: ``u_row`` and ``u_inv_column`` replay
-    the row log for one row or column, and ``s``, ``u``, ``v`` and
-    ``u_inv`` are built by replay on first read.  The public constructor
-    takes the four matrices as they are.
+    It keeps the log of its row and column operations, not u, u^-1 and v:
+    ``u_row`` and ``u_inv_column`` replay the row log for one row or
+    column, and ``s``, ``u``, ``v`` and ``u_inv`` are built by replay on
+    first read.
     """
 
-    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix):
-        # Set on the instance, the matrices shadow the replaying properties.
-        self.s, self.u, self.v, self.u_inv = s, u, v, u_inv
-        self._of(s.shape, tuple(s.data[i][i] for i in range(min(s.shape))), None, None, ())
-
-    def _of(self, shape, diagonal, row_log, col_log, negated) -> "SnfDecomposition":
-        # The private constructor, from the operation log.
+    def __init__(self, shape, diagonal, row_log, col_log, negated):
         self.shape, self.diagonal, self.rank = shape, diagonal, sum(1 for d in diagonal if d != 0)
         self._row_log, self._col_log, self._negated = row_log, col_log, negated
-        return self
 
     def _replay_rows(self, starts, inverse: bool) -> list[dict]:
         # Negating row i last negates row i of u and column i of u^-1.
@@ -287,14 +261,10 @@ class SnfDecomposition:
 
     def u_row(self, i: int) -> tuple[int, ...]:
         """Row i of u: e_i^T times the row operations, last to first."""
-        if self._row_log is None:
-            return self.u.row(i)
         return tuple(x.get(i, 0) for x in self._replay_rows((i,), False))
 
     def u_inv_column(self, c: int) -> tuple[int, ...]:
         """Column c of u^-1: the inverse row operations, last to first, on e_c."""
-        if self._row_log is None:
-            return self.u_inv.column(c)
         return tuple(x.get(c, 0) for x in self._replay_rows((c,), True))
 
     @functools.cached_property
@@ -449,8 +419,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
 
     diagonal = tuple(a[i].get(i, 0) for i in range(limit))
     negated = frozenset(i for i, d in enumerate(diagonal) if d < 0)
-    dec = SnfDecomposition.__new__(SnfDecomposition)
-    return dec._of((rows, cols), tuple(map(abs, diagonal)), row_log, col_log, negated)
+    return SnfDecomposition((rows, cols), tuple(map(abs, diagonal)), row_log, col_log, negated)
 
 
 def _replay(log: Sequence[tuple[int, int, int]], n: int, starts: dict, inverse: bool) -> list[dict]:
@@ -517,7 +486,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
     """Canonical (Hermite) basis of the column lattice of ``m``, as columns."""
-    basis = _echelon([dict(col) for col in m.nonzero_columns()], m.rows, 0)
+    basis = _echelon([dict(col) for col in m.nonzero_columns()], m.rows)
     return _matrix_of_columns(_hermite(basis, 0), m.rows)
 
 
@@ -530,91 +499,128 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     m.rows, so these, cut to the last m.cols rows and reduced, are the
     kernel's Hermite basis: equal kernels compare equal entrywise.
     """
-    return _kernel([dict(col) for col in m.nonzero_columns()], m.rows, 0)
+    columns = [dict(col) for col in m.nonzero_columns()]
+    for j, g in enumerate(columns):
+        g[m.rows + j] = 1
+    echelon = _echelon(columns, m.rows + m.cols)
+    basis = [{i - m.rows: x for i, x in col.items()} for col in echelon if min(col) >= m.rows]
+    return _matrix_of_columns(_hermite(basis, 0), m.cols)
 
 
 def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequence[int]) -> IntMatrix:
     """Column Hermite basis of {x in Z^n : sum_j x_j c_j = 0 mod d_i in every row i}.
 
     ``columns`` holds c_1, ..., c_n, one sparse column per unknown as its
-    ``(row, entry)`` pairs.  Let E be the lcm of the k moduli and C the
-    matrix of the columns, each row scaled to modulus E.  Then x lies in
-    the lattice exactly when (C x, x) lies in the lattice M spanned by the
-    columns of [C; I] and E * Z^(k + n), so M's Hermite basis has every
-    entry below E and is computed mod E (Domich, Kannan and Trotter 1987;
-    Cohen, Alg. 2.4.8).  As in ``integer_kernel``, its columns pivoting
-    below row k, cut to the last n rows, are the answer.
+    ``(row, entry)`` pairs; C is their matrix, each row scaled to modulus
+    E, the lcm of the d_i.  If B spans the lattice mod M (B = I for M = 1)
+    and p is a prime with M p | E, then C B = 0 mod M, and B y lies in it
+    mod M p exactly when (C B / M) y = 0 mod p.  ``_kernel_mod_p`` gives
+    that kernel as a lower triangular K pivoting in every row, so B K,
+    again lower triangular, spans the lattice mod M p (Dixon 1982).  A
+    pivot reaching E becomes E * e_k, and C B mod E follows B through the
+    same column operations.  Most kernels are mod 2, where a row is an int
+    with a bit per unknown and one XOR adds two.  One ``_hermite`` pass
+    mod E ends it: a lattice has one Hermite basis, whatever the route.
     """
-    exponent = 1
     for d in moduli:
         if d < 1:
             raise ValueError(f"congruence modulus must be positive, got {d}")
-        exponent = math.lcm(exponent, d)
-    top = len(moduli)
-    scaled = []
-    for col in columns:
-        g = {}
+    exponent, top, n = math.lcm(*moduli), len(moduli), len(columns)
+    rows = [{} for _ in moduli]
+    for j, col in enumerate(columns):
         for i, x in col:
             if not 0 <= i < top:
                 raise ValueError(f"congruence row {i} outside the {top} moduli")
-            g[i] = g.get(i, 0) + x * (exponent // moduli[i])
-        scaled.append(g)
-    return _kernel(scaled, top, exponent)
+            rows[i][j] = rows[i].get(j, 0) + x * (exponent // moduli[i])
+    basis = [{k: 1} for k in range(n)]
+    images = [{} for _ in range(n)]
+    system, level, rest = rows, 1, exponent
+    while rest > 1:
+        p = next(p for p in range(2, rest + 1) if rest % p == 0)
+        if level == 1 and p < rest:
+            for i, r in enumerate(rows):
+                for j, x in r.items():
+                    images[j][i] = x % exponent
+        # In place: a pivot's column is read before it is replaced.
+        for b, free in _kernel_mod_p(system, p):
+            column, image = basis[b], images[b]
+            for f, x in free:
+                _axpy(basis[f], p - x, column, exponent)
+                _axpy(images[f], p - x, image, exponent)
+            if p * column[b] == exponent:
+                basis[b], images[b] = {b: exponent}, {}
+            else:
+                basis[b], images[b] = _scaled(column, p, exponent), _scaled(image, p, exponent)
+        level, rest = level * p, rest // p
+        system = {}
+        for k, image in enumerate(images):
+            for i, x in image.items():
+                system.setdefault(i, {})[k] = x // level
+        system = system.values()
+    return _matrix_of_columns(_hermite(basis, exponent), n)
 
 
-def _kernel(columns: list[dict], top: int, e: int) -> IntMatrix:
-    """Hermite basis of {x : sum_j x_j c_j = 0}, mod e when e > 0, for the
-    sparse columns c_j of height ``top``: the echelon columns of [C; I]
-    pivoting below row ``top``, cut to the last rows and reduced."""
-    for j, g in enumerate(columns):
-        g[top + j] = 1
-    echelon = _echelon(columns, top + len(columns), e)
-    basis = [{i - top: x for i, x in col.items()} for col in echelon if min(col) >= top]
-    return _matrix_of_columns(_hermite(basis, e), len(columns))
-
-
-def _echelon(generators: list[dict], m: int, e: int) -> list[dict]:
-    """Lower echelon basis of the lattice spanned by ``generators``, sparse
-    columns of height m: the basis columns' pivots (first nonzero entries)
-    are positive, in strictly increasing rows.
-
-    For e > 0 the lattice also contains e * Z^m, so all arithmetic is mod e
-    and every row holds a pivot; for e = 0 the arithmetic is over Z and a
-    row that no column reaches holds none.  Row i folds the columns whose
-    first nonzero entry is in row i into one by gcd steps.  Mod e it then
-    adjoins e * e_i: the pivot is the gcd d_i, and (e / d_i) times the
-    folded column goes on down.
+def _kernel_mod_p(rows: Iterable[dict], p: int) -> list[tuple[int, list]]:
+    """The kernel of ``rows`` mod the prime p as pairs (b, [(f, x), ...]),
+    one per pivot unknown b: x_b = -sum x * x_f over free unknowns f < b,
+    so the e_f - sum x e_b and the p e_b are a lower triangular basis of
+    {y : rows . y = 0 mod p}.  Shortest row first, a row is cleared at the
+    pivots so far, pivots at its largest unknown, and is cleared from the
+    other pivot rows (LaMacchia and Odlyzko 1990); over F_2 by XOR.
     """
+    pivots, mask = {}, 0
+    if p == 2:
+        for r in sorted((sum(1 << k for k, x in r.items() if x & 1) for r in rows), key=int.bit_count):
+            while r & mask:
+                r ^= pivots[(r & mask).bit_length() - 1]
+            if r:
+                b = r.bit_length() - 1
+                for u, s in pivots.items():
+                    if s >> b & 1:
+                        pivots[u] = s ^ r
+                pivots[b], mask = r, mask | 1 << b
+        return [(b, [(f, 1) for f, c in enumerate(reversed(bin(s ^ 1 << b))) if c == "1"]) for b, s in pivots.items()]
+    for r in sorted(({k: x % p for k, x in r.items() if x % p} for r in rows), key=len):
+        for u in [u for u in r if u in pivots]:
+            _axpy(r, -r[u], pivots[u], p)
+        if r:
+            b = max(r)
+            r = _scaled(r, pow(r[b], -1, p), p)
+            for s in pivots.values():
+                if b in s:
+                    _axpy(s, -s[b], r, p)
+            pivots[b] = r
+    return [(b, [(f, x) for f, x in s.items() if f != b]) for b, s in pivots.items()]
+
+
+def _echelon(generators: list[dict], m: int) -> list[dict]:
+    """Lower echelon basis over Z of the lattice spanned by ``generators``,
+    sparse columns of height m: positive pivots (first nonzero entries) in
+    strictly increasing rows.  Row i folds the columns whose first nonzero
+    entry is in row i into one by gcd steps."""
     pending = [[] for _ in range(m)]
     for g in generators:
-        g = _scaled(g, 1, e)
+        g = _scaled(g, 1, 0)
         if g:
             pending[min(g)].append(g)
     basis = []
     for i in range(m):
         hits = pending[i]
         if not hits:
-            if e:
-                basis.append({i: e})
             continue
         w = hits[0]
         for x in hits[1:]:
             a, b = w[i], x[i]
             if b % a == 0:
-                _axpy(x, -(b // a), w, e)
+                _axpy(x, -(b // a), w, 0)
             else:
                 g, s, t = _xgcd(a, b)
-                w, x = _combine(w, s, x, t, e), _combine(w, -(b // g), x, a // g, e)
+                w, x, y = _scaled(w, s, 0), _scaled(w, -(b // g), 0), x
+                _axpy(w, t, y, 0)
+                _axpy(x, a // g, y, 0)
             if x:
                 pending[min(x)].append(x)
-        if e:
-            d, s, _ = _xgcd(w[i], e)
-            rest = _scaled(w, e // d, e)
-            if rest:
-                pending[min(rest)].append(rest)
-            w = _scaled(w, s, e)
-            w[i] = d
-        elif w[i] < 0:
+        if w[i] < 0:
             w = _scaled(w, -1, 0)
         basis.append(w)
     return basis
@@ -622,7 +628,7 @@ def _echelon(generators: list[dict], m: int, e: int) -> list[dict]:
 
 def _hermite(basis: list[dict], e: int) -> list[dict]:
     """Reduce, in place, each entry left of a pivot of the lower echelon
-    ``basis`` into [0, pivot), top pivot first; e as in ``_echelon``.
+    ``basis`` into [0, pivot), top pivot first, mod e if e > 0.
     A pivot's column is zero above it, so a reduction at one pivot leaves
     the entries at the pivots above it as they are."""
     for i, bi in enumerate(basis):
@@ -656,10 +662,3 @@ def _scaled(a: dict, s: int, e: int) -> dict:
     if e:
         return {i: s * x % e for i, x in a.items() if s * x % e}
     return {i: s * x for i, x in a.items() if s * x}
-
-
-def _combine(a: dict, s: int, b: dict, t: int, e: int) -> dict:
-    """s * a + t * b, entries mod e (over Z for e = 0), zeros dropped."""
-    out = _scaled(a, s, e)
-    _axpy(out, t, b, e)
-    return out

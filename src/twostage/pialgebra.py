@@ -224,7 +224,7 @@ class AutPairA:
     """(phi, psi): a group automorphism and a compatible automorphism of
     the finite A_n, psi(g.m) = phi(g).psi(m).  As one permutation,
     ``points`` is phi on A_1, then psi on A_n numbered from |A_1| on;
-    ``psi_map`` must be psi's ``_element_map``, as ``abelian_automorphisms``
+    ``psi_map`` must be psi's element map, as ``abelian_automorphisms``
     gives it."""
 
     __slots__ = ("phi", "psi", "points")
@@ -249,7 +249,7 @@ class AutPairA:
 class AutPairB:
     """(psi_n, psi_n1): automorphisms of the two finite stages commuting with q.
     As one permutation, ``points`` is psi_n on A_n, then psi_n1 on
-    A_(n+1) numbered from |A_n| on, from their ``_element_map``s, as
+    A_(n+1) numbered from |A_n| on, from their element maps, as
     ``abelian_automorphisms`` gives them."""
 
     __slots__ = ("psi_n", "psi_n1", "points")
@@ -276,15 +276,6 @@ def _strides(group: FgAbGroup) -> tuple[int, ...]:
     the i-th is the position of the i-th canonical generator."""
     factors = group.invariant_factors
     return tuple(math.prod(factors[i + 1 :]) for i in range(len(factors)))
-
-
-def _element_map(f: AbHom) -> tuple[int, ...]:
-    """A homomorphism of finite groups as the positions, in the target's
-    ``element_coords()`` order, of the images of the source's elements in
-    that order.  Only the canonical generators are mapped."""
-    source, target = f.source, f.target
-    units = IntMatrix.identity(len(source.invariant_factors)).data
-    return _extend(source.invariant_factors, target, [target.reduce(f(source.lift(unit))) for unit in units])
 
 
 def _extend(radix: Sequence[int], target: FgAbGroup, steps: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -393,7 +384,8 @@ class PiAut:
 
 def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) -> list[tuple[AbHom, tuple[int, ...]]]:
     """All automorphisms of a finite abelian group, sorted canonically,
-    each with its ``_element_map``.
+    each with its element map: the positions, in ``element_coords()``
+    order, of the images of the elements in that order.
 
     They are built, not filtered out of End (``_automorphism_images``).
     With invariant factors d_1 | ... | d_k, f(e_i) is one of the

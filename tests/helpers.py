@@ -9,13 +9,15 @@ checks, which is the point.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
-from twostage.abelian import AbHom, FgAbGroup, hom_group
+from twostage import pialgebra
+from twostage.abelian import AbHom, FgAbGroup, hom_group, kernel_subgroup
 from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
 from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, automorphism_group
-from twostage.linalg import IntMatrix, SnfDecomposition, hstack, smith_normal_form
+from twostage.linalg import IntMatrix, hstack, smith_normal_form
 from twostage.pialgebra import QuadraticMap, TwoStageDim1N, abelian_automorphisms
 
 
@@ -206,7 +208,24 @@ def abelian_type_from_elements(elements, add, zero) -> tuple[int, ...]:
     return tuple(sorted(invs))
 
 
-def reference_smith_normal_form(m: IntMatrix) -> SnfDecomposition:
+class ReferenceSnf(NamedTuple):
+    """A Smith form ``u @ m @ v == s`` given by its four matrices."""
+
+    s: IntMatrix
+    u: IntMatrix
+    v: IntMatrix
+    u_inv: IntMatrix
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.s.data[i][i] for i in range(min(self.s.shape)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal if d)
+
+
+def reference_smith_normal_form(m: IntMatrix) -> ReferenceSnf:
     """Diagonalize ``m`` over Z by unimodular row and column operations:
     the package's Smith form as it was before it stopped its pivot search
     at a unit and moved to sparse rows, every row kept dense and every
@@ -324,7 +343,7 @@ def reference_smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         if a[i][i] < 0:
             row_negate(i)
 
-    return SnfDecomposition(
+    return ReferenceSnf(
         IntMatrix.from_rows(a, cols=cols),
         IntMatrix.from_rows(u, cols=rows),
         IntMatrix.from_rows(v, cols=cols),
@@ -386,6 +405,79 @@ def reference_integer_kernel(m: IntMatrix) -> IntMatrix:
     dec = reference_smith_normal_form(m)
     basis = IntMatrix.from_columns([dec.v.column(j) for j in range(dec.rank, m.cols)], rows=m.cols)
     return reference_column_hermite(basis)
+
+
+def reference_congruence_kernel(columns, moduli) -> IntMatrix:
+    """Column Hermite basis of {x : sum_j x_j c_j = 0 mod d_i in every row i}
+    the way the package found it before the mod p route: with E the lcm of
+    the moduli and C the columns, each row scaled to modulus E, the lattice
+    of [C; I] and E * Z^(k + n) is put in sparse lower echelon form by
+    column operations mod E, and its columns pivoting below row k, cut to
+    the last n rows and reduced, are the answer (Domich, Kannan and Trotter
+    1987; Cohen, Alg. 2.4.8)."""
+    exponent = 1
+    for d in moduli:
+        if d < 1:
+            raise ValueError(f"congruence modulus must be positive, got {d}")
+        exponent = lcm(exponent, d)
+    top, e = len(moduli), exponent
+    pending = [[] for _ in range(top + len(columns))]
+    for j, col in enumerate(columns):
+        g = {top + j: 1}
+        for i, x in col:
+            if not 0 <= i < top:
+                raise ValueError(f"congruence row {i} outside the {top} moduli")
+            g[i] = g.get(i, 0) + x * (exponent // moduli[i])
+        g = _ref_scaled(g, 1, e)
+        if g:
+            pending[min(g)].append(g)
+    basis = []
+    for i, hits in enumerate(pending):
+        # fold the columns whose first entry is in row i by gcd steps, then
+        # adjoin e * e_i: the pivot is gcd(w_i, e), and (e / d) w goes down
+        w = hits[0] if hits else {}
+        for x in hits[1:]:
+            a, b = w[i], x[i]
+            if b % a == 0:
+                _ref_axpy(x, -(b // a), w, e)
+            else:
+                g, s, t = _xgcd(a, b)
+                w, x = _ref_combine(w, s, x, t, e), _ref_combine(w, -(b // g), x, a // g, e)
+            if x:
+                pending[min(x)].append(x)
+        d, s, _ = _xgcd(w.get(i, 0), e)
+        rest = _ref_scaled(w, e // d, e)
+        if rest:
+            pending[min(rest)].append(rest)
+        w = _ref_scaled(w, s, e)
+        w[i] = d
+        basis.append(w)
+    kernel = [{i - top: x for i, x in col.items()} for col in basis[top:]]
+    for i, bi in enumerate(kernel):
+        for bj in kernel[:i]:
+            q = bj.get(i, 0) // bi[i]
+            if q:
+                _ref_axpy(bj, -q, bi, e)
+    return IntMatrix.from_columns([[col.get(i, 0) for i in range(len(columns))] for col in kernel], rows=len(columns))
+
+
+def _ref_axpy(target: dict, f: int, source: dict, e: int) -> None:
+    for i, y in source.items():
+        z = (target.get(i, 0) + f * y) % e
+        if z:
+            target[i] = z
+        else:
+            target.pop(i, None)
+
+
+def _ref_scaled(a: dict, s: int, e: int) -> dict:
+    return {i: s * x % e for i, x in a.items() if s * x % e}
+
+
+def _ref_combine(a: dict, s: int, b: dict, t: int, e: int) -> dict:
+    out = _ref_scaled(a, s, e)
+    _ref_axpy(out, t, b, e)
+    return out
 
 
 def reference_oracle_cohomology(
@@ -563,11 +655,11 @@ def reference_gmodule_violations(group, base, action) -> list:
             violations.append(("module.action", f"matrix for element {g} is not an endomorphism", {"element": g}))
     if violations:
         return violations
-    if not homs[0].equals(AbHom.identity(base)):
+    if not hom_equals(homs[0], AbHom.identity(base)):
         violations.append(("module.action", "identity element must act as the identity", None))
     n = group.order
     failing = next(
-        ((g, h) for g in range(n) for h in range(n) if not (homs[g] @ homs[h]).equals(homs[group.table[g][h]])),
+        ((g, h) for g in range(n) for h in range(n) if not hom_equals(homs[g] @ homs[h], homs[group.table[g][h]])),
         None,
     )
     if failing is not None:
@@ -729,9 +821,57 @@ def abelianization(group) -> FgAbGroup:
     return FgAbGroup(IntMatrix.from_columns(cols, rows=n - 1))
 
 
+def hom_equals(f: AbHom, g: AbHom) -> bool:
+    """f and g have the same source and target presentations and agree on
+    every generator, modulo the target's relations."""
+    if not (f.source.same_presentation(g.source) and f.target.same_presentation(g.target)):
+        return False
+    columns = zip(f.matrix.transpose().data, g.matrix.transpose().data)
+    return all(f.target.is_zero([x - y for x, y in zip(a, b)]) for a, b in columns)
+
+
+def cokernel(f: AbHom) -> FgAbGroup:
+    return FgAbGroup(hstack(f.target.presentation, f.matrix))
+
+
+def is_surjective(f: AbHom) -> bool:
+    return cokernel(f).is_trivial
+
+
+def is_injective(f: AbHom) -> bool:
+    return kernel_subgroup(f).group.is_trivial
+
+
+def is_isomorphic(a: FgAbGroup, b: FgAbGroup) -> bool:
+    return a.normal_form == b.normal_form
+
+
 def is_bijective(f: AbHom) -> bool:
     """The Smith-form test: trivial cokernel and trivial kernel."""
-    return f.is_surjective() and f.is_injective()
+    return is_surjective(f) and is_injective(f)
+
+
+def relabel(group: FiniteGroup, perm) -> FiniteGroup:
+    """The isomorphic group with element i renamed to perm[i]."""
+    n = group.order
+    perm = tuple(perm)
+    if sorted(perm) != list(range(n)) or perm[0] != 0:
+        raise ValueError("relabeling must be a permutation fixing the identity")
+    new = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            new[perm[i]][perm[j]] = perm[group.table[i][j]]
+    return FiniteGroup(new)
+
+
+def element_map(f: AbHom) -> tuple[int, ...]:
+    """A homomorphism of finite groups as the positions, in the target's
+    ``element_coords()`` order, of the images of the source's elements in
+    that order: the definition the package's element maps are checked
+    against.  Only the canonical generators are mapped."""
+    source, target = f.source, f.target
+    units = IntMatrix.identity(len(source.invariant_factors)).data
+    return pialgebra._extend(source.invariant_factors, target, [target.reduce(f(source.lift(unit))) for unit in units])
 
 
 def hom_inverse(f: AbHom) -> AbHom:
@@ -875,7 +1015,7 @@ def reference_pi_aut(algebra) -> tuple[list, list, int]:
             (phi, psi)
             for phi in automorphism_group(algebra.a1)
             for psi in reference_abelian_automorphisms(base)
-            if all((psi @ action[g]).equals(action[h] @ psi) for g, h in enumerate(phi))
+            if all(hom_equals(psi @ action[g], action[h] @ psi) for g, h in enumerate(phi))
         ]
 
         def key(pair):

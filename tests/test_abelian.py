@@ -26,9 +26,13 @@ from helpers import (
     enumerate_homs_bruteforce,
     hom_at,
     hom_generators,
+    hom_equals,
     hom_inverse,
     homology_bruteforce,
     is_bijective,
+    is_injective,
+    is_isomorphic,
+    is_surjective,
     random_unimodular,
     reference_column_hermite,
     reference_integer_kernel,
@@ -75,7 +79,7 @@ class TestNormalForm:
         g1 = FgAbGroup(IntMatrix.from_columns([[2, 0], [0, 4]], rows=2))
         g2 = FgAbGroup(IntMatrix.from_columns([[0, 4], [2, 0], [2, 4]], rows=2))
         assert g1.normal_form == g2.normal_form == (0, (2, 4))
-        assert g1.is_isomorphic_to(g2)
+        assert is_isomorphic(g1, g2)
 
     def test_divisibility_chain(self):
         rng = random.Random(19)
@@ -190,15 +194,15 @@ class TestAbHom:
         assert sq.is_zero_map()
         assert not doubling.is_zero_map()
         five = AbHom(g4, g4, IntMatrix.from_rows([[5]]))
-        assert five.equals(AbHom.identity(g4))
+        assert hom_equals(five, AbHom.identity(g4))
 
     def test_bijectivity(self):
         g = FgAbGroup.from_cyclic_factors([2, 2])
         swap = AbHom(g, g, IntMatrix.from_rows([[0, 1], [1, 0]]))
         assert is_bijective(swap)
         proj = AbHom(g, g, IntMatrix.from_rows([[1, 0], [0, 0]]))
-        assert not proj.is_injective()
-        assert not proj.is_surjective()
+        assert not is_injective(proj)
+        assert not is_surjective(proj)
 
     def test_kernel_of_doubling_on_z4(self):
         g4 = FgAbGroup.cyclic(4)
@@ -256,8 +260,8 @@ class TestHomGroup:
             f = hom_at(h, coords)
             acc = IntMatrix.zeros(b.ngens, a.ngens)
             for c, gen in zip(coords, generators):
-                acc = acc + gen.matrix.scale(c)
-            assert f.equals(AbHom(a, b, acc))
+                acc = IntMatrix(acc.rows, acc.cols, [x + c * y for ra, rb in zip(acc.data, gen.matrix.data) for x, y in zip(ra, rb)])
+            assert hom_equals(f, AbHom(a, b, acc))
         assert len(moduli) == len(generators)
 
 
@@ -509,12 +513,12 @@ class TestDirectSum:
         them otherwise."""
         g = FgAbGroup.from_cyclic_factors([4, 4, 2])
         assert g.coordinate_moduli() == (2, 4, 4)
-        assert [g.reduce(e) for e in IntMatrix.identity(3).columns()] == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
-        assert [g.lift(e) for e in IntMatrix.identity(3).columns()] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+        assert [g.reduce(e) for e in IntMatrix.identity(3).data] == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
+        assert [g.lift(e) for e in IntMatrix.identity(3).data] == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
         g = FgAbGroup.from_cyclic_factors([2, 2, 1])
         assert g.coordinate_moduli() == (2, 2)
-        assert [g.reduce(e) for e in IntMatrix.identity(3).columns()] == [(1, 0), (0, 1), (0, 0)]
-        assert [g.lift(e) for e in IntMatrix.identity(2).columns()] == [(1, 0, 0), (0, 1, 0)]
+        assert [g.reduce(e) for e in IntMatrix.identity(3).data] == [(1, 0), (0, 1), (0, 0)]
+        assert [g.lift(e) for e in IntMatrix.identity(2).data] == [(1, 0, 0), (0, 1, 0)]
 
     @pytest.mark.parametrize(
         "relations",
@@ -542,24 +546,24 @@ class TestInverse:
     def test_self_inverse_on_z4(self):
         z4 = FgAbGroup.cyclic(4)
         f = AbHom(z4, z4, IntMatrix.from_rows([[3]]))
-        assert hom_inverse(f).equals(f)
+        assert hom_equals(hom_inverse(f), f)
 
     def test_multiplicative_inverse_mod_five(self):
         z5 = FgAbGroup.cyclic(5)
         f = AbHom(z5, z5, IntMatrix.from_rows([[2]]))
         g = hom_inverse(f)
         assert z5.reduce(g.matrix.column(0)) == (3,)
-        assert (g @ f).equals(AbHom.identity(z5))
+        assert hom_equals(g @ f, AbHom.identity(z5))
 
     def test_swap_on_klein_four(self):
         v = FgAbGroup.from_cyclic_factors([2, 2])
         swap = AbHom(v, v, IntMatrix.from_rows([[0, 1], [1, 0]]))
-        assert hom_inverse(swap).equals(swap)
+        assert hom_equals(hom_inverse(swap), swap)
 
     def test_negation_on_free_group(self):
         z = FgAbGroup.free(1)
         f = AbHom(z, z, IntMatrix.from_rows([[-1]]))
-        assert hom_inverse(f).equals(f)
+        assert hom_equals(hom_inverse(f), f)
 
     def test_non_invertible_rejected(self):
         z4 = FgAbGroup.cyclic(4)

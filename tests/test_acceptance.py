@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from math import gcd
 
-from helpers import composition_table, det_leibniz, inverse_index, module_structures
+from helpers import composition_table, det_leibniz, inverse_index, module_structures, relabel
 
 from twostage.abelian import FgAbGroup, ext_group, hom_group
 from twostage.cohomology import (
@@ -53,7 +53,7 @@ def trivial_algebra(group_factors, base_factors, n=2):
 
 
 def relabel_module(module, perm):
-    group = module.group.relabel(perm)
+    group = relabel(module.group, perm)
     action = [None] * group.order
     for g in range(group.order):
         action[perm[g]] = module.action[g]
@@ -243,7 +243,7 @@ def suite_orbit_stabilizer():
         gf, mf, n = rng.choice(pool)
         group = FiniteGroup.from_cyclic_factors(gf)
         if group.order > 2 and rng.random() < 0.5:
-            group = group.relabel(identity_fixing_perm(rng, group.order))
+            group = relabel(group, identity_fixing_perm(rng, group.order))
         base = FgAbGroup.from_cyclic_factors(mf)
         module = rng.choice(module_structures(group, base))
         report = moduli_case_a(TwoStageDim1N(n, module))

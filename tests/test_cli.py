@@ -15,7 +15,7 @@ import twostage.linalg
 from twostage.cli import EXIT_CODES, main
 from twostage.linalg import smith_normal_form
 
-from helpers import reference_smith_normal_form
+from helpers import cyclic_periodic_cohomology, reference_smith_normal_form
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ROOT / "samples"
@@ -38,7 +38,13 @@ MODULI_SAMPLES = [
     "c2c2_z2x3",
     "stable_rebased_q",
     "stable_z2x4_z2_q",
+    "c9_z3",
+    "c6_z4_n3",
 ]
+
+# A sample with no golden: the parent of the mod p route could not finish it,
+# so its report is checked against closed forms instead.
+NO_GOLDEN_SAMPLE = "c8_z4_n3.json"
 
 GOLDEN_RUNS = [
     *[(f"{name}.moduli.txt", ["moduli", f"{name}.json"]) for name in MODULI_SAMPLES],
@@ -106,8 +112,18 @@ def test_golden_smith_forms_match_the_reference(golden_name, argv, capsys, monke
         assert (got.s, got.u, got.v, got.u_inv) == (want.s, want.u, want.v, want.u_inv)
 
 
+def test_sample_without_golden_finishes(capsys):
+    # (C8, Z/4, n = 3): H^k(C8; Z/4) = Z/4 in every degree, and Aut(C8) x
+    # Aut(Z/4) has the 3 orbits {0}, {1, 3} and {2} on H^4.
+    status, out, err = run_cli(["moduli", SAMPLES / NO_GOLDEN_SAMPLE], capsys)
+    assert status == 0 and err == ""
+    assert cyclic_periodic_cohomology(8, [4], [[1]], 4) == [(4,)] * 5
+    assert [line for line in out.splitlines() if line.startswith("  H^")] == [f"  H^{k} = C4" for k in range(5)]
+    assert out.count("orbit size") == 3 and "pi_0 = 3 " in out
+
+
 def test_every_sample_and_golden_is_exercised():
-    samples_used = {argv[1] for _, argv in GOLDEN_RUNS}
+    samples_used = {argv[1] for _, argv in GOLDEN_RUNS} | {NO_GOLDEN_SAMPLE}
     assert samples_used == {p.name for p in SAMPLES.glob("*.json")}
     goldens_used = {name for name, _ in GOLDEN_RUNS}
     assert goldens_used == {p.name for p in GOLDEN.glob("*.txt")}

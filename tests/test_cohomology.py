@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from twostage.abelian import FgAbGroup, hom_group, kernel_subgroup
+from twostage.abelian import FgAbGroup, _preimage_basis, hom_group, kernel_subgroup
 from twostage.cohomology import (
     Cocycle,
     Derivations,
@@ -30,7 +30,9 @@ from helpers import (
     module_structures,
     quaternion_group,
     reference_cocycle_filter,
+    reference_congruence_kernel,
     reference_oracle_cohomology,
+    relabel,
 )
 
 
@@ -49,7 +51,7 @@ def s3():
 
 
 def relabel_module(module, perm):
-    group = module.group.relabel(perm)
+    group = relabel(module.group, perm)
     action = [None] * group.order
     for g in range(group.order):
         action[perm[g]] = module.action[g]
@@ -349,6 +351,17 @@ def oracle_pool():
     ]
 
 
+def test_preimage_bases_match_the_congruence_reference():
+    # Every d_k of the pool maps into a finite cochain group, so the
+    # numerator of its kernel is a congruence lattice; the [C; I] route the
+    # mod p reduction replaced gives it entry for entry.
+    for module, kmax in oracle_pool():
+        for h in cohomology_range(module, kmax):
+            f, target = h.differential, h.differential.target
+            want = reference_congruence_kernel([target._slot_values(col).items() for col in f.columns], target._diag)
+            assert _preimage_basis(f) == want, (module, h.degree)
+
+
 def test_matrix_route_matches_enumeration_oracle():
     for module, kmax in oracle_pool():
         for k, h in enumerate(cohomology_range(module, kmax)):
@@ -532,9 +545,10 @@ def test_oracle_on_large_coefficients_matches_periodic_closed_form():
 # (order of the cyclic group, coefficient moduli, matrix of the generator)
 PERIODIC_CASES = [
     *[(m, [2], [[1]]) for m in range(2, 9)],
-    *[(m, [3], [[1]]) for m in (3, 6)],
+    *[(m, [3], [[1]]) for m in (3, 6, 8, 9)],
     *[(m, [3], [[-1]]) for m in (2, 4, 6)],
-    *[(m, [4], [[-1]]) for m in (2, 4, 6)],
+    *[(m, [4], [[-1]]) for m in (2, 4, 6, 8)],
+    (8, [4], [[1]]),
     *[(m, [2, 2], [[0, 1], [1, 0]]) for m in (2, 4, 6, 8)],
     # C4 through C2 on Z/2 x Z/4, where H^odd and H^even differ
     (4, [2, 4], [[1, 0], [2, 1]]),

@@ -27,7 +27,7 @@ from twostage.pialgebra import (
     pi_aut,
 )
 
-from helpers import composition_table, hom_inverse, polynomial_orbit_sizes, totient
+from helpers import composition_table, hom_inverse, polynomial_orbit_sizes, relabel, totient
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -256,7 +256,7 @@ def test_case_a_relabel_invariance():
     report = moduli_case_a(alg)
 
     perm = (0, 2, 1)
-    group = alg.a1.relabel(perm)
+    group = relabel(alg.a1, perm)
     action = [None] * group.order
     for g in range(group.order):
         action[perm[g]] = alg.an.action[g]
