@@ -49,6 +49,7 @@ from typing import NamedTuple, Sequence
 from .errors import SizeBoundError, ValidationError, Violation
 from .linalg import (
     IntMatrix,
+    _kernel_mod_p,
     _matrix_of_columns,
     block_diag,
     column_hermite,
@@ -69,6 +70,7 @@ __all__ = [
     "ext_group",
     "homology_at",
     "kernel_subgroup",
+    "rank_mod_p",
     "direct_sum",
 ]
 
@@ -84,6 +86,7 @@ class FgAbGroup:
         "_coord_slots",
         "invariant_factors",
         "free_rank",
+        "_dec",
         "_u_rows",
         "_uinv_rows",
         "_slots_reading",
@@ -92,21 +95,16 @@ class FgAbGroup:
 
     def __init__(self, presentation: IntMatrix):
         dec = smith_normal_form(presentation)
-        diag = list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal))
-        # Only the coordinate slots' u rows and u^-1 columns are ever read.
-        slots = [i for i, d in enumerate(diag) if d != 1]
-        u_rows = [()] * len(diag)
-        for i in slots:
-            u_rows[i] = tuple((j, c) for j, c in enumerate(dec.u_row(i)) if c)
-        columns = [dec.u_inv_column(i) for i in slots]
-        uinv_rows = tuple(tuple((s, col[j]) for s, col in zip(slots, columns) if col[j]) for j in range(len(diag)))
-        self._set_smith(diag, tuple(u_rows), uinv_rows, presentation, ())
+        self._set_smith(list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal)), presentation, ())
+        self._dec = dec
 
-    def _set_smith(self, diag, u_rows, uinv_rows, presentation, summands) -> None:
-        # Slot i has diagonal entry diag[i] and coordinate u_rows[i] . x;
-        # uinv_rows takes coordinate slots back to generators.  Rows are
-        # sparse, and hold only what is read: u_rows[i] is empty at a slot
-        # with d_i = 1, and uinv_rows restricts u^-1 to the coordinate slots.
+    def _set_smith(self, diag, presentation, summands) -> None:
+        # Slot i has diagonal entry diag[i] and coordinate _u_rows[i] . x;
+        # _uinv_rows takes coordinate slots back to generators.  Rows are
+        # sparse, and hold only what is read: _u_rows[i] is empty at a slot
+        # with d_i = 1, and _uinv_rows restricts u^-1 to the coordinate
+        # slots.  A direct sum sets both; a group with its own Smith form
+        # replays them on first read (``__getattr__``).
         self._presentation = presentation
         self._summands = summands
         self.ngens = len(diag)
@@ -116,10 +114,25 @@ class FgAbGroup:
         self._coord_slots = tuple(i for i, d in enumerate(diag) if d != 1)
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
-        self._u_rows = u_rows
-        self._uinv_rows = uinv_rows
+        self._dec = None
         self._slots_reading = None
         self._relation_columns = None
+
+    def __getattr__(self, name):
+        # Called only for a slot not yet set: the Smith form's u rows and
+        # u^-1 columns, replayed from its operation log for the coordinate
+        # slots alone.
+        if name not in ("_u_rows", "_uinv_rows") or self._dec is None:
+            raise AttributeError(name)
+        dec, slots = self._dec, self._coord_slots
+        u_rows = [()] * self.ngens
+        for i in slots:
+            u_rows[i] = tuple((j, c) for j, c in enumerate(dec.u_row(i)) if c)
+        columns = [dec.u_inv_column(i) for i in slots]
+        self._u_rows = tuple(u_rows)
+        self._uinv_rows = tuple(tuple((s, col[j]) for s, col in zip(slots, columns) if col[j]) for j in range(self.ngens))
+        self._dec = None
+        return getattr(self, name)
 
     @property
     def presentation(self) -> IntMatrix:
@@ -254,7 +267,7 @@ class FgAbGroup:
         w = [0] * self.ngens
         for slot, c in zip(self._coord_slots, coords):
             w[slot] = c
-        return tuple(sum(c * w[j] for j, c in self._uinv_rows[i]) for i in range(self.ngens))
+        return tuple(sum(c * w[j] for j, c in row) for row in self._uinv_rows)
 
     def coordinate_moduli(self) -> tuple[int, ...]:
         """Modulus of each canonical coordinate; 0 marks a free coordinate."""
@@ -302,12 +315,10 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
     offsets = list(itertools.accumulate((g.ngens for g in groups), initial=0))
     position = {(k, i): t for t, (_, k, i) in enumerate(slots)}
     total = FgAbGroup.__new__(FgAbGroup)
-    total._set_smith(
-        chain,
-        tuple(tuple((offsets[k] + j, c) for j, c in groups[k]._u_rows[i]) for _, k, i in slots),
-        tuple(tuple((position[k, j], c) for j, c in row) for k, g in enumerate(groups) for row in g._uinv_rows),
-        None,
-        tuple(groups),
+    total._set_smith(chain, None, tuple(groups))
+    total._u_rows = tuple(tuple((offsets[k] + j, c) for j, c in groups[k]._u_rows[i]) for _, k, i in slots)
+    total._uinv_rows = tuple(
+        tuple((position[k, j], c) for j, c in row) for k, g in enumerate(groups) for row in g._uinv_rows
     )
     return total
 
@@ -543,6 +554,17 @@ def _preimage_basis(f: AbHom) -> IntMatrix:
         return congruence_kernel([target._slot_values(col).items() for col in f.columns], target._diag)
     full = integer_kernel(hstack(f.matrix, -target.presentation))
     return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
+
+
+def rank_mod_p(f: AbHom, p: int) -> int:
+    """The rank over F_p of f, for a target of exponent p (or 1): the pivot
+    count of a row reduction mod p of the congruences ``_preimage_basis``
+    solves, with no lattice built.  The image has p^rank elements."""
+    rows = {}
+    for j, col in enumerate(f.columns):
+        for i, x in f.target._slot_values(col).items():
+            rows.setdefault(i, {})[j] = x
+    return len(_kernel_mod_p(rows.values(), p))
 
 
 def kernel_subgroup(f: AbHom) -> Subquotient:

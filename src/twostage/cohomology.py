@@ -9,9 +9,16 @@ cohomology).  The differential is the usual alternating sum
         + sum_i (-1)^i f(g1, ..., g_i g_{i+1}, ..., g_{k+1})
         + (-1)^{k+1} f(g1, ..., gk)
 
-with terms landing on degenerate tuples dropped.  Cohomology is then a
-subquotient computation over Z, so classes come with exact coordinates
-and honest cocycle representatives.
+with terms landing on degenerate tuples dropped.  A degree's isomorphism
+type comes by one of two routes.  When M = (Z/p)^r the cochain groups are
+F_p-vector spaces and dim H^k = dim C^k - rank_p d_k - rank_p d_(k-1), each
+rank the pivot count of a row reduction mod p, with no lattice and no
+Smith form.  Otherwise H^k is the subquotient Z^k / B^k over Z, and the
+Smith form of its presentation gives the type.  Class coordinates and
+honest cocycle representatives always come from that subquotient; for
+M = (Z/p)^r it is built only in a degree whose coordinates are read (in
+a moduli run, the k-invariant degree), and there the two routes must
+agree.
 
 ``oracle_cohomology`` recomputes the same groups by deciding every
 cochain function and counting cosets, with no matrices anywhere: the
@@ -27,7 +34,17 @@ import itertools
 from collections import Counter
 from typing import Sequence
 
-from .abelian import AbHom, CochainComplex, Subquotient, direct_sum, homology_at, kernel_subgroup, sparse_image
+from .abelian import (
+    AbHom,
+    CochainComplex,
+    FgAbGroup,
+    Subquotient,
+    direct_sum,
+    homology_at,
+    kernel_subgroup,
+    rank_mod_p,
+    sparse_image,
+)
 from .errors import InternalConsistencyError, SizeBoundError
 from .groups import GModule
 
@@ -148,18 +165,79 @@ def _differential_columns(module: GModule, k: int) -> tuple:
 
 
 class CohomologyGroup:
-    """H^k(G; M) with exact class coordinates and cocycle representatives;
-    ``differential`` is d: C^k -> C^(k+1) of the normalized complex."""
+    """H^k(G; M), one degree of ``cohomology_range``; ``differential`` is
+    d: C^k -> C^(k+1) of the normalized complex, and ``group`` the type.
 
-    __slots__ = ("module", "degree", "group", "representatives", "differential", "_sub")
+    Class coordinates and cocycle representatives (``class_of``,
+    ``cocycle_at``, ``representatives``, ``classes``, ``cocycles``) come
+    from the subquotient Z^k / B^k (``homology_at``), whose Smith form
+    presents ``group``.  For M = (Z/p)^r the type is read off F_p ranks
+    instead, dim H^k = dim C^k - rank_p d_k - rank_p d_(k-1) (Brown,
+    *Cohomology of Groups*, GTM 87), each the pivot count of a row
+    reduction mod p; the subquotient is built only when coordinates are
+    read, and its invariant factors must agree.  ``below`` is degree k - 1.
+    """
 
-    def __init__(self, module: GModule, degree: int, sub: Subquotient, differential: AbHom):
+    __slots__ = (
+        "module",
+        "degree",
+        "differential",
+        "group",
+        "representatives",
+        "_complex",
+        "_below",
+        "_prime",
+        "_rank",
+        "_sub",
+    )
+
+    def __init__(self, module: GModule, degree: int, complex_: CochainComplex, below, prime: int | None):
         self.module = module
         self.degree = degree
-        self.group = sub.group
-        self.differential = differential
-        self._sub = sub
-        self.representatives = tuple(Cocycle(module, degree, v) for v in sub.generator_representatives())
+        self.differential = complex_.maps[degree]
+        self._complex = complex_
+        self._below = below
+        self._prime = prime
+        self._sub = None
+        if prime is None:
+            self._subquotient()
+
+    def __getattr__(self, name):
+        # Called only for a slot not yet set: ``group`` by F_p ranks,
+        # ``representatives``, and ``_rank``, rank_p d_k by row reduction.
+        if name == "_rank":
+            self._rank = rank_mod_p(self.differential, self._prime)
+        elif name == "group":
+            self.group = self._elementary(self._rank + (self._below._rank if self._below else 0))
+        elif name == "representatives":
+            vectors = self._subquotient().generator_representatives()
+            self.representatives = tuple(Cocycle(self.module, self.degree, v) for v in vectors)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def _elementary(self, ranks: int) -> FgAbGroup:
+        """(Z/p)^(dim C^k - ranks)."""
+        dimension = len(self.differential.source.invariant_factors) - ranks
+        return direct_sum([FgAbGroup.cyclic(self._prime)] * dimension if dimension else [])
+
+    def _subquotient(self) -> Subquotient:
+        """Z^k / B^k, built on first read.  For M = (Z/p)^r the Hermite
+        basis of Z^k has pivots 1 and p, and [Z^N : Z^k] = p^(rank_p d_k),
+        so its pivots equal to p give rank_p d_k with no second reduction."""
+        if self._sub is None:
+            sub = homology_at(self._complex, self.degree)
+            if self._prime is not None:
+                self._rank = sum(row[i] != 1 for i, row in enumerate(sub.basis.data))
+                want = self.group.invariant_factors
+                if sub.group.normal_form != (0, want):
+                    got = list(sub.group.invariant_factors)
+                    raise InternalConsistencyError(
+                        f"H^{self.degree}: Smith route {got} disagrees with F_p rank route {list(want)}"
+                    )
+            self._sub = sub
+            self.group = sub.group
+        return self._sub
 
     def is_cocycle(self, z: Cocycle) -> bool:
         entries = [(j, x) for j, x in enumerate(z.vector) if x]
@@ -172,36 +250,61 @@ class CohomologyGroup:
             raise ValueError("cocycle does not belong to this cohomology group")
         if not self.is_cocycle(z):
             raise ValueError("not a cocycle: differential does not vanish")
-        return self._sub.class_coords(z.vector)
+        return self._subquotient().class_coords(z.vector)
 
     def cocycle_at(self, coords: Sequence[int]) -> Cocycle:
-        return Cocycle(self.module, self.degree, self._sub.representative(coords))
+        return Cocycle(self.module, self.degree, self._subquotient().representative(coords))
 
     def cocycles(self) -> Subquotient:
         """Z^k, the kernel of the differential, as a subquotient of C^k:
         the Hermite basis of H^k's numerator over C^k's relations alone,
         with no coboundaries and no second kernel computation."""
-        sub = self._sub
+        sub = self._subquotient()
         return Subquotient(sub.ambient_rank, sub.basis, self.differential.source.relation_columns)
 
+    def cocycle_group(self) -> FgAbGroup:
+        """The type of Z^k (Der, for k = 1), by F_p rank when it can be."""
+        if self._prime is None:
+            return self.cocycles().group
+        return self._elementary(self._rank)
+
     def classes(self, limit: int | None = None) -> list[tuple[int, ...]]:
-        return self.group.element_coords(limit)
+        """Every class by its canonical coordinates, so the subquotient is built."""
+        return self._subquotient().group.element_coords(limit)
 
     def __repr__(self):
         return f"CohomologyGroup(H^{self.degree} = {self.group.symbol()})"
 
 
 def cohomology_range(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) -> list[CohomologyGroup]:
-    """H^0 through H^kmax off a single complex: cocycles as a lattice computed
-    mod the exponent of M, classes from the Smith form of Z^k / B^k."""
+    """H^0 through H^kmax off a single complex, cocycles as a lattice
+    computed mod the exponent of M.  For M = (Z/p)^r (or 0) each degree's
+    type comes from the F_p ranks of the differentials, and the subquotient
+    Z^k / B^k is built only for a degree whose class coordinates are read;
+    for other M each degree's type comes from its subquotient's Smith form.
+    See ``CohomologyGroup``."""
     if kmax < 0:
         raise ValueError("degree must be non-negative")
     complex_ = bar_complex(module, kmax + 1, max_rank=max_rank)
+    prime = _prime_exponent(module.base)
     out = []
     for k in range(kmax + 1):
-        sub = homology_at(complex_, k)
-        out.append(CohomologyGroup(module, k, sub, complex_.maps[k]))
+        out.append(CohomologyGroup(module, k, complex_, out[-1] if out else None, prime))
     return out
+
+
+def _prime_exponent(base: FgAbGroup) -> int | None:
+    """p when ``base`` is (Z/p)^r, 1 when it is 0, else None."""
+    factors = set(base.invariant_factors)
+    if base.free_rank or len(factors) > 1:
+        return None
+    if not factors:
+        return 1
+    p = factors.pop()
+    q = 2
+    while p % q:
+        q += 1
+    return p if q == p else None
 
 
 class Derivations:

@@ -41,8 +41,9 @@ Conventions:
   entry need grow past E: it is lifted one prime factor of E at a time,
   each step a sparse row reduction mod p (``_kernel_mod_p``, with the
   rows over F_2 held as ints and added by XOR), and no identity block is
-  adjoined.  Smith stays a separate eliminator because a Hermite basis
-  only names a lattice; class coordinates come from Smith's u.
+  adjoined; the pivots of that reduction alone count an F_p rank.  Smith
+  stays a separate eliminator because a Hermite basis only names a
+  lattice; class coordinates come from Smith's u.
 """
 
 from __future__ import annotations
@@ -519,8 +520,9 @@ def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequ
     again lower triangular, spans the lattice mod M p (Dixon 1982).  A
     pivot reaching E becomes E * e_k, and C B mod E follows B through the
     same column operations.  Most kernels are mod 2, where a row is an int
-    with a bit per unknown and one XOR adds two.  One ``_hermite`` pass
-    mod E ends it: a lattice has one Hermite basis, whatever the route.
+    with a bit per unknown and one XOR adds two.  For composite E one
+    ``_hermite`` pass mod E ends it; for prime E the one step's basis is
+    already reduced.  A lattice has one Hermite basis, whatever the route.
     """
     for d in moduli:
         if d < 1:
@@ -534,19 +536,24 @@ def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequ
             rows[i][j] = rows[i].get(j, 0) + x * (exponent // moduli[i])
     basis = [{k: 1} for k in range(n)]
     images = [{} for _ in range(n)]
-    system, level, rest = rows, 1, exponent
+    system, level, rest, p = rows, 1, exponent, 1
     while rest > 1:
         p = next(p for p in range(2, rest + 1) if rest % p == 0)
         if level == 1 and p < rest:
             for i, r in enumerate(rows):
                 for j, x in r.items():
                     images[j][i] = x % exponent
-        # In place: a pivot's column is read before it is replaced.
-        for b, free in _kernel_mod_p(system, p):
+        # In place: a pivot's column is read before it is replaced.  Row b
+        # says x_b = -sum x * x_f over free unknowns f < b, so the e_f - sum
+        # x e_b and the p e_b are a lower triangular basis of its kernel.
+        for b, row in _kernel_mod_p(system, p).items():
             column, image = basis[b], images[b]
-            for f, x in free:
-                _axpy(basis[f], p - x, column, exponent)
-                _axpy(images[f], p - x, image, exponent)
+            if p == 2:
+                row = {f: 1 for f, c in enumerate(reversed(bin(row))) if c == "1"}
+            for f, x in row.items():
+                if f != b:
+                    _axpy(basis[f], p - x, column, exponent)
+                    _axpy(images[f], p - x, image, exponent)
             if p * column[b] == exponent:
                 basis[b], images[b] = {b: exponent}, {}
             else:
@@ -557,16 +564,22 @@ def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequ
             for i, x in image.items():
                 system.setdefault(i, {})[k] = x // level
         system = system.values()
+    if level == p:
+        # One step (E prime, or E = 1) is already in Hermite form: the free
+        # column e_f - sum x e_b has entries in [0, p) at its pivot rows
+        # b > f and none at other free rows, and a pivot column is p e_b.
+        return _matrix_of_columns(basis, n)
     return _matrix_of_columns(_hermite(basis, exponent), n)
 
 
-def _kernel_mod_p(rows: Iterable[dict], p: int) -> list[tuple[int, list]]:
-    """The kernel of ``rows`` mod the prime p as pairs (b, [(f, x), ...]),
-    one per pivot unknown b: x_b = -sum x * x_f over free unknowns f < b,
-    so the e_f - sum x e_b and the p e_b are a lower triangular basis of
-    {y : rows . y = 0 mod p}.  Shortest row first, a row is cleared at the
-    pivots so far, pivots at its largest unknown, and is cleared from the
-    other pivot rows (LaMacchia and Odlyzko 1990); over F_2 by XOR.
+def _kernel_mod_p(rows: Iterable[dict], p: int) -> dict:
+    """The reduced row echelon form of ``rows`` mod the prime p, as
+    {pivot unknown b: row}, each row monic at its largest unknown b and
+    zero at every other pivot; its length is the rank mod p.  Shortest row
+    first, a row is cleared at the pivots so far, pivots at its largest
+    unknown, and is cleared from the other pivot rows (LaMacchia and
+    Odlyzko 1990); over F_2 a row is an int with a bit per unknown, added
+    by XOR.
     """
     pivots, mask = {}, 0
     if p == 2:
@@ -579,7 +592,7 @@ def _kernel_mod_p(rows: Iterable[dict], p: int) -> list[tuple[int, list]]:
                     if s >> b & 1:
                         pivots[u] = s ^ r
                 pivots[b], mask = r, mask | 1 << b
-        return [(b, [(f, 1) for f, c in enumerate(reversed(bin(s ^ 1 << b))) if c == "1"]) for b, s in pivots.items()]
+        return pivots
     for r in sorted(({k: x % p for k, x in r.items() if x % p} for r in rows), key=len):
         for u in [u for u in r if u in pivots]:
             _axpy(r, -r[u], pivots[u], p)
@@ -590,7 +603,7 @@ def _kernel_mod_p(rows: Iterable[dict], p: int) -> list[tuple[int, list]]:
                 if b in s:
                     _axpy(s, -s[b], r, p)
             pivots[b] = r
-    return [(b, [(f, x) for f, x in s.items() if f != b]) for b, s in pivots.items()]
+    return pivots
 
 
 def _echelon(generators: list[dict], m: int) -> list[dict]:

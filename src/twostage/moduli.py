@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, ext_group, hom_group
-from .cohomology import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_RANK, Derivations, cohomology_range
+from .cohomology import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_RANK, cohomology_range
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
 from .linalg import _xgcd
@@ -150,7 +150,7 @@ def moduli_case_a(
     top = ladder[n + 1]
     # Every class is listed: refuse an H^(n+1) over the bound before any Aut work.
     classes = top.classes(max_enumeration)
-    der = Derivations(module, ladder[1].cocycles())
+    der = ladder[1].cocycle_group()
     aut = pi_aut(algebra, max_group_aut=max_group_aut, max_endos=max_endos)
 
     perms = tuple(act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators)
@@ -167,9 +167,9 @@ def moduli_case_a(
     pi_rows = [
         PiRow(
             index=n,
-            description=der.group.symbol(),
+            description=der.symbol(),
             provenance="Der(A_1, A_n): crossed homomorphisms A_1 -> A_n",
-            group=der.group,
+            group=der,
         )
     ]
     for i in range(n - 1, 1, -1):

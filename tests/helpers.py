@@ -1061,6 +1061,13 @@ def inverse_index(table, identity: int, i: int) -> int:
     return next(j for j, k in enumerate(table[i]) if k == identity)
 
 
+def monomials(r: int, degree: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of the degree-``degree`` monomials in r
+    variables, a basis of H^degree((Z/2)^r; F_2) = F_2[x_1..x_r] in degree
+    ``degree`` (Kuenneth; Brown, *Cohomology of Groups*, GTM 87, V.5)."""
+    return [m for m in itertools.product(range(degree + 1), repeat=r) if sum(m) == degree]
+
+
 def polynomial_orbit_sizes(r: int, s: int, degree: int) -> list[int]:
     """Sorted orbit sizes of GL_r(F_2) x GL_s(F_2) on H^degree((Z/2)^r; (Z/2)^s)
     with trivial action, modelled without cohomology.
@@ -1071,9 +1078,9 @@ def polynomial_orbit_sizes(r: int, s: int, degree: int) -> list[int]:
     x_i, GL_s on the coefficients; the elementary matrices I + E_ij
     generate GL over F_2.  An element is a bitmask over the basis
     (monomial, coefficient coordinate)."""
-    monomials = [m for m in itertools.product(range(degree + 1), repeat=r) if sum(m) == degree]
-    mono_index = {m: i for i, m in enumerate(monomials)}
-    width = len(monomials) * s
+    basis = monomials(r, degree)
+    mono_index = {m: i for i, m in enumerate(basis)}
+    width = len(basis) * s
 
     def bit(m, t):
         return 1 << (mono_index[m] * s + t)
@@ -1081,7 +1088,7 @@ def polynomial_orbit_sizes(r: int, s: int, degree: int) -> list[int]:
     def substitution(i, j):
         # x_j -> x_j + x_i sends x_j^a to the sum of C(a, k) x_j^(a-k) x_i^k
         out = []
-        for m in monomials:
+        for m in basis:
             terms = []
             for k in range(m[j] + 1):
                 if not (m[j] - k) & k:  # C(m_j, k) is odd (Lucas)
@@ -1095,7 +1102,7 @@ def polynomial_orbit_sizes(r: int, s: int, degree: int) -> list[int]:
     def coefficient_step(i, j):
         # e_i -> e_i + e_j on the coefficients
         out = []
-        for m in monomials:
+        for m in basis:
             for t in range(s):
                 out.append(bit(m, t) | (bit(m, j) if t == i else 0))
         return out

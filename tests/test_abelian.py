@@ -138,7 +138,8 @@ def dense_reference_group(presentation):
     dec = reference_smith_normal_form(presentation)
     g = FgAbGroup.__new__(FgAbGroup)
     diag = list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal))
-    g._set_smith(diag, dec.u.nonzero_rows(), dec.u_inv.nonzero_rows(), presentation, ())
+    g._set_smith(diag, presentation, ())
+    g._u_rows, g._uinv_rows = dec.u.nonzero_rows(), dec.u_inv.nonzero_rows()
     return g
 
 

@@ -12,8 +12,9 @@ import pytest
 
 import twostage.abelian
 import twostage.linalg
-from twostage.cli import EXIT_CODES, main
+from twostage.cli import EXIT_CODES, main, parse_input
 from twostage.linalg import smith_normal_form
+from twostage.pialgebra import TwoStageDim1N
 
 from helpers import cyclic_periodic_cohomology, reference_smith_normal_form
 
@@ -57,6 +58,7 @@ GOLDEN_RUNS = [
         ["cohomology", "perm_group_cohomology.json", "--degrees", "0..2", "--oracle"],
     ),
     ("c4_z4.cohomology.txt", ["cohomology", "c4_z4.json", "--degrees", "0..2", "--oracle"]),
+    ("c8_z2.cohomology.txt", ["cohomology", "c8_z2.json", "--degrees", "0..4"]),
     ("negation_action.check.txt", ["check", "negation_action.json"]),
     ("stable_quadratic.check.txt", ["check", "stable_quadratic.json"]),
     ("c4_z4.check.txt", ["check", "c4_z4.json"]),
@@ -110,6 +112,34 @@ def test_golden_smith_forms_match_the_reference(golden_name, argv, capsys, monke
     for m in seen:
         got, want = smith_normal_form(m), reference_smith_normal_form(m)
         assert (got.s, got.u, got.v, got.u_inv) == (want.s, want.u, want.v, want.u_inv)
+
+
+def _elementary_case_a(sample: str) -> bool:
+    algebra, _ = parse_input((SAMPLES / sample).read_text(encoding="utf-8"))
+    if not isinstance(algebra, TwoStageDim1N):
+        return False
+    factors = set(algebra.an.base.invariant_factors)
+    return not factors or (len(factors) == 1 and all(p % q for p in factors for q in range(2, p)))
+
+
+ELEMENTARY_RUNS = [(g, argv) for g, argv in GOLDEN_RUNS if _elementary_case_a(argv[1])]
+
+
+@pytest.mark.parametrize("golden_name,argv", ELEMENTARY_RUNS, ids=[g for g, _ in ELEMENTARY_RUNS])
+def test_elementary_goldens_build_a_subquotient_only_for_the_top_degree(golden_name, argv, capsys, monkeypatch):
+    # Coefficients (Z/p)^r: every type comes from F_p ranks, and only the
+    # k-invariant degree of a moduli run reads class coordinates.
+    built = []
+    construct = twostage.abelian.Subquotient.__init__
+
+    def recording(self, *args):
+        built.append(args[0])
+        construct(self, *args)
+
+    monkeypatch.setattr(twostage.abelian.Subquotient, "__init__", recording)
+    status, _, _ = run_cli([argv[0], SAMPLES / argv[1], *argv[2:]], capsys)
+    assert status == 0
+    assert len(built) == (1 if argv[0] == "moduli" else 0)
 
 
 def test_sample_without_golden_finishes(capsys):

@@ -2,11 +2,13 @@
 agreement between the matrix route and the enumeration oracle."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from twostage.abelian import FgAbGroup, _preimage_basis, hom_group, kernel_subgroup
+from twostage.abelian import FgAbGroup, _preimage_basis, hom_group, homology_at, kernel_subgroup
 from twostage.cohomology import (
     Cocycle,
     Derivations,
@@ -28,6 +30,7 @@ from helpers import (
     abelianization,
     cyclic_periodic_cohomology,
     module_structures,
+    monomials,
     quaternion_group,
     reference_cocycle_filter,
     reference_congruence_kernel,
@@ -351,6 +354,69 @@ def oracle_pool():
     ]
 
 
+# -- the F_p rank route against the Smith route -----------------------------
+
+# Coefficients of prime exponent, every degree's type by F_p ranks; the
+# (Z/2)^2 of c6_z2z2_rebased on its non-diagonal relation basis, and M = 0.
+ELEMENTARY_COEFFICIENTS = [
+    FgAbGroup.cyclic(2),
+    FgAbGroup.cyclic(3),
+    FgAbGroup(IntMatrix.from_columns([[-2, 0], [2, 2]])),
+    FgAbGroup.trivial(),
+]
+ELEMENTARY_GROUPS = [
+    *[FiniteGroup.cyclic(m) for m in range(2, 9)],
+    FiniteGroup.from_cyclic_factors([2, 2]),
+    FiniteGroup.from_cyclic_factors([2, 2, 2]),
+    s3(),
+]
+
+
+def elementary_modules():
+    trivial = [GModule.trivial(g, m) for g in ELEMENTARY_GROUPS for m in ELEMENTARY_COEFFICIENTS]
+    klein = FgAbGroup.from_cyclic_factors([2, 2])
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    order_three = IntMatrix.from_rows([[0, 1], [1, 1]])
+    acting = [
+        cyclic_module(FiniteGroup.cyclic(2), 3, -1),
+        GModule(FiniteGroup.cyclic(2), klein, [IntMatrix.identity(2), swap]),
+        GModule(FiniteGroup.cyclic(3), klein, [IntMatrix.identity(2), order_three, order_three @ order_three]),
+    ]
+    return trivial + acting
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(elementary_modules()), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_rank_route_matches_the_subquotient_route(module, kmax, rng):
+    # The Smith route's degree kmax has (|G|-1)^kmax base generators; past
+    # a few hundred it takes seconds, and the closed-form tests below
+    # reach degree 4 of C8 and C2^3 on the rank route alone.
+    n = module.group.order
+    assume((n - 1) ** kmax * module.base.ngens <= 625)
+    module = relabel_module(module, [0, *rng.sample(range(1, n), n - 1)])
+    ladder = cohomology_range(module, kmax)
+    complex_ = bar_complex(module, kmax + 1)
+    for k, h in enumerate(ladder):
+        assert h._sub is None
+        assert h.group.normal_form == homology_at(complex_, k).group.normal_form, (module, k)
+    if kmax >= 1:
+        der = kernel_subgroup(complex_.maps[1]).group
+        assert ladder[1].cocycle_group().normal_form == der.normal_form
+    # Reading coordinates builds the subquotient, checked against the ranks.
+    assert len(ladder[kmax].classes()) == ladder[kmax].group.order
+
+
+def test_kunneth_dimensions_of_elementary_abelian_groups():
+    # H*((Z/2)^r; F_2) = F_2[x_1..x_r] with deg x_i = 1, so dim H^k counts
+    # the monomials of degree k, C(k + r - 1, r - 1) of them.
+    for r in (1, 2, 3):
+        module = GModule.trivial(FiniteGroup.from_cyclic_factors([2] * r), FgAbGroup.cyclic(2))
+        for k, h in enumerate(cohomology_range(module, 4)):
+            dimension = len(monomials(r, k))
+            assert dimension == math.comb(k + r - 1, r - 1)
+            assert h.group.normal_form == (0, (2,) * dimension), (r, k)
+
+
 def test_preimage_bases_match_the_congruence_reference():
     # Every d_k of the pool maps into a finite cochain group, so the
     # numerator of its kernel is a congruence lattice; the [C; I] route the
@@ -547,6 +613,11 @@ PERIODIC_CASES = [
     *[(m, [2], [[1]]) for m in range(2, 9)],
     *[(m, [3], [[1]]) for m in (3, 6, 8, 9)],
     *[(m, [3], [[-1]]) for m in (2, 4, 6)],
+    # Z/p with p dividing m or not, acting trivially or by a unit of order m
+    *[(m, [5], [[1]]) for m in (2, 4, 5)],
+    (4, [5], [[2]]),
+    *[(m, [7], [[1]]) for m in (3, 7)],
+    (3, [7], [[2]]),
     *[(m, [4], [[-1]]) for m in (2, 4, 6, 8)],
     (8, [4], [[1]]),
     *[(m, [2, 2], [[0, 1], [1, 0]]) for m in (2, 4, 6, 8)],

@@ -279,6 +279,8 @@ class TestCongruenceKernel:
     @example(([[(0, 2), (0, 2)], [(0, -4)], [(0, 64)]], [32]))
     @example(([[(0, 6), (1, 2)], [(0, 4), (1, 3)], [], [(1, 12)]], [36, 12]))
     @example(([[(0, 1), (1, 0)], [(1, 18)], [(0, 0)]], [2, 1]))
+    # E prime, two pivots and three free unknowns: no Hermite pass.
+    @example(([[(0, 1), (1, 3)], [(0, 2)], [(1, 4)], [(0, 3), (1, 1)], [(0, 4), (1, 2)]], [5, 5]))
     def test_matches_the_echelon_reference(self, system):
         columns, moduli = system
         assert congruence_kernel(columns, moduli) == reference_congruence_kernel(columns, moduli)

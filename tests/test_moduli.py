@@ -55,6 +55,19 @@ def test_two_types_with_z2_coefficients():
     assert split.pi1.extension_class == "unknown"
 
 
+def test_a_rank_route_disagreement_is_refused_naming_the_degree(monkeypatch):
+    # With (Z/p)^r coefficients F_p ranks give every type, and the
+    # k-invariant degree's subquotient gives its coordinates and, by its
+    # Smith form, a second type.  A row reduction that miscounts by one
+    # makes the two differ, and the report is refused.
+    import twostage.cohomology
+
+    true_rank = twostage.cohomology.rank_mod_p
+    monkeypatch.setattr(twostage.cohomology, "rank_mod_p", lambda f, p: true_rank(f, p) + 1)
+    with pytest.raises(InternalConsistencyError, match=r"^H\^3: Smith route \[2\] disagrees with F_p rank route \[\]$"):
+        moduli_case_a(case_a(4, 2))
+
+
 def test_orbit_decomposition_on_z3():
     report = moduli_case_a(case_a(3, 3))
     assert report.pi0 == 2
