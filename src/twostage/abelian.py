@@ -86,7 +86,6 @@ class FgAbGroup:
         "_coord_slots",
         "invariant_factors",
         "free_rank",
-        "_dec",
         "_u_rows",
         "_uinv_rows",
         "_slots_reading",
@@ -96,15 +95,22 @@ class FgAbGroup:
     def __init__(self, presentation: IntMatrix):
         dec = smith_normal_form(presentation)
         self._set_smith(list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal)), presentation, ())
-        self._dec = dec
+        slots = self._coord_slots
+        u_rows = [()] * self.ngens
+        for i in slots:
+            u_rows[i] = tuple((j, c) for j, c in enumerate(dec.u_row(i)) if c)
+        columns = [dec.u_inv_column(i) for i in slots]
+        self._u_rows = tuple(u_rows)
+        self._uinv_rows = tuple(tuple((s, col[j]) for s, col in zip(slots, columns) if col[j]) for j in range(self.ngens))
 
     def _set_smith(self, diag, presentation, summands) -> None:
         # Slot i has diagonal entry diag[i] and coordinate _u_rows[i] . x;
         # _uinv_rows takes coordinate slots back to generators.  Rows are
         # sparse, and hold only what is read: _u_rows[i] is empty at a slot
         # with d_i = 1, and _uinv_rows restricts u^-1 to the coordinate
-        # slots.  A direct sum sets both; a group with its own Smith form
-        # replays them on first read (``__getattr__``).
+        # slots.  The caller sets both: a group with its own Smith form
+        # replays them from its operation log for the coordinate slots
+        # alone, a direct sum shifts its summands' rows into their blocks.
         self._presentation = presentation
         self._summands = summands
         self.ngens = len(diag)
@@ -114,25 +120,8 @@ class FgAbGroup:
         self._coord_slots = tuple(i for i, d in enumerate(diag) if d != 1)
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
-        self._dec = None
         self._slots_reading = None
         self._relation_columns = None
-
-    def __getattr__(self, name):
-        # Called only for a slot not yet set: the Smith form's u rows and
-        # u^-1 columns, replayed from its operation log for the coordinate
-        # slots alone.
-        if name not in ("_u_rows", "_uinv_rows") or self._dec is None:
-            raise AttributeError(name)
-        dec, slots = self._dec, self._coord_slots
-        u_rows = [()] * self.ngens
-        for i in slots:
-            u_rows[i] = tuple((j, c) for j, c in enumerate(dec.u_row(i)) if c)
-        columns = [dec.u_inv_column(i) for i in slots]
-        self._u_rows = tuple(u_rows)
-        self._uinv_rows = tuple(tuple((s, col[j]) for s, col in zip(slots, columns) if col[j]) for j in range(self.ngens))
-        self._dec = None
-        return getattr(self, name)
 
     @property
     def presentation(self) -> IntMatrix:

@@ -54,21 +54,21 @@ class Bounds:
 
     __slots__ = ("max_group_order", "max_rank", "max_endos", "max_aut_order", "max_enumeration")
 
-    def __init__(self, data=None):
+    def __init__(self, data=None, override=None):
         self.max_group_order = DEFAULT_MAX_GROUP_ORDER
         self.max_rank = DEFAULT_MAX_RANK
         self.max_endos = DEFAULT_MAX_ENDOS
         self.max_aut_order = DEFAULT_MAX_AUT_ORDER
         self.max_enumeration = DEFAULT_MAX_ENUMERATION
-        if data is not None:
-            if not isinstance(data, dict):
-                raise InputFormatError("bounds: expected an object")
-            for key, value in sorted(data.items()):
-                if key not in self.__slots__:
-                    raise InputFormatError(f"bounds.{key}: unknown bound")
-                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise InputFormatError(f"bounds.{key}: expected a positive integer")
-                setattr(self, key, value)
+        if data is not None and not isinstance(data, dict):
+            raise InputFormatError("bounds: expected an object")
+        # The document's bounds, then the command line's over them.
+        for key, value in [*sorted((data or {}).items()), *sorted((override or {}).items())]:
+            if key not in self.__slots__:
+                raise InputFormatError(f"bounds.{key}: unknown bound")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise InputFormatError(f"bounds.{key}: expected a positive integer")
+            setattr(self, key, value)
 
 
 # -- input parsing -----------------------------------------------------------
@@ -244,10 +244,7 @@ def parse_input(text: str, bounds_override: dict | None = None):
     if case not in ("A", "B"):
         raise InputFormatError('case: expected "A" or "B"')
     n = _expect_int(data.get("n"), "n", minimum=2)
-    bounds = Bounds(data.get("bounds"))
-    if bounds_override:
-        for key, value in bounds_override.items():
-            setattr(bounds, key, value)
+    bounds = Bounds(data.get("bounds"), bounds_override)
     if case == "A":
         allowed = {"case", "n", "group", "module", "bounds"}
         extra = set(data) - allowed

@@ -171,23 +171,25 @@ class CohomologyGroup:
     Class coordinates and cocycle representatives (``class_of``,
     ``cocycle_at``, ``representatives``, ``classes``, ``cocycles``) come
     from the subquotient Z^k / B^k (``homology_at``), whose Smith form
-    presents ``group``.  For M = (Z/p)^r the type is read off F_p ranks
+    presents ``group``.  For M = (Z/p)^r ``group`` is read off F_p ranks
     instead, dim H^k = dim C^k - rank_p d_k - rank_p d_(k-1) (Brown,
-    *Cohomology of Groups*, GTM 87), each the pivot count of a row
-    reduction mod p; the subquotient is built only when coordinates are
-    read, and its invariant factors must agree.  ``below`` is degree k - 1.
+    *Cohomology of Groups*, GTM 87), each ``rank()`` the pivot count of a
+    row reduction mod p; the subquotient is built only when coordinates or
+    representatives are read, and its invariant factors must agree.
+    ``group``, ``representatives`` and ``rank()`` are computed on first
+    read and kept.  ``below`` is degree k - 1.
     """
 
     __slots__ = (
         "module",
         "degree",
         "differential",
-        "group",
-        "representatives",
         "_complex",
         "_below",
         "_prime",
         "_rank",
+        "_group",
+        "_representatives",
         "_sub",
     )
 
@@ -198,23 +200,31 @@ class CohomologyGroup:
         self._complex = complex_
         self._below = below
         self._prime = prime
+        self._rank = None
+        self._group = None
+        self._representatives = None
         self._sub = None
         if prime is None:
             self._subquotient()
 
-    def __getattr__(self, name):
-        # Called only for a slot not yet set: ``group`` by F_p ranks,
-        # ``representatives``, and ``_rank``, rank_p d_k by row reduction.
-        if name == "_rank":
-            self._rank = rank_mod_p(self.differential, self._prime)
-        elif name == "group":
-            self.group = self._elementary(self._rank + (self._below._rank if self._below else 0))
-        elif name == "representatives":
+    @property
+    def group(self) -> FgAbGroup:
+        if self._group is None:
+            self._group = self._elementary(self.rank() + (self._below.rank() if self._below else 0))
+        return self._group
+
+    @property
+    def representatives(self) -> tuple[Cocycle, ...]:
+        if self._representatives is None:
             vectors = self._subquotient().generator_representatives()
-            self.representatives = tuple(Cocycle(self.module, self.degree, v) for v in vectors)
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+            self._representatives = tuple(Cocycle(self.module, self.degree, v) for v in vectors)
+        return self._representatives
+
+    def rank(self) -> int:
+        """rank_p d_k, for M = (Z/p)^r."""
+        if self._rank is None:
+            self._rank = rank_mod_p(self.differential, self._prime)
+        return self._rank
 
     def _elementary(self, ranks: int) -> FgAbGroup:
         """(Z/p)^(dim C^k - ranks)."""
@@ -236,7 +246,7 @@ class CohomologyGroup:
                         f"H^{self.degree}: Smith route {got} disagrees with F_p rank route {list(want)}"
                     )
             self._sub = sub
-            self.group = sub.group
+            self._group = sub.group
         return self._sub
 
     def is_cocycle(self, z: Cocycle) -> bool:
@@ -266,7 +276,7 @@ class CohomologyGroup:
         """The type of Z^k (Der, for k = 1), by F_p rank when it can be."""
         if self._prime is None:
             return self.cocycles().group
-        return self._elementary(self._rank)
+        return self._elementary(self.rank())
 
     def classes(self, limit: int | None = None) -> list[tuple[int, ...]]:
         """Every class by its canonical coordinates, so the subquotient is built."""

@@ -1,18 +1,19 @@
-"""Finite groups as explicit multiplication tables, and modules over them.
+"""Finite groups as explicit multiplication tables, their automorphisms,
+and modules over them.
 
 A group of order n is a table t with t[i][j] the index of the product;
-index 0 is always the identity.  Construction checks the full set of group
-laws: the Latin-square property, two-sided inverses, and associativity.
-Associativity uses Light's test against a generating set, which is
-equivalent to the cubic check but fast enough for tables in the hundreds.
-
-Groups built from permutation generators get a deterministic element
-order: breadth-first over products, generators applied in input order, so
-the same generators always give the same table.
+index 0 is always the identity.  Construction checks the group laws: the
+Latin-square property, two-sided inverses, and associativity by Light's
+test against a generating set, equivalent to the cubic check but fast
+enough for tables in the hundreds.  Groups built from permutation
+generators get a deterministic element order: breadth first over
+products, generators applied in input order.  Automorphisms are images
+of a generating set, checked on the edges of the Cayley graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .abelian import AbHom, FgAbGroup
@@ -94,28 +95,11 @@ class FiniteGroup:
     @classmethod
     def from_cyclic_factors(cls, factors: Sequence[int]) -> "FiniteGroup":
         """Direct product of cyclic groups, elements in mixed-radix order."""
-        for d in factors:
-            if d < 1:
-                raise ValueError("cyclic factors of a finite group must be >= 1")
-        n = 1
-        for d in factors:
-            n *= d
-        def decode(idx):
-            out = []
-            for d in reversed(factors):
-                out.append(idx % d)
-                idx //= d
-            return tuple(reversed(out))
-        def encode(tup):
-            idx = 0
-            for c, d in zip(tup, factors):
-                idx = idx * d + c
-            return idx
-        table = [
-            [encode(tuple((a + b) % d for a, b, d in zip(decode(i), decode(j), factors))) for j in range(n)]
-            for i in range(n)
-        ]
-        return cls(table) if factors else cls.trivial()
+        if any(d < 1 for d in factors):
+            raise ValueError("cyclic factors of a finite group must be >= 1")
+        elements = list(itertools.product(*(range(d) for d in factors)))
+        index = {x: i for i, x in enumerate(elements)}
+        return cls([[index[tuple((a + b) % d for a, b, d in zip(x, y, factors))] for y in elements] for x in elements])
 
     @classmethod
     def from_permutations(
@@ -220,78 +204,55 @@ def automorphism_group(
 ) -> list[tuple[int, ...]]:
     """All automorphisms as permutation tuples, sorted lexicographically.
 
-    Brute force over images of a greedy generating set, pruned by element
-    orders and by partial homomorphism checks on the subgroups generated
-    by prefixes.  Identity is always present; closure under composition
-    and inversion is a consequence and is asserted in tests rather than
-    trusted.
+    Depth first over images of a greedy generating set, each of its
+    generator's element order, keeping the images of a prefix exactly when
+    ``_span`` makes them an injective homomorphism of the subgroup the
+    prefix generates.  Identity is always present; closure under
+    composition and inversion is asserted in tests rather than trusted.
     """
     n = group.order
     if n > max_order:
         raise SizeBoundError("group too large for automorphism search", requested=n, bound=max_order)
     table = group.table
     gens = _greedy_generators(table)
-    if not gens:
-        return [(0,)]
     orders = [group.element_order(i) for i in range(n)]
-    # subgroup generated by each generator prefix, for incremental pruning
-    prefix_subgroups = []
-    for k in range(1, len(gens) + 1):
-        closure = {0}
-        frontier = [0]
-        for g in gens[:k]:
-            if g not in closure:
-                closure.add(g)
-                frontier.append(g)
-        while frontier:
-            x = frontier.pop()
-            for y in list(closure):
-                for z in (table[x][y], table[y][x]):
-                    if z not in closure:
-                        closure.add(z)
-                        frontier.append(z)
-        prefix_subgroups.append(sorted(closure))
-
-    candidates_per_gen = [
-        [i for i in range(n) if orders[i] == orders[g]] for g in gens
-    ]
-
+    candidates_per_gen = [[i for i in range(n) if orders[i] == orders[g]] for g in gens]
     results = []
 
-    def extend(k, images):
-        for img in candidates_per_gen[k]:
-            # Define the candidate map on the subgroup generated by the
-            # prefix, by closing over right multiplication, then check it
-            # is an injective homomorphism there before going deeper.
-            sub = prefix_subgroups[k]
-            imgs = images + [img]
-            partial = {0: 0}
-            queue = [0]
-            while queue:
-                x = queue.pop()
-                for pos in range(k + 1):
-                    y = table[x][gens[pos]]
-                    if y not in partial:
-                        partial[y] = table[partial[x]][imgs[pos]]
-                        queue.append(y)
-            ok = len(set(partial.values())) == len(sub)
-            if ok:
-                for x in sub:
-                    px = partial[x]
-                    for y in sub:
-                        if partial[table[x][y]] != table[px][partial[y]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and k + 1 == len(gens):
-                # The prefix is the whole group: partial is an automorphism.
-                results.append(tuple(partial[x] for x in range(n)))
-            elif ok:
-                extend(k + 1, imgs)
+    def extend(images, f):
+        if len(images) == len(gens):  # f is defined on the whole group
+            results.append(tuple(f[x] for x in range(n)))
+            return
+        for img in candidates_per_gen[len(images)]:
+            span = _span(table, gens[: len(images) + 1], images + [img])
+            if span is not None:
+                extend(images + [img], span)
 
-    extend(0, [])
+    extend([], {0: 0})
     return sorted(results)
+
+
+def _span(table, gens, images) -> dict | None:
+    """The map f with f(gens[i]) = images[i] on the subgroup that ``gens``
+    span, or None when it is not an injective homomorphism.  That subgroup
+    is the identity's closure under right multiplication by ``gens``, and
+    every edge x -> x g_i of this Cayley graph is checked, f(x g_i) =
+    f(x) f(g_i), so f(x w) = f(x) f(w) for every word w in the generators
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 4).
+    """
+    f = {0: 0}
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        row_x, row_fx = table[x], table[f[x]]
+        for g, h in zip(gens, images):
+            y, fy = row_x[g], row_fx[h]
+            if y not in f:
+                f[y] = fy
+                queue.append(y)
+            elif f[y] != fy:
+                return None
+    return f if len(set(f.values())) == len(f) else None
 
 
 class GModule:

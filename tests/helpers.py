@@ -16,7 +16,7 @@ from twostage import pialgebra
 from twostage.abelian import AbHom, FgAbGroup, hom_group, kernel_subgroup
 from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
 from twostage.errors import SizeBoundError, ValidationError
-from twostage.groups import FiniteGroup, GModule, automorphism_group
+from twostage.groups import FiniteGroup, GModule, _greedy_generators, automorphism_group
 from twostage.linalg import IntMatrix, hstack, smith_normal_form
 from twostage.pialgebra import QuadraticMap, TwoStageDim1N, abelian_automorphisms
 
@@ -794,6 +794,72 @@ def brute_force_automorphisms(group) -> set:
         if all(phi[table[i][j]] == table[phi[i]][phi[j]] for i in range(n) for j in range(n)):
             out.add(phi)
     return out
+
+
+def reference_automorphism_group(group) -> list[tuple[int, ...]]:
+    """All automorphisms, sorted: images of the greedy generators, each
+    prefix's candidate map closed over right multiplication on the subgroup
+    the prefix generates, then checked on every pair of that subgroup's
+    elements.  The package's search checks generator edges alone."""
+    n = group.order
+    table = group.table
+    gens = _greedy_generators(table)
+    if not gens:
+        return [(0,)]
+    orders = [group.element_order(i) for i in range(n)]
+    prefix_subgroups = []
+    for k in range(1, len(gens) + 1):
+        closure = {0}
+        frontier = [0]
+        for g in gens[:k]:
+            if g not in closure:
+                closure.add(g)
+                frontier.append(g)
+        while frontier:
+            x = frontier.pop()
+            for y in list(closure):
+                for z in (table[x][y], table[y][x]):
+                    if z not in closure:
+                        closure.add(z)
+                        frontier.append(z)
+        prefix_subgroups.append(sorted(closure))
+    candidates_per_gen = [[i for i in range(n) if orders[i] == orders[g]] for g in gens]
+    results = []
+
+    def extend(k, images):
+        for img in candidates_per_gen[k]:
+            sub = prefix_subgroups[k]
+            imgs = images + [img]
+            partial = {0: 0}
+            queue = [0]
+            while queue:
+                x = queue.pop()
+                for pos in range(k + 1):
+                    y = table[x][gens[pos]]
+                    if y not in partial:
+                        partial[y] = table[partial[x]][imgs[pos]]
+                        queue.append(y)
+            ok = len(set(partial.values())) == len(sub) and all(
+                partial[table[x][y]] == table[partial[x]][partial[y]] for x in sub for y in sub
+            )
+            if ok and k + 1 == len(gens):
+                results.append(tuple(partial[x] for x in range(n)))
+            elif ok:
+                extend(k + 1, imgs)
+
+    extend(0, [])
+    return sorted(results)
+
+
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """G x H, element (x, y) at index x |H| + y."""
+    m = h.order
+    return FiniteGroup(
+        [
+            [g.table[a // m][b // m] * m + h.table[a % m][b % m] for b in range(g.order * m)]
+            for a in range(g.order * m)
+        ]
+    )
 
 
 def is_abelian(group) -> bool:

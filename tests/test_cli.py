@@ -13,6 +13,7 @@ import pytest
 import twostage.abelian
 import twostage.linalg
 from twostage.cli import EXIT_CODES, main, parse_input
+from twostage.errors import InputFormatError
 from twostage.linalg import smith_normal_form
 from twostage.pialgebra import TwoStageDim1N
 
@@ -41,6 +42,7 @@ MODULI_SAMPLES = [
     "stable_z2x4_z2_q",
     "c9_z3",
     "c6_z4_n3",
+    "perm_group_cohomology",
 ]
 
 # A sample with no golden: the parent of the mod p route could not finish it,
@@ -306,6 +308,23 @@ class TestSizeErrors:
         status, _, err = run_cli(argv, capsys)
         assert status == 4
         assert "error[E_SIZE]" in err
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_group_order_flag_below_one_is_refused_before_any_group(self, bound, tmp_path, capsys, monkeypatch):
+        # A bound below 1 skipped the permutation closure's early stop, so
+        # S6 built all 720 elements and their table before exiting 4.
+        import twostage.groups
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("group built under a bound below 1")
+
+        monkeypatch.setattr(twostage.groups.FiniteGroup, "from_permutations", refuse)
+        doc = case_a_doc(group={"permutations": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]})
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, doc), "--max-group-order", bound], capsys)
+        assert (status, out) == (EXIT_CODES["E_PARSE"], "")
+        assert err == "error[E_PARSE]: bounds.max_group_order: expected a positive integer\n"
+        with pytest.raises(InputFormatError, match="bounds.max_group_order"):
+            parse_input(json.dumps(doc), {"max_group_order": int(bound)})
 
 
 def test_unexpected_exception_maps_to_internal(monkeypatch, capsys):

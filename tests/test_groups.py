@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,10 +13,13 @@ from helpers import (
     abelianization,
     brute_force_automorphisms,
     candidate_actions,
+    direct_product,
+    divisibility_chains,
     element_map,
     hom_equals,
     is_abelian,
     quaternion_group,
+    reference_automorphism_group,
     reference_gmodule_violations,
     relabel,
     totient,
@@ -109,6 +113,24 @@ class TestRelabelAndAbelianization:
         assert abelianization(quaternion_group()).normal_form == (0, (2, 2))
 
 
+S3 = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)])
+D4 = FiniteGroup.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)])
+C2 = FiniteGroup.cyclic(2)
+REFERENCE_GROUPS = [
+    *[("x".join(map(str, chain)) or "1", FiniteGroup.from_cyclic_factors(chain)) for chain in divisibility_chains(16)],
+    ("S3", S3),
+    ("D4", D4),
+    ("Q8", quaternion_group()),
+    ("D5", FiniteGroup.from_permutations([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)])),
+    ("D6", FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)])),
+    ("A4", FiniteGroup.from_permutations([(1, 2, 0, 3), (0, 2, 3, 1)])),
+    ("D8", FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])),
+    ("S3xC2", direct_product(S3, C2)),
+    ("D4xC2", direct_product(D4, C2)),
+    ("Q8xC2", direct_product(quaternion_group(), C2)),
+]
+
+
 class TestAutomorphismGroup:
     def test_matches_bruteforce(self):
         cases = [
@@ -131,13 +153,25 @@ class TestAutomorphismGroup:
     def test_every_automorphism_is_a_homomorphism(self):
         # On D4 x C2 (greedy generators 1, 2, 3), 64 of the 128 generator
         # images that extend to a bijection along the search's spanning
-        # tree are not homomorphisms; only the prefix check rejects them.
+        # tree are not homomorphisms; only the edge checks reject them.
         g = FiniteGroup.from_permutations([(1, 2, 3, 0, 4, 5), (0, 3, 2, 1, 4, 5), (0, 1, 2, 3, 5, 4)])
         auts = automorphism_group(g)
         assert len(auts) == 64
         t = g.table
         for p in auts:
             assert all(p[t[x][y]] == t[p[x]][p[y]] for x in range(g.order) for y in range(g.order))
+
+    @pytest.mark.parametrize("name,group", REFERENCE_GROUPS, ids=[name for name, _ in REFERENCE_GROUPS])
+    def test_matches_the_pairwise_reference(self, name, group):
+        # C2^4 has 20160 automorphisms, so it is checked in its given labeling alone.
+        rng = random.Random(name)
+        for _ in range(1 if name == "2x2x2x2" else 3):
+            perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+            g = relabel(group, perm)
+            auts = automorphism_group(g)
+            assert auts == reference_automorphism_group(g)
+            if g.order <= 8:
+                assert set(auts) == brute_force_automorphisms(g)
 
     def test_klein_four_has_six(self):
         assert len(automorphism_group(FiniteGroup.from_cyclic_factors([2, 2]))) == 6
