@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from typing import NamedTuple, Sequence
 
 from .errors import SizeBoundError, ValidationError, Violation
@@ -275,6 +276,36 @@ class FgAbGroup:
     def elements(self, limit: int | None = None) -> list[tuple[int, ...]]:
         """Generator-coordinate representatives, aligned with element_coords."""
         return [self.lift(c) for c in self.element_coords(limit)]
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Place values of canonical coordinates in ``element_coords()``
+        order, the i-th the position of the i-th canonical generator; not
+        kept, as a cochain group may have thousands of invariant factors."""
+        factors = self.invariant_factors
+        return tuple(math.prod(factors[i + 1 :]) for i in range(len(factors)))
+
+    def position(self, coords: Sequence[int]) -> int:
+        """The index of canonical coordinates in ``element_coords()`` order."""
+        index = 0
+        for c, d in zip(coords, self.invariant_factors):
+            index = index * d + c
+        return index
+
+    def element_map(self, images: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """The positions of f(x) for every x, both in ``element_coords()``
+        order, where f sends the i-th canonical generator to ``images[i]``
+        (canonical coordinates).  Adding each image, one factor at a time,
+        lists every f(x); each coordinate is listed in turn.  f is an
+        endomorphism when each image's order divides its generator's."""
+        factors = self.invariant_factors
+        positions = [0] * math.prod(factors)
+        for i, (m, stride) in enumerate(zip(factors, self.strides)):
+            coord = [0]
+            for d, image in zip(factors, images):
+                coord = [(c + k * image[i]) % m for c in coord for k in range(d)]
+            positions = [p + stride * c for p, c in zip(positions, coord)]
+        return tuple(positions)
 
     def modulo(self, d: int) -> "FgAbGroup":
         """The quotient G/dG on the same generator set."""

@@ -343,60 +343,52 @@ def derivations(module: GModule, max_rank: int = DEFAULT_MAX_RANK) -> Derivation
 # -- enumeration oracle ----------------------------------------------------
 
 
-def oracle_cohomology(
-    module: GModule,
-    k: int,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
-    normalized: bool = True,
-) -> tuple[int, ...]:
+def oracle_cohomology(module: GModule, k: int, max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> tuple[int, ...]:
     """H^k(G; M) as invariant factors, by sheer enumeration.
 
-    Decides every cochain function, keeping the cocycles, builds the
-    coset space modulo the enumerated coboundaries, and reads off the
-    isomorphism type by counting element orders.  No matrices are
+    Decides every normalized cochain function, keeping the cocycles,
+    builds the coset space modulo the enumerated coboundaries, and reads
+    off the isomorphism type by counting element orders.  No matrices are
     involved at any point, which is what makes this an independent check
-    on the Smith normal form route.  ``normalized=False`` enumerates
-    unnormalized cochains (functions on all tuples, nothing dropped) as a
-    debugging cross-check; the answer must be the same.
+    on the Smith normal form route.  Unnormalized cochains give the same
+    groups (Brown, *Cohomology of Groups*, GTM 87, III.1).
 
-    Elements of M are numbered by their position in
-    ``base.element_coords()``, so a cochain is a tuple of small integers,
-    one per tuple slot.  The cocycles are found by a depth-first search
-    over the slots (``_cocycle_search``): each value df(s) is tested as
-    soon as the last slot it reads is set, and a nonzero one drops every
-    cochain that extends the prefix.  The cost is set by the prefixes
-    that pass their completed values, not by |C^k|; the size bound still
-    counts cochains, |C^k| and |C^(k-1)|, and is checked before anything
-    is built.
+    Elements of M are numbered by ``FgAbGroup.position``, so a cochain is
+    a tuple of small integers, one per tuple slot.  The cocycles are found
+    by a depth-first search over the slots (``_cocycle_search``): each
+    value df(s) is tested as soon as the last slot it reads is set, and a
+    nonzero one drops every cochain that extends the prefix.  The cost is
+    set by the prefixes that pass their completed values, not by |C^k|;
+    the size bound still counts cochains, |C^k| and |C^(k-1)|, and is
+    checked before anything is built.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     group = module.group
     base = module.base
     n = group.order
-    domain = list(range(1, n)) if normalized else list(range(n))
     # Size both enumerations, degree k and then k-1, before building any.
-    for count in (base.order ** (len(domain) ** j) for j in (k, k - 1) if j >= 0):
+    for count in (base.order ** ((n - 1) ** j) for j in (k, k - 1) if j >= 0):
         if count > max_enumeration:
             raise SizeBoundError("oracle enumeration too large", requested=count, bound=max_enumeration)
 
     size = base.order
     # A stencil row has at most deg + 2 <= k + 2 terms.
-    arith = _PackedArithmetic(base.coordinate_moduli(), k + 2)
-    act = _action_indices(module, arith)
+    arith = _PackedArithmetic(base.invariant_factors, k + 2)
+    act = [base.element_map(images) for images in module.canonical_action]
 
-    checks = _coboundary_stencil(group.table, domain, k, act, arith, normalized)
+    checks = _coboundary_stencil(group.table, k, act, arith)
     decode = arith.decode
-    cocycles = _cocycle_search(size, len(domain) ** k, checks, decode)
+    cocycles = _cocycle_search(size, (n - 1) ** k, checks, decode)
 
-    zero_fn = (0,) * len(domain) ** k
+    zero_fn = (0,) * (n - 1) ** k
     if k == 0:
         boundaries = {zero_fn}
     else:
-        rows = _coboundary_stencil(group.table, domain, k - 1, act, arith, normalized)
+        rows = _coboundary_stencil(group.table, k - 1, act, arith)
         boundaries = {
             tuple(decode(sum(table[b[slot]] for table, slot in row)) for row in rows)
-            for b in itertools.product(range(size), repeat=len(domain) ** (k - 1))
+            for b in itertools.product(range(size), repeat=(n - 1) ** (k - 1))
         }
 
     # coset representatives, then isomorphism type by order counting
@@ -462,39 +454,24 @@ def _cocycle_search(size: int, slots: int, checks: list, decode) -> list[tuple[i
             value = 0
 
 
-def _action_indices(module: GModule, arith: "_PackedArithmetic") -> list[list[int]]:
-    """For each group element g, the index of g.e for every element index e.
-
-    g acts additively, so its list is spanned from the images of the unit
-    coordinate vectors: one addition per element, with no lift or reduce.
-    """
-    base = module.base
-    units = [tuple(int(i == j) for i in range(len(arith.moduli))) for j in range(len(arith.moduli))]
-    return [
-        arith.linear([arith.index(base.reduce(module.act(g, base.lift(u)))) for u in units])
-        for g in range(module.group.order)
-    ]
-
-
 class _PackedArithmetic:
     """Element indices of a finite abelian group added coordinate by
     coordinate, with no |M|-by-|M| table.
 
-    Elements are numbered in the mixed-radix order of
-    ``FgAbGroup.element_coords()`` over ``moduli``.  Each element packs its
-    canonical coordinates into one integer, one bit field per coordinate,
-    wide enough that a sum of ``terms`` packed elements never carries out
-    of a field.  ``plus[i]`` packs element i and ``minus[i]`` packs its
+    Elements are numbered as ``FgAbGroup.position`` numbers them, in the
+    mixed-radix order over ``moduli``.  Each element packs its canonical
+    coordinates into one integer, one bit field per coordinate, wide
+    enough that a sum of ``terms`` packed elements never carries out of a
+    field.  ``plus[i]`` packs element i and ``minus[i]`` packs its
     negative; ``decode`` reduces every field of a packed sum and returns
     the index of the element it stands for, which is 0 exactly for the
     zero element.
     """
 
-    __slots__ = ("moduli", "width", "plus", "minus", "decode")
+    __slots__ = ("plus", "minus", "decode")
 
     def __init__(self, moduli: Sequence[int], terms: int):
-        self.moduli = tuple(moduli)
-        width = self.width = max(1, (terms * max(moduli, default=1)).bit_length())
+        width = max(1, (terms * max(moduli, default=1)).bit_length())
         plus = minus = [0]
         for j, m in enumerate(moduli):
             plus = [a + (c << (j * width)) for a in plus for c in range(m)]
@@ -519,52 +496,29 @@ class _PackedArithmetic:
     def add(self, a: int, b: int) -> int:
         return self.decode(self.plus[a] + self.plus[b])
 
-    def index(self, coords: Sequence[int]) -> int:
-        """The index of the element with these canonical coordinates."""
-        return self.decode(sum(c << (j * self.width) for j, c in enumerate(coords)))
 
-    def linear(self, images: Sequence[int]) -> list[int]:
-        """Indices of h(e) for every element index e, where h is the
-        homomorphism sending the j-th unit coordinate vector to element
-        ``images[j]``."""
-        row = [0]
-        for image, m in zip(images, self.moduli):
-            multiples = [0]
-            for _ in range(m - 1):
-                multiples.append(self.add(multiples[-1], image))
-            row = [self.add(a, b) for a in row for b in multiples]
-        return row
-
-
-def _coboundary_stencil(table, domain, deg: int, act, arith: _PackedArithmetic, normalized: bool) -> list:
-    """One row per (deg+1)-tuple s over ``domain``, in product order.
+def _coboundary_stencil(table, deg: int, act, arith: _PackedArithmetic) -> list:
+    """One row per (deg+1)-tuple s of non-identity elements, in product order.
 
     A row lists (packed table, slot) pairs whose packed sum over a
-    deg-cochain f (a tuple of element indices, one per deg-tuple slot)
-    encodes df(s): the action of s[0] on the tail, then the signed
-    interior merges and the dropped last coordinate.  Merges that land on
-    the identity are left out when normalized.
+    deg-cochain f (a tuple of element indices, one per ``_tuple_index``
+    slot) encodes df(s): the action of s[0] on the tail, then the signed
+    interior merges, left out when they land on the identity, and the
+    dropped last coordinate.
     """
-    width = len(domain)
-    index = {g: i for i, g in enumerate(domain)}
-
-    def slot(t) -> int:
-        out = 0
-        for g in t:
-            out = out * width + index[g]
-        return out
-
+    n = len(table)
     acted = [[arith.plus[j] for j in row] for row in act]
     rows = []
-    for s in itertools.product(domain, repeat=deg + 1):
-        row = [(acted[s[0]], slot(s[1:]))]
+    for s in itertools.product(range(1, n), repeat=deg + 1):
+        row = [(acted[s[0]], _tuple_index(s[1:], n))]
         sign = -1
         for i in range(deg):
             merged = table[s[i]][s[i + 1]]
-            if merged != 0 or not normalized:
-                row.append((arith.plus if sign > 0 else arith.minus, slot(s[:i] + (merged,) + s[i + 2 :])))
+            if merged != 0:
+                t = s[:i] + (merged,) + s[i + 2 :]
+                row.append((arith.plus if sign > 0 else arith.minus, _tuple_index(t, n)))
             sign = -sign
-        row.append((arith.plus if sign > 0 else arith.minus, slot(s[:-1])))
+        row.append((arith.plus if sign > 0 else arith.minus, _tuple_index(s[:-1], n)))
         rows.append(row)
     return rows
 
@@ -572,9 +526,10 @@ def _coboundary_stencil(table, domain, deg: int, act, arith: _PackedArithmetic, 
 def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]:
     """Invariant factors of an explicit finite abelian group.
 
-    For each prime p, the count of solutions of p^j x = 0 determines the
-    partition of the p-primary part; primes are then recombined into a
-    divisibility chain.  Pure counting, no matrices.
+    For each prime p, the count of solutions of p^j x = 0 is
+    p^(r_1 + ... + r_j), where r_j is the number of cyclic p-primary
+    factors of order at least p^j.  So the i-th largest invariant factor
+    takes one p for each j with r_j >= i.  Pure counting, no matrices.
     """
     n = len(elements)
     residue = n
@@ -588,13 +543,8 @@ def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]
         p += 1
     if residue > 1:
         primes.append(residue)
-    per_prime = {}
+    factors = []  # largest first
     for p in primes:
-        part = 1
-        m = n
-        while m % p == 0:
-            part *= p
-            m //= p
         # One times-p map, then each element's p-exponent (the least j with
         # p^j x = 0, or None) along x, px, p^2 x, ..., each found once.
         times_p = {}
@@ -615,8 +565,8 @@ def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]
                 e = None if e is None else e + 1
                 exponent[y] = e
         depths = Counter(e for e in exponent.values() if e is not None)
-        logs = []
         cnt = depths[0]
+        below = 0  # r_1 + ... + r_(j-1)
         for j in range(1, max(depths) + 1):
             # cnt counts the solutions of p^j x = 0.
             cnt += depths[j]
@@ -627,25 +577,13 @@ def _invariant_factors_by_counting(elements: list, add, zero) -> tuple[int, ...]
                 c //= p
             if c != 1:
                 raise InternalConsistencyError("kernel count is not a prime power")
-            logs.append(e)
-        if cnt != part:
+            # r_j factors have order at least p^j: the r_j largest take a p
+            r = e - below
+            factors.extend([1] * (r - len(factors)))
+            for i in range(r):
+                factors[i] *= p
+            below = e
+        # cnt must be the p-primary part of n
+        if n % cnt or n // cnt % p == 0:
             raise InternalConsistencyError("p-primary part has the wrong order")
-        conj = [logs[0]] + [logs[i] - logs[i - 1] for i in range(1, len(logs))]
-        lam = []
-        i = 1
-        while True:
-            cnt_ge = sum(1 for c in conj if c >= i)
-            if cnt_ge == 0:
-                break
-            lam.append(cnt_ge)
-            i += 1
-        per_prime[p] = sorted(lam, reverse=True)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    invs = []
-    for slot in range(width):
-        d = 1
-        for p, lam in per_prime.items():
-            if slot < len(lam):
-                d *= p ** lam[slot]
-        invs.append(d)
-    return tuple(sorted(invs))
+    return tuple(reversed(factors))

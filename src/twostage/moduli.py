@@ -40,7 +40,6 @@ from .pialgebra import (
     SymbolicAut,
     TwoStageDim1N,
     TwoStageDimNN1,
-    _strides,
     act_on_kinvariants,
     pi_aut,
 )
@@ -155,7 +154,7 @@ def moduli_case_a(
 
     perms = tuple(act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators)
     _require(all(p[0] == 0 for p in perms), "zero class is not fixed by the automorphism action")
-    images = _action_along_tree(aut, perms, _strides(top.group))
+    images = _action_along_tree(aut, perms, top.group.strides)
 
     orbits = _orbits(classes, perms, aut.order)
     _require(sum(o.size for o in orbits) == len(classes), "orbit sizes do not sum to |H^(n+1)|")
@@ -360,7 +359,7 @@ def _fixed_count(images: tuple[int, ...], group: FgAbGroup) -> int:
     entries in row k may be taken mod d_k."""
     factors = group.invariant_factors
     r = len(factors)
-    strides = _strides(group)
+    strides = group.strides
     cols = [
         [(x // stride) % d - (i == j) for i, (d, stride) in enumerate(zip(factors, strides))]
         for j, x in enumerate(images)

@@ -17,7 +17,9 @@ only where it is read (the transport of case A's generating pairs).
 ``pi_aut`` computes the group of compatible automorphism pairs, each held
 as one permutation of the stages' elements (read off the built images and,
 for the module's action, off ``GModule.canonical_action``), so that
-compatibility and composition are read off permutations.  The group is
+compatibility and composition are read off permutations.  Elements are
+numbered as ``FgAbGroup`` numbers them (``position``, ``strides`` and
+``element_map``, in ``element_coords()`` order).  The group is
 held as a generating set of at most log2 |P| pairs with a Schreier tree,
 not as a composition table.
 ``act_on_kinvariants`` gives the action of a pair on H^{n+1}, whose orbits
@@ -81,11 +83,11 @@ class QuadraticMap:
     """A function q: A -> B with bilinear cross-effect, given on elements.
 
     Values are stored per element of A in canonical-coordinate order.
-    Bilinearity of b(x, y) = q(x+y) - q(x) - q(y) is checked exhaustively,
-    which is why the source must be finite and small.
+    Bilinearity of b(x, y) = q(x+y) - q(x) - q(y) is checked on every
+    pair of elements, which is why the source must be finite and small.
     """
 
-    __slots__ = ("source", "target", "values", "_strides")
+    __slots__ = ("source", "target", "values")
 
     def __init__(
         self,
@@ -95,12 +97,11 @@ class QuadraticMap:
         max_order: int = DEFAULT_MAX_QUADRATIC_ORDER,
     ):
         _check_enumerable(source, max_order)
-        coords_list = source.element_coords()
-        if len(values) != len(coords_list):
+        if len(values) != source.order:
             raise ValidationError(
                 Violation(
                     "q.values",
-                    f"need one value per element: {len(coords_list)} expected, {len(values)} given",
+                    f"need one value per element: {source.order} expected, {len(values)} given",
                 )
             )
         vals = []
@@ -114,7 +115,6 @@ class QuadraticMap:
         self.source = source
         self.target = target
         self.values = tuple(vals)
-        self._strides = _strides(source)
         self._check_cross_effect()
 
     @classmethod
@@ -122,21 +122,22 @@ class QuadraticMap:
         _check_enumerable(source, max_order)
         return cls(source, target, [(0,) * target.ngens] * source.order, max_order=max_order)
 
-    def _index(self, coords: Sequence[int]) -> int:
-        return sum(c * s for c, s in zip(coords, self._strides))
-
     def __call__(self, vec: Sequence[int]) -> tuple[int, ...]:
         """q(x) in target generator coordinates; x in source generator coordinates."""
-        return self.values[self._index(self.source.reduce(vec))]
+        return self.values[self.source.position(self.source.reduce(vec))]
 
     def cross_effect(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         s = [a + b for a, b in zip(x, y)]
         return tuple(a - b - c for a, b, c in zip(self(s), self(x), self(y)))
 
     def _check_cross_effect(self):
+        # b(x1 + x2, y) = b(x1, y) + b(x2, y) for x2 = 0 and for the
+        # canonical generators e is enough, so the check costs O(|A|^2):
+        # x2 = 0 gives b(0, y) = 0, and then by induction on words w,
+        # b(x + w + e, y) = b(x + w, y) + b(e, y) = b(x, y) + b(w + e, y).
         els = self.source.elements()
         for x1 in els:
-            for x2 in els:
+            for x2 in [els[0]] + [els[s] for s in self.source.strides]:
                 x12 = [a + b for a, b in zip(x1, x2)]
                 for y in els:
                     lhs = self.cross_effect(x12, y)
@@ -240,7 +241,7 @@ class AutPairA:
     def generator_points(self) -> tuple[int, ...]:
         # all of A_1, then the canonical generators of A_n
         k = len(self.phi)
-        return tuple(range(k)) + tuple(k + s for s in _strides(self.psi.source))
+        return tuple(range(k)) + tuple(k + s for s in self.psi.source.strides)
 
     def __repr__(self):
         return f"AutPairA(phi={self.phi}, psi={self.psi.canonical_key()})"
@@ -265,33 +266,10 @@ class AutPairB:
     def generator_points(self) -> tuple[int, ...]:
         # the canonical generators of A_n, then those of A_(n+1)
         an = self.psi_n.source
-        return _strides(an) + tuple(an.order + s for s in _strides(self.psi_n1.source))
+        return an.strides + tuple(an.order + s for s in self.psi_n1.source.strides)
 
     def __repr__(self):
         return f"AutPairB({self.psi_n.canonical_key()}, {self.psi_n1.canonical_key()})"
-
-
-def _strides(group: FgAbGroup) -> tuple[int, ...]:
-    """Place values of canonical coordinates in ``element_coords()`` order;
-    the i-th is the position of the i-th canonical generator."""
-    factors = group.invariant_factors
-    return tuple(math.prod(factors[i + 1 :]) for i in range(len(factors)))
-
-
-def _extend(radix: Sequence[int], target: FgAbGroup, steps: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The map sending k in Z/radix[0] x Z/radix[1] x ... to sum k_i steps[i]
-    (canonical coordinates of the target), as the positions of the images,
-    in ``element_coords()`` order, of every k in mixed-radix order.  Adding
-    each step, one factor at a time, lists every image; each canonical
-    coordinate is listed in turn.  It is a homomorphism when each step's
-    order divides its radix."""
-    positions = [0] * math.prod(radix)
-    for i, (m, stride) in enumerate(zip(target.invariant_factors, _strides(target))):
-        coord = [0]
-        for d, step in zip(radix, steps):
-            coord = [(c + k * step[i]) % m for c in coord for k in range(d)]
-        positions = [p + stride * c for p, c in zip(positions, coord)]
-    return tuple(positions)
 
 
 @dataclass(frozen=True)
@@ -423,12 +401,12 @@ def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) 
 def _automorphism_images(group: FgAbGroup) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
     """Each automorphism of a finite Z/d_1 x ... x Z/d_k as its images of the
     canonical generators e_i, in canonical coordinates, with its element
-    map (``_extend`` of the images).  An endomorphism of a finite group is
-    bijective when it is injective on the socle: for each prime p, the
-    (d_i/p) f(e_i) with p | d_i are independent over F_p.  Images are
-    chosen generator by generator, each socle vector reduced against an
-    echelon basis of the earlier ones (each row zero at the earlier rows'
-    pivots); a choice reducing to 0 is pruned.
+    map (``FgAbGroup.element_map`` of the images).  An endomorphism of a
+    finite group is bijective when it is injective on the socle: for each
+    prime p, the (d_i/p) f(e_i) with p | d_i are independent over F_p.
+    Images are chosen generator by generator, each socle vector reduced
+    against an echelon basis of the earlier ones (each row zero at the
+    earlier rows' pivots); a choice reducing to 0 is pruned.
 
     The element maps are built along the same search.  A node that has
     chosen f(e_1), ..., f(e_j) holds, for each coordinate l, the l-th
@@ -439,7 +417,7 @@ def _automorphism_images(group: FgAbGroup) -> list[tuple[tuple[tuple[int, ...], 
     factors = group.invariant_factors
     if not factors:
         return [((), (0,))]
-    strides = _strides(group)
+    strides = group.strides
     # (images so far, per prime: echelon rows as (pivot, row), strided coordinate lists)
     level = [((), {}, tuple([0] for _ in factors))]
     for depth, d in enumerate(factors):
@@ -497,7 +475,7 @@ def _pi_aut_case_a(algebra: TwoStageDim1N, max_group_aut: int, max_endos: int) -
     base_autos = abelian_automorphisms(base, max_endos=max_endos)
     # (phi, psi) is kept when psi g = phi(g) psi on every element of A_n.
     # The bound on base_autos bounds these lists: |A_n| <= |End(A_n)|.
-    action = [_extend(base.invariant_factors, base, images) for images in module.canonical_action]
+    action = [base.element_map(images) for images in module.canonical_action]
     pairs = []
     for psi, points in base_autos:
         psi_g = [[points[y] for y in a] for a in action]
@@ -516,8 +494,7 @@ def _pi_aut_case_b(algebra: TwoStageDimNN1, max_endos: int) -> PiAut | SymbolicA
     autos_n1 = abelian_automorphisms(an1, max_endos=max_endos)
     # (f, g) is kept when g q = q f on every element of A_n, quadratic q or
     # not.  The bound on autos_n bounds these lists: |A_n| <= |End(A_n)|.
-    strides = _strides(an1)
-    q_points = [sum(a * s for a, s in zip(an1.reduce(q(x)), strides)) for x in an.elements()]
+    q_points = [an1.position(an1.reduce(q(x))) for x in an.elements()]
     q_f = [[q_points[y] for y in points] for _, points in autos_n]
     pairs = []
     for g, points in autos_n1:
@@ -581,7 +558,7 @@ def act_on_kinvariants(
         if any(d * c % m for c, m in zip(image, factors)):
             raise InternalConsistencyError("transport sends a generator of H^(n+1) to an element of larger order")
         images.append(image)
-    perm = _extend(factors, coh.group, images)
+    perm = coh.group.element_map(images)
     if sorted(perm) != list(range(len(perm))):
         raise InternalConsistencyError("transport did not permute the classes")
     return perm

@@ -12,7 +12,6 @@ import itertools
 from math import gcd, lcm
 from typing import NamedTuple
 
-from twostage import pialgebra
 from twostage.abelian import AbHom, FgAbGroup, hom_group, kernel_subgroup
 from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
 from twostage.errors import SizeBoundError, ValidationError
@@ -934,10 +933,10 @@ def element_map(f: AbHom) -> tuple[int, ...]:
     """A homomorphism of finite groups as the positions, in the target's
     ``element_coords()`` order, of the images of the source's elements in
     that order: the definition the package's element maps are checked
-    against.  Only the canonical generators are mapped."""
-    source, target = f.source, f.target
-    units = IntMatrix.identity(len(source.invariant_factors)).data
-    return pialgebra._extend(source.invariant_factors, target, [target.reduce(f(source.lift(unit))) for unit in units])
+    against.  Every element is mapped, reduced in the target and looked
+    up by its coordinates."""
+    position = {c: i for i, c in enumerate(f.target.element_coords())}
+    return tuple(position[f.target.reduce(f(x))] for x in f.source.elements())
 
 
 def hom_inverse(f: AbHom) -> AbHom:
@@ -959,6 +958,33 @@ def hom_inverse(f: AbHom) -> AbHom:
             raise ValueError("homomorphism is not invertible")
         cols.append(sol[: f.source.ngens])
     return AbHom(f.target, f.source, IntMatrix.from_columns(cols, rows=f.source.ngens))
+
+
+def reference_cross_effect_witness(source: FgAbGroup, target: FgAbGroup, values) -> tuple | None:
+    """The first triple (x1, x2, y) of elements, in ``elements()`` order,
+    with b(x1 + x2, y) != b(x1, y) + b(x2, y) for the cross-effect
+    b(x, y) = q(x + y) - q(x) - q(y) of the table ``values`` (target
+    generator coordinates, one per element in ``element_coords()`` order),
+    or None when b is bilinear: the check over every triple, which the
+    package's check over x2 in {0} and the canonical generators is held to."""
+    position = {c: i for i, c in enumerate(source.element_coords())}
+
+    def q(x):
+        return values[position[source.reduce(x)]]
+
+    def b(x, y):
+        s = [u + v for u, v in zip(x, y)]
+        return [u - v - w for u, v, w in zip(q(s), q(x), q(y))]
+
+    els = source.elements()
+    for x1 in els:
+        for x2 in els:
+            x12 = [u + v for u, v in zip(x1, x2)]
+            for y in els:
+                diff = [u - v - w for u, v, w in zip(b(x12, y), b(x1, y), b(x2, y))]
+                if not target.is_zero(diff):
+                    return (x1, x2, y)
+    return None
 
 
 def transport_quadratic(q: QuadraticMap, psi_n: AbHom, psi_n1: AbHom) -> QuadraticMap:

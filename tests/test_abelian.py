@@ -23,6 +23,7 @@ from twostage.linalg import IntMatrix, block_diag, hstack, smith_normal_form
 
 from helpers import (
     all_homs,
+    divisibility_chains,
     enumerate_homs_bruteforce,
     hom_at,
     hom_generators,
@@ -121,6 +122,14 @@ class TestElements:
 
     def test_trivial_group_has_one_element(self):
         assert FgAbGroup.trivial().elements() == [()]
+
+    def test_positions_and_strides_follow_the_element_order(self):
+        for chain in divisibility_chains(64):
+            g = FgAbGroup.from_cyclic_factors(chain)
+            coords = g.element_coords()
+            assert [g.position(c) for c in coords] == list(range(g.order)), chain
+            units = [tuple(int(i == j) for j in range(len(chain))) for i in range(len(chain))]
+            assert list(g.strides) == [coords.index(e) for e in units], chain
 
 
 @st.composite

@@ -49,6 +49,10 @@ MODULI_SAMPLES = [
 # so its report is checked against closed forms instead.
 NO_GOLDEN_SAMPLE = "c8_z4_n3.json"
 
+# A sample refused by a bound, so it has no report: ((Z/2)^6, Z/2) at n = 2
+# with a zero element table, whose |End((Z/2)^6)| = 2^36 is over max_endos.
+REFUSED_SAMPLE = "stable_z2x6_zero_q.json"
+
 GOLDEN_RUNS = [
     *[(f"{name}.moduli.txt", ["moduli", f"{name}.json"]) for name in MODULI_SAMPLES],
     (
@@ -155,7 +159,7 @@ def test_sample_without_golden_finishes(capsys):
 
 
 def test_every_sample_and_golden_is_exercised():
-    samples_used = {argv[1] for _, argv in GOLDEN_RUNS} | {NO_GOLDEN_SAMPLE}
+    samples_used = {argv[1] for _, argv in GOLDEN_RUNS} | {NO_GOLDEN_SAMPLE, REFUSED_SAMPLE}
     assert samples_used == {p.name for p in SAMPLES.glob("*.json")}
     goldens_used = {name for name, _ in GOLDEN_RUNS}
     assert goldens_used == {p.name for p in GOLDEN.glob("*.txt")}
@@ -280,6 +284,13 @@ class TestSizeErrors:
         assert status == 4
         assert out == ""
         assert err == "error[E_SIZE]: group too large to enumerate (requested 65536, bound 4096)\n"
+
+    def test_element_table_is_checked_before_the_endomorphism_bound_refuses(self, capsys):
+        # The 64-element table must be checked without a loop over all
+        # 64^3 triples before max_endos refuses (Z/2)^6.
+        status, out, err = run_cli(["moduli", SAMPLES / REFUSED_SAMPLE], capsys)
+        assert (status, out) == (4, "")
+        assert err == "error[E_SIZE]: group too large to enumerate (requested 68719476736, bound 4096)\n"
 
     def test_classes_over_max_enumeration_are_refused_before_aut(self, tmp_path, capsys, monkeypatch):
         import twostage.moduli

@@ -16,7 +16,6 @@ from twostage.cohomology import (
     cohomology_range,
     derivations,
     oracle_cohomology,
-    _action_indices,
     _coboundary_stencil,
     _cocycle_search,
     _invariant_factors_by_counting,
@@ -29,6 +28,7 @@ from twostage.linalg import IntMatrix
 from helpers import (
     abelianization,
     cyclic_periodic_cohomology,
+    divisibility_chains,
     module_structures,
     monomials,
     quaternion_group,
@@ -438,13 +438,13 @@ def test_matrix_route_matches_enumeration_oracle():
 
 
 def test_oracle_normalized_and_unnormalized_agree():
+    # The oracle enumerates normalized cochains only; the reference's
+    # unnormalized enumeration (functions on all tuples) gives the same groups.
     m2 = GModule.trivial(FiniteGroup.cyclic(2), FgAbGroup.cyclic(2))
     neg = cyclic_module(FiniteGroup.cyclic(2), 3, -1)
     for module in (m2, neg):
         for k in range(3):
-            assert oracle_cohomology(module, k, normalized=True) == oracle_cohomology(
-                module, k, normalized=False
-            )
+            assert oracle_cohomology(module, k) == reference_oracle_cohomology(module, k, normalized=False)
 
 
 def test_oracle_size_bound():
@@ -475,15 +475,14 @@ def test_oracle_refuses_before_enumerating(monkeypatch):
     assert info.value.requested == 5
 
 
-@pytest.mark.parametrize("normalized", [True, False])
-def test_cocycle_search_lists_the_full_products_cocycles_in_order(normalized):
+def test_cocycle_search_lists_the_full_products_cocycles_in_order():
     for module, kmax in oracle_pool():
         group, base = module.group, module.base
-        domain = list(range(1, group.order)) if normalized else list(range(group.order))
+        act = [base.element_map(images) for images in module.canonical_action]
         for k in range(kmax + 1):
-            arith = _PackedArithmetic(base.coordinate_moduli(), k + 2)
-            checks = _coboundary_stencil(group.table, domain, k, _action_indices(module, arith), arith, normalized)
-            args = (base.order, len(domain) ** k, checks, arith.decode)
+            arith = _PackedArithmetic(base.invariant_factors, k + 2)
+            checks = _coboundary_stencil(group.table, k, act, arith)
+            args = (base.order, (group.order - 1) ** k, checks, arith.decode)
             assert _cocycle_search(*args) == reference_cocycle_filter(*args), (module, k)
 
 
@@ -499,8 +498,8 @@ def test_cocycle_search_runs_without_recursion():
     for k in range(3):
         want = (5,) if k == 0 else ()
         assert oracle_cohomology(trivial, k) == want
-        assert oracle_cohomology(trivial, k, normalized=False) == want
         assert reference_oracle_cohomology(trivial, k) == want
+        assert reference_oracle_cohomology(trivial, k, normalized=False) == want
 
 
 @pytest.mark.parametrize(
@@ -525,22 +524,19 @@ def test_oracle_past_the_full_products_reach(group, k):
 
 # The dict-based reference is slow on large unnormalized enumerations
 # (about a minute for 4^9 cochains on a shared 2-core VM), so it runs
-# unnormalized only up to this many cochains.  Above it the unnormalized
-# oracle is held to the reference's normalized answer, the same group.
+# unnormalized only up to this many cochains.
 REFERENCE_UNNORMALIZED_LIMIT = 2 ** 10
 
 
 def test_oracle_matches_reference_oracle():
+    # The oracle's normalized cochains against the reference's normalized
+    # and, where it is small enough, unnormalized enumeration.
     for module, kmax in oracle_pool():
         for k in range(kmax + 1):
-            normalized = reference_oracle_cohomology(module, k)
-            assert oracle_cohomology(module, k) == normalized, (module, k)
-            n = module.group.order
-            if module.base.order ** (n ** k) <= REFERENCE_UNNORMALIZED_LIMIT:
-                want = reference_oracle_cohomology(module, k, normalized=False)
-            else:
-                want = normalized
-            assert oracle_cohomology(module, k, normalized=False) == want, (module, k)
+            got = oracle_cohomology(module, k)
+            assert got == reference_oracle_cohomology(module, k), (module, k)
+            if module.base.order ** (module.group.order ** k) <= REFERENCE_UNNORMALIZED_LIMIT:
+                assert got == reference_oracle_cohomology(module, k, normalized=False), (module, k)
 
 
 @pytest.mark.parametrize(
@@ -562,32 +558,32 @@ def test_oracle_refuses_like_the_reference(group, base, k, bound):
     assert info.value.bound == reference.value.bound == bound
 
 
-@pytest.mark.parametrize("normalized", [True, False])
-def test_coboundary_stencil_matches_the_definition(normalized):
-    # The action lists match lift/act/reduce element by element, and each
-    # stencil row, summed over a random cochain and decoded, is df(s)
+def test_coboundary_stencil_matches_the_definition():
+    # The oracle's action lists, the element maps of the canonical action,
+    # match lift/act/reduce element by element, and each stencil row,
+    # summed over a random normalized cochain and decoded, is df(s)
     # computed straight from the definition on lifted coordinates:
     # s0.f(s1..) + sum_i (-1)^(i+1) f(..s_i s_(i+1)..) + (-1)^(deg+1) f(..s_(deg-1)).
     rng = random.Random(8)
     for module, kmax in oracle_pool():
         group, base = module.group, module.base
         n = group.order
-        domain = list(range(1, n)) if normalized else list(range(n))
+        domain = range(1, n)
         elems = base.element_coords()
         position = {e: i for i, e in enumerate(elems)}
         act = [[position[base.reduce(module.act(g, base.lift(e)))] for e in elems] for g in range(n)]
-        arith = _PackedArithmetic(base.coordinate_moduli(), kmax + 2)
-        assert _action_indices(module, arith) == act
+        assert [list(base.element_map(images)) for images in module.canonical_action] == act
+        arith = _PackedArithmetic(base.invariant_factors, kmax + 2)
         zero = [0] * base.ngens
         for deg in range(kmax + 1):
-            rows = _coboundary_stencil(group.table, domain, deg, act, arith, normalized)
+            rows = _coboundary_stencil(group.table, deg, act, arith)
             slots = list(itertools.product(domain, repeat=deg))
             for _ in range(3):
                 f = [rng.randrange(len(elems)) for _ in slots]
                 lifted = {t: base.lift(elems[i]) for t, i in zip(slots, f)}
 
                 def value(t):
-                    return zero if normalized and 0 in t else lifted[t]
+                    return zero if 0 in t else lifted[t]
 
                 for s, row in zip(itertools.product(domain, repeat=deg + 1), rows):
                     terms = [(1, module.act(s[0], value(s[1:])))]
@@ -666,6 +662,18 @@ def test_counting_adds_linearly_in_the_group_order():
 
     assert _invariant_factors_by_counting(list(range(order)), add, 0) == (order,)
     assert calls <= 2 * order
+
+
+def test_counting_reads_every_divisibility_chain():
+    # Each chain's group, its elements as coordinate tuples added
+    # coordinatewise, counted back to the same invariant factors.
+    for chain in divisibility_chains(64):
+        elements = list(itertools.product(*(range(d) for d in chain)))
+
+        def add(a, b):
+            return tuple((x + y) % d for x, y, d in zip(a, b, chain))
+
+        assert _invariant_factors_by_counting(elements, add, elements[0]) == chain
 
 
 def test_matrix_route_matches_oracle_on_order_four_groups():

@@ -21,7 +21,6 @@ from twostage.pialgebra import (
     QuadraticMap,
     TwoStageDim1N,
     TwoStageDimNN1,
-    _strides,
     abelian_automorphisms,
     act_on_kinvariants,
     pi_aut,
@@ -174,7 +173,7 @@ def test_burnside_count_matches_the_traversal(name):
     aut = pi_aut(algebra)
     top = cohomology_range(algebra.an, algebra.n + 1)[-1]
     perms = [act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators]
-    images = _action_along_tree(aut, perms, _strides(top.group))
+    images = _action_along_tree(aut, perms, top.group.strides)
     orbits = _orbits(top.classes(), perms, aut.order)
     fixed = [_fixed_count(i, top.group) for i in images]
     assert sum(fixed) == len(orbits) * aut.order
@@ -192,7 +191,7 @@ def test_fixed_count_matches_enumeration(factors):
     # their fixed elements counted one by one
     group = FgAbGroup.from_cyclic_factors(list(factors))
     factors = group.invariant_factors
-    strides = _strides(group)
+    strides = group.strides
     rng = random.Random(11)
     for _ in range(50):
         # a generator of order d goes to an element of order dividing d

@@ -4,7 +4,7 @@ k-invariant classes."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twostage import pialgebra
 from twostage.abelian import AbHom, FgAbGroup, hom_group
@@ -36,6 +36,7 @@ from helpers import (
     random_unimodular,
     reference_abelian_automorphisms,
     reference_act_on_kinvariants,
+    reference_cross_effect_witness,
     reference_pi_aut,
     transport_quadratic,
     violations_of,
@@ -102,6 +103,53 @@ def test_non_bilinear_table_rejected_with_witness():
     violation = info.value.violations[0]
     assert violation.field == "q.values"
     assert "y" in violation.witness
+
+
+@st.composite
+def quadratic_tables(draw):
+    """(A, B, table) with |A| <= 16 and |B| <= 8: a valid table (zero, a
+    homomorphism, or a sum of products of two characters A -> Z/m times
+    an element of B of order dividing m), or the same with one value
+    changed."""
+    source = FgAbGroup.from_cyclic_factors(draw(st.sampled_from(divisibility_chains(16))))
+    target_chain = draw(st.sampled_from(divisibility_chains(8)))
+    target = FgAbGroup.from_cyclic_factors(target_chain)
+    coords = source.element_coords()
+
+    def character(m):
+        # a homomorphism A -> Z/m: e_i goes to a multiple of m / gcd(m, d_i)
+        images = [draw(st.integers(0, m - 1)) * (m // math.gcd(m, d)) for d in source.invariant_factors]
+        return [sum(c * a for c, a in zip(x, images)) % m for x in coords]
+
+    table = [[0] * len(target_chain) for _ in coords]
+    kind = draw(st.sampled_from(["zero", "homomorphism", "products"]))
+    for l, m in enumerate(target_chain):
+        if kind == "homomorphism":
+            for x, value in zip(table, character(m)):
+                x[l] += value
+        elif kind == "products":
+            for _ in range(draw(st.integers(1, 2))):
+                scale = draw(st.integers(1, m - 1))
+                for x, u, v in zip(table, character(m), character(m)):
+                    x[l] = (x[l] + u * v * scale) % m
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(coords) - 1))
+        table[i] = [draw(st.integers(0, m - 1)) for m in target_chain]
+    return source, target, [target.lift(x) for x in table]
+
+
+@settings(max_examples=80, deadline=None)
+@given(quadratic_tables())
+# On the trivial group only x2 = 0 sees q(0) != 0: there are no generators.
+@example((FgAbGroup.trivial(), FgAbGroup.cyclic(2), [(1,)]))
+def test_cross_effect_check_matches_the_check_over_every_triple(case):
+    source, target, values = case
+    try:
+        QuadraticMap(source, target, values)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == (reference_cross_effect_witness(source, target, values) is None)
 
 
 def test_quadratic_map_evaluation_and_zero():
