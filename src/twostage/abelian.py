@@ -18,22 +18,25 @@ When the target is finite of exponent E, that lattice contains E * Z^m and
 is cut out by one congruence per coordinate slot of the target, read off
 the rows of its Smith form; the basis is then lifted one prime factor of
 E at a time (``linalg.congruence_kernel``), each unknown's congruence
-column read off the map's sparse column through the target's
-generator-to-slot index.  A target with Z summands (the stable case with
-free groups) goes through ``integer_kernel`` of [F | -R] instead.  The
+column the map's slot column (below).  A target with Z summands (the
+stable case with free groups) goes through ``integer_kernel`` of
+[F | -R] instead.  The
 Hermite basis of a lattice is unique and the class coordinates come from
 the Smith form of the subquotient's presentation, so the route taken does
 not change a single coordinate.
 
-Checks that a map sends relations into relations (``AbHom``) and that
-d∘d vanishes (``CochainComplex``) run on sparse columns: the image of a
-sparse column touches few generators of the target, and only the
-coordinate slots whose Smith row reads one of them are reduced
-(``FgAbGroup.is_zero_sparse``; a group's relation columns and its
-generator-to-slot index are built on first use).  Such a check costs O(nonzeros), not the rank of the
-source times the rank of the target, and accepts exactly what the dense
-check did.  A map given by its canonical key (``AbHom.from_key``) is
-checked in the target's canonical coordinates instead, with no matrix.
+A map converts its sparse columns into the target's coordinate slots
+once (``AbHom.slot_columns``): column j becomes {slot i: u_i . F e_j}
+over the slots whose Smith row reads it.  The congruences of
+``_preimage_basis`` and ``rank_mod_p``, the check that a map sends
+relations into relations (``AbHom``), that d∘d vanishes
+(``CochainComplex``) and that a cochain is a cocycle all read them
+(``AbHom.kills``): a vector's slot values are summed off the slot columns
+it touches and reduced mod the diagonal.  Such a check costs
+O(nonzeros), not the rank of the source times the rank of the target,
+and accepts exactly what the dense check did.  A map given by its
+canonical key (``AbHom.from_key``) is checked in the target's canonical
+coordinates instead, with no matrix.
 
 Hom and Ext are computed honestly from presentations: Hom(A, B) is the
 kernel of the induced map B^m -> B^r evaluated on A's relations, and Ext
@@ -96,13 +99,13 @@ class FgAbGroup:
     def __init__(self, presentation: IntMatrix):
         dec = smith_normal_form(presentation)
         self._set_smith(list(dec.diagonal) + [0] * (presentation.rows - len(dec.diagonal)), presentation, ())
-        slots = self._coord_slots
-        u_rows = [()] * self.ngens
-        for i in slots:
-            u_rows[i] = tuple((j, c) for j, c in enumerate(dec.u_row(i)) if c)
-        columns = [dec.u_inv_column(i) for i in slots]
-        self._u_rows = tuple(u_rows)
-        self._uinv_rows = tuple(tuple((s, col[j]) for s, col in zip(slots, columns) if col[j]) for j in range(self.ngens))
+        rows, columns = dec.slot_transforms(self._coord_slots)
+        u_rows = [[] for _ in range(self.ngens)]
+        for j, entries in enumerate(rows):
+            for i, c in entries.items():
+                u_rows[i].append((j, c))
+        self._u_rows = tuple(map(tuple, u_rows))
+        self._uinv_rows = tuple(tuple(sorted(entries.items())) for entries in columns)
 
     def _set_smith(self, diag, presentation, summands) -> None:
         # Slot i has diagonal entry diag[i] and coordinate _u_rows[i] . x;
@@ -227,13 +230,6 @@ class FgAbGroup:
     def is_zero(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce(vec))
 
-    def is_zero_sparse(self, vec: dict[int, int]) -> bool:
-        """``is_zero`` of the vector with entries ``{generator: value}``,
-        all others zero.  A coordinate slot whose u row reads none of them
-        is zero, so only the slots the vector touches are reduced."""
-        diag = self._diag
-        return not any(w % diag[i] if diag[i] else w for i, w in self._slot_values(vec.items()).items())
-
     def _slot_values(self, vec) -> dict[int, int]:
         """``{slot: u_slot . x}`` over the coordinate slots whose u row reads
         a generator of x, for x given by ``(generator, value)`` pairs."""
@@ -349,13 +345,15 @@ class AbHom:
     ``matrix`` has shape (target generators) x (source generators); the
     constructor verifies that every source relation maps into the target
     relation lattice, so the map is well defined on the quotients.
-    ``columns`` holds the matrix's nonzero columns, for ``sparse_image``.
-    A map given by its columns alone (``matrix`` None, as the bar
-    differentials are) builds its matrix when read; a map given by its
-    ``canonical_key`` alone (``from_key``) builds both when read.
+    ``columns`` holds the matrix's nonzero columns and ``slot_columns``
+    the same columns in the target's coordinate slots, built on first read
+    and then read by every check (``kills``) and every kernel.  A map given
+    by its columns alone (``matrix`` None, as the bar differentials are)
+    builds its matrix when read; a map given by its ``canonical_key``
+    alone (``from_key``) builds both when read.
     """
 
-    __slots__ = ("source", "target", "_matrix", "_columns", "_key")
+    __slots__ = ("source", "target", "_matrix", "_columns", "_slot_columns", "_key")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix | None, columns=None):
         shape = (target.ngens, len(columns)) if matrix is None else matrix.shape
@@ -365,9 +363,9 @@ class AbHom:
         self.target = target
         self._matrix = matrix
         self._columns = matrix.nonzero_columns() if columns is None else columns
-        self._key = None
+        self._slot_columns = self._key = None
         for j, rel in enumerate(source.relation_columns):
-            if not target.is_zero_sparse(sparse_image(self._columns, rel)):
+            if not self.kills(rel):
                 self._refuse(j)
 
     def _refuse(self, j: int):
@@ -393,6 +391,26 @@ class AbHom:
         if self._columns is None:
             self._columns = self.matrix.nonzero_columns()
         return self._columns
+
+    @property
+    def slot_columns(self) -> tuple:
+        """Each column in the target's coordinate slots, ``{slot: u_slot . column}``
+        over the slots whose u row reads the column; built once per map."""
+        if self._slot_columns is None:
+            self._slot_columns = tuple(map(self.target._slot_values, self.columns))
+        return self._slot_columns
+
+    def kills(self, vec) -> bool:
+        """Whether f(x) = 0 in the target, for x given by ``(generator, value)``
+        pairs: its slot values, summed off ``slot_columns``, vanish mod the
+        target's diagonal, and a slot no column reads is zero."""
+        slots = self.slot_columns
+        out = {}
+        for j, x in vec:
+            for i, y in slots[j].items():
+                out[i] = out.get(i, 0) + x * y
+        diag = self.target._diag
+        return not any(w % diag[i] if diag[i] else w for i, w in out.items())
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
@@ -420,8 +438,7 @@ class AbHom:
         f = cls.__new__(cls)
         f.source = source
         f.target = target
-        f._matrix = None
-        f._columns = None
+        f._matrix = f._columns = f._slot_columns = None
         f._key = key
         for j, rel in enumerate(source.relation_columns):
             w = [0] * len(moduli)
@@ -456,16 +473,6 @@ class AbHom:
 
     def __repr__(self):
         return f"AbHom({self.source.symbol()} -> {self.target.symbol()})"
-
-
-def sparse_image(columns: Sequence[Sequence[tuple[int, int]]], vec) -> dict[int, int]:
-    """M @ x as ``{row: value}`` (a value may be 0), for M given by its
-    nonzero columns and x by its ``(index, value)`` pairs with nonzero value."""
-    out = {}
-    for j, x in vec:
-        for i, y in columns[j]:
-            out[i] = out.get(i, 0) + x * y
-    return out
 
 
 class Subquotient:
@@ -571,7 +578,7 @@ def _preimage_basis(f: AbHom) -> IntMatrix:
     target = f.target
     if target.is_finite:
         # Slots with d_i = 1 are read by no column and give no congruence.
-        return congruence_kernel([target._slot_values(col).items() for col in f.columns], target._diag)
+        return congruence_kernel([col.items() for col in f.slot_columns], target._diag)
     full = integer_kernel(hstack(f.matrix, -target.presentation))
     return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
 
@@ -581,8 +588,8 @@ def rank_mod_p(f: AbHom, p: int) -> int:
     count of a row reduction mod p of the congruences ``_preimage_basis``
     solves, with no lattice built.  The image has p^rank elements."""
     rows = {}
-    for j, col in enumerate(f.columns):
-        for i, x in f.target._slot_values(col).items():
+    for j, col in enumerate(f.slot_columns):
+        for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     return len(_kernel_mod_p(rows.values(), p))
 
@@ -651,7 +658,7 @@ class CochainComplex:
                 raise ValueError(f"map {k} does not connect group {k} to group {k + 1}")
         for k in range(len(maps) - 1):
             for j, col in enumerate(maps[k].columns):
-                if not groups[k + 2].is_zero_sparse(sparse_image(maps[k + 1].columns, col)):
+                if not maps[k + 1].kills(col):
                     raise ValidationError(
                         Violation(
                             "complex.maps",

@@ -31,6 +31,7 @@ by the test suite and the command line ``--oracle`` flag.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from typing import Sequence
 
@@ -43,7 +44,6 @@ from .abelian import (
     homology_at,
     kernel_subgroup,
     rank_mod_p,
-    sparse_image,
 )
 from .errors import InternalConsistencyError, SizeBoundError
 from .groups import GModule
@@ -131,37 +131,43 @@ def bar_complex(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) ->
 
 
 def _differential_columns(module: GModule, k: int) -> tuple:
-    """d: C^k -> C^(k+1) as its nonzero columns, ``(row, entry)`` pairs top first."""
+    """d: C^k -> C^(k+1) as its nonzero columns, ``(row, entry)`` pairs top first.
+
+    Row blocks r are the (k+1)-tuples s in product order, r's digits in
+    base m = |G| - 1 the s_i - 1, so each term's column block is read off
+    r: the tail s[1:] is r % m^k, the dropped last coordinate r // m, and
+    a merge of s_i s_(i+1) replaces the two digits at i.  A row's terms are
+    summed before its entries are appended, so every column comes out
+    sorted by row."""
     n = module.group.order
+    m = n - 1
     mb = module.base.ngens
     table = module.group.table
-    out = [{} for _ in range((n - 1) ** k * mb)]
-
-    def add_identity_block(r0: int, col_block: int, sign: int):
-        c0 = col_block * mb
-        for i in range(mb):
-            out[c0 + i][r0 + i] = out[c0 + i].get(r0 + i, 0) + sign
-
-    for s in itertools.product(range(1, n), repeat=k + 1):
-        r0 = _tuple_index(s, n) * mb
-        # g1 acts on the tail
-        c0 = _tuple_index(s[1:], n) * mb
-        act = module.action[s[0]]
-        for i in range(mb):
-            for j, a in enumerate(act.data[i]):
-                if a:
-                    out[c0 + j][r0 + i] = out[c0 + j].get(r0 + i, 0) + a
-        # interior multiplications, dropped when they hit the identity
-        sign = -1
+    acts = [a.nonzero_rows() for a in module.action]
+    # the place value of digit i + 1 of a k-tuple, m^(k-1-i), at i
+    places = list(itertools.accumulate(itertools.repeat(m, k), operator.mul, initial=1))
+    span = places.pop()
+    places.reverse()
+    out = [[] for _ in range(span * mb)]
+    for r, s in enumerate(itertools.product(range(1, n), repeat=k + 1)):
+        # identity blocks, signed: the dropped last coordinate, then the
+        # interior merges that miss the identity, the one at i by (-1)^(i+1)
+        blocks = [(r // m * mb, 1 if k % 2 else -1)]
         for i in range(k):
             merged = table[s[i]][s[i + 1]]
-            if merged != 0:
-                t = s[:i] + (merged,) + s[i + 2 :]
-                add_identity_block(r0, _tuple_index(t, n), sign)
-            sign = -sign
-        # drop the last coordinate
-        add_identity_block(r0, _tuple_index(s[:-1], n), sign)
-    return tuple(tuple(sorted((r, x) for r, x in col.items() if x)) for col in out)
+            if merged:
+                p = places[i]
+                blocks.append((((r // (p * m * m) * m + merged - 1) * p + r % p) * mb, i % 2 * 2 - 1))
+        # s_1 acts on the tail
+        t0 = r % span * mb
+        for i, act in enumerate(acts[s[0]]):
+            row = {t0 + j: a for j, a in act}
+            for c, e in blocks:
+                row[c + i] = row.get(c + i, 0) + e
+            for c, x in row.items():
+                if x:
+                    out[c].append((r * mb + i, x))
+    return tuple(map(tuple, out))
 
 
 class CohomologyGroup:
@@ -250,8 +256,7 @@ class CohomologyGroup:
         return self._sub
 
     def is_cocycle(self, z: Cocycle) -> bool:
-        entries = [(j, x) for j, x in enumerate(z.vector) if x]
-        return self.differential.target.is_zero_sparse(sparse_image(self.differential.columns, entries))
+        return self.differential.kills([(j, x) for j, x in enumerate(z.vector) if x])
 
     def class_of(self, z: Cocycle) -> tuple[int, ...]:
         """Canonical coordinates of the class [z]; additive, kills exactly

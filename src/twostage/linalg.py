@@ -23,14 +23,14 @@ Conventions:
   matrix is eliminated, and each operation is logged: u, u^-1 and v are
   products of the logged operations, so a row of u or a column of u^-1
   is the row log replayed last to first on a unit vector, O(1) per
-  operation while the vector stays sparse.  A group reads its few
-  coordinate slots that way; whole transforms are replayed only when
-  read.  Rows are sparse, and three shortcuts leave the sequence as it
-  is: the pivot search stops at an entry of absolute value 1, since only
-  a strictly smaller entry displaces the one found; a unit pivot divides
-  everything, so its "pivot divides the submatrix" sweep is skipped; and
-  a column operation touches only the rows with a nonzero in its source
-  column, the others being unchanged.
+  operation while the vector stays sparse.  A group reads all its
+  coordinate slots in one replay per direction; whole transforms are
+  replayed only when read.  Rows are sparse, and three shortcuts leave
+  the sequence as it is: the pivot search stops at an entry of absolute
+  value 1, since only a strictly smaller entry displaces the one found; a
+  unit pivot divides everything, so its "pivot divides the submatrix"
+  sweep is skipped; and a column operation touches only the rows with a
+  nonzero in its source column, the others being unchanged.
 * ``column_hermite(m)``, ``integer_kernel(m)`` and
   ``congruence_kernel(columns, moduli)`` return the column Hermite basis
   of a lattice (positive pivots in strictly increasing rows, entries left
@@ -246,9 +246,9 @@ class SnfDecomposition:
     """Smith normal form ``u @ m @ v == s``, as ``smith_normal_form`` finds it.
 
     It keeps the log of its row and column operations, not u, u^-1 and v:
-    ``u_row`` and ``u_inv_column`` replay the row log for one row or
-    column, and ``s``, ``u``, ``v`` and ``u_inv`` are built by replay on
-    first read.
+    ``slot_transforms`` replays the row log once for the rows of u and
+    once for the columns of u^-1 at a set of slots, and ``s``, ``u``,
+    ``v`` and ``u_inv`` are built by replay on first read.
     """
 
     def __init__(self, shape, diagonal, row_log, col_log, negated):
@@ -260,13 +260,11 @@ class SnfDecomposition:
         signs = {i: -1 if i in self._negated else 1 for i in starts}
         return _replay(self._row_log, self.shape[0], signs, inverse)
 
-    def u_row(self, i: int) -> tuple[int, ...]:
-        """Row i of u: e_i^T times the row operations, last to first."""
-        return tuple(x.get(i, 0) for x in self._replay_rows((i,), False))
-
-    def u_inv_column(self, c: int) -> tuple[int, ...]:
-        """Column c of u^-1: the inverse row operations, last to first, on e_c."""
-        return tuple(x.get(c, 0) for x in self._replay_rows((c,), True))
+    def slot_transforms(self, slots) -> tuple[list[dict], list[dict]]:
+        """The rows of u and the columns of u^-1 at ``slots``, one replay of
+        the row log each, by position: entry p of the first is {i: u[i][p]}
+        and of the second {c: u^-1[p][c]}, zeros left out."""
+        return self._replay_rows(slots, False), self._replay_rows(slots, True)
 
     @functools.cached_property
     def s(self) -> IntMatrix:

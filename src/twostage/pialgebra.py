@@ -536,19 +536,20 @@ def act_on_kinvariants(
     """
     if coh.module is not algebra.an:
         raise ValueError("cohomology group does not belong to this algebra's module")
-    group = algebra.a1
-    n = group.order
-    phi = pair.phi
+    n = algebra.a1.order
     phi_inv = [0] * n
-    for g, image in enumerate(phi):
+    for g, image in enumerate(pair.phi):
         phi_inv[image] = g
-    # phi^{-1} on each tuple of the degree, the same for every generator
-    sources = [tuple([phi_inv[g] for g in t]) for t in itertools.product(range(1, n), repeat=coh.degree)]
-    psi_matrix = pair.psi.matrix
+    # the block of phi^{-1}(t) for each tuple t of the degree, in product
+    # order, the same for every generator
+    sources = [0]
+    for _ in range(coh.degree):
+        sources = [b * (n - 1) + phi_inv[g] - 1 for b in sources for g in range(1, n)]
+    psi_rows = pair.psi.matrix.nonzero_rows()
     factors = coh.group.invariant_factors
     images = []
     for z, d in zip(coh.representatives, factors):
-        moved = _transport_cocycle(z, sources, psi_matrix)
+        moved = _transport_cocycle(z, sources, psi_rows)
         try:
             image = coh.class_of(moved)
         except ValueError:
@@ -564,8 +565,13 @@ def act_on_kinvariants(
     return perm
 
 
-def _transport_cocycle(z: Cocycle, sources: Sequence[tuple[int, ...]], psi_matrix: IntMatrix) -> Cocycle:
+def _transport_cocycle(z: Cocycle, sources: Sequence[int], psi_rows) -> Cocycle:
+    """psi . z . phi^{-1}: block t of the result is psi, given by its sparse
+    rows, on block ``sources[t]`` of z."""
+    mb = len(psi_rows)
+    v = z.vector
     out = []
-    for source in sources:
-        out.extend(psi_matrix.apply(z.value(source)))
+    for b in sources:
+        b *= mb
+        out.extend([sum([c * v[b + j] for j, c in row]) for row in psi_rows])
     return Cocycle(z.module, z.degree, out)

@@ -1094,6 +1094,59 @@ def reference_act_on_kinvariants(algebra, pair, coh) -> tuple[int, ...]:
     return tuple(images)
 
 
+def reference_transport_cocycle(z, phi, psi) -> Cocycle:
+    """psi . z . phi^{-1} tuple by tuple: each value read by
+    ``Cocycle.value`` at phi^{-1}(t) and moved by psi's dense matrix."""
+    n = len(phi)
+    phi_inv = [0] * n
+    for g, image in enumerate(phi):
+        phi_inv[image] = g
+    out = []
+    for t in itertools.product(range(1, n), repeat=z.degree):
+        out.extend(psi.matrix.apply(z.value(tuple(phi_inv[g] for g in t))))
+    return Cocycle(z.module, z.degree, out)
+
+
+def reference_differential_columns(module, k: int) -> tuple:
+    """The bar differential d: C^k -> C^(k+1) as its nonzero columns,
+    ``(row, entry)`` pairs top first, by the definition: one dict per
+    column, every term added at the block index of its tuple, each column
+    sorted at the end."""
+    n = module.group.order
+    mb = module.base.ngens
+    table = module.group.table
+
+    def index(t):
+        idx = 0
+        for g in t:
+            idx = idx * (n - 1) + (g - 1)
+        return idx
+
+    out = [{} for _ in range((n - 1) ** k * mb)]
+
+    def add_identity_block(r0, col_block, sign):
+        for i in range(mb):
+            col = out[col_block * mb + i]
+            col[r0 + i] = col.get(r0 + i, 0) + sign
+
+    for s in itertools.product(range(1, n), repeat=k + 1):
+        r0 = index(s) * mb
+        c0 = index(s[1:]) * mb
+        act = module.action[s[0]]
+        for i in range(mb):
+            for j, a in enumerate(act.data[i]):
+                if a:
+                    out[c0 + j][r0 + i] = out[c0 + j].get(r0 + i, 0) + a
+        sign = -1
+        for i in range(k):
+            merged = table[s[i]][s[i + 1]]
+            if merged != 0:
+                add_identity_block(r0, index(s[:i] + (merged,) + s[i + 2 :]), sign)
+            sign = -sign
+        add_identity_block(r0, index(s[:-1]), sign)
+    return tuple(tuple(sorted((r, x) for r, x in col.items() if x)) for col in out)
+
+
 def reference_pi_aut(algebra) -> tuple[list, list, int]:
     """(sorted pair keys, composition table, identity index) of the
     compatible automorphism pairs, by homomorphism products throughout:

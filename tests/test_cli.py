@@ -43,6 +43,11 @@ MODULI_SAMPLES = [
     "c9_z3",
     "c6_z4_n3",
     "perm_group_cohomology",
+    # non-diagonal actions on coefficients with several generators:
+    # C2 x C2 on (Z/2)^3 by two commuting shears, and on Z/4 x Z/2 by
+    # y -> 2x + y through one factor
+    "c2c2_z2x3_shear",
+    "c2c2_z4z2_shear",
 ]
 
 # A sample with no golden: the parent of the mod p route could not finish it,
@@ -362,9 +367,14 @@ def test_check_passes_on_valid_inputs(capsys):
     assert "q constraints: ok" in out
     assert "result: all checks passed" in out
 
+    for name in ("c2c2_z2x3_shear", "c2c2_z4z2_shear"):
+        status, out, _ = run_cli(["check", SAMPLES / f"{name}.json"], capsys)
+        assert status == 0
+        assert "module action: ok" in out and "result: all checks passed" in out
+
 
 class TestOracleCrossCheck:
-    @pytest.mark.parametrize("name", ["two_types_z2", "orbits_z3"])
+    @pytest.mark.parametrize("name", ["two_types_z2", "orbits_z3", "c2c2_z2x3_shear", "c2c2_z4z2_shear"])
     def test_moduli_oracle_keeps_the_golden_report(self, name, capsys):
         status, out, err = run_cli(["moduli", SAMPLES / f"{name}.json", "--oracle"], capsys)
         assert status == 0

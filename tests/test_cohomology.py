@@ -12,6 +12,7 @@ from twostage.abelian import FgAbGroup, _preimage_basis, hom_group, homology_at,
 from twostage.cohomology import (
     Cocycle,
     Derivations,
+    _differential_columns,
     bar_complex,
     cohomology_range,
     derivations,
@@ -34,6 +35,7 @@ from helpers import (
     quaternion_group,
     reference_cocycle_filter,
     reference_congruence_kernel,
+    reference_differential_columns,
     reference_oracle_cohomology,
     relabel,
 )
@@ -186,6 +188,15 @@ def test_differentials_are_built_as_sorted_sparse_columns():
     assert [f.matrix.to_rows() for f in complex_.maps] == [[[0]], [[2]]]
     for f in bar_complex(GModule.trivial(s3(), FgAbGroup.from_cyclic_factors([2, 2])), 3).maps:
         assert f.columns == f.matrix.nonzero_columns()
+
+
+def test_row_order_stencil_matches_the_dict_and_sort_reference():
+    # Column blocks come off the row index by mixed-radix arithmetic and
+    # entries are appended in row order; the reference adds every term at
+    # its tuple's index and sorts each column.
+    for module, _ in oracle_pool():
+        for k in range(5):
+            assert _differential_columns(module, k) == reference_differential_columns(module, k), (module, k)
 
 
 def test_bar_complex_size_bound():

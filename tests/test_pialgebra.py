@@ -2,12 +2,14 @@
 k-invariant classes."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twostage import pialgebra
 from twostage.abelian import AbHom, FgAbGroup, hom_group
+from twostage.cli import parse_input
 from twostage.cohomology import Cocycle, cohomology_range
 from twostage.errors import InternalConsistencyError, SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule
@@ -38,6 +40,7 @@ from helpers import (
     reference_act_on_kinvariants,
     reference_cross_effect_witness,
     reference_pi_aut,
+    reference_transport_cocycle,
     transport_quadratic,
     violations_of,
 )
@@ -693,6 +696,33 @@ def test_action_matches_the_per_class_reference(name):
     assert H.group.order > 1
     for pair in pi_aut(alg).elements:
         assert act_on_kinvariants(alg, pair, H) == reference_act_on_kinvariants(alg, pair, H)
+
+
+@pytest.mark.parametrize("name", ["c2c2_z2x3_shear", "c2c2_z4z2_shear"])
+def test_transport_by_block_index_matches_the_tuple_by_tuple_reference(name, monkeypatch):
+    # Non-diagonal actions on coefficients with several generators: some
+    # generating pair's psi mixes the coordinates of a block, and some
+    # phi moves the tuples.
+    alg, _ = parse_input((Path(__file__).resolve().parents[1] / "samples" / f"{name}.json").read_text())
+    H = cohomology_range(alg.an, alg.n + 1)[-1]
+    aut = pi_aut(alg)
+    pairs = [aut.elements[g] for g in aut.generators]
+    assert any(x for p in pairs for i, row in enumerate(p.psi.matrix.data) for j, x in enumerate(row) if i != j)
+    assert any(p.phi != tuple(range(len(p.phi))) for p in pairs)
+    transport = pialgebra._transport_cocycle
+    moved = []
+
+    def recording(z, *args):
+        moved.append((z, transport(z, *args)))
+        return moved[-1][1]
+
+    monkeypatch.setattr(pialgebra, "_transport_cocycle", recording)
+    for pair in pairs:
+        moved.clear()
+        act_on_kinvariants(alg, pair, H)
+        assert [z for z, _ in moved] == list(H.representatives)
+        for z, got in moved:
+            assert got.vector == reference_transport_cocycle(z, pair.phi, pair.psi).vector
 
 
 def test_generator_images_are_checked(monkeypatch):
