@@ -8,9 +8,8 @@ invariant-factor normal form, canonical coordinates for elements, and an
 explicit change of basis in both directions, which is what makes quotient
 constructions (homology, cohomology classes) exact rather than heuristic.
 A direct sum whose merged diagonal is a divisibility chain (every cochain
-group, the B^m of Hom(A, B)) takes its Smith data from its summands'
-instead, with no elimination, and builds its block-diagonal presentation
-only when read.
+group) takes its Smith data from its summands' instead, with no
+elimination, and builds its block-diagonal presentation only when read.
 
 Kernels and homology share one numerator: the lattice of vectors a map
 sends into the target's relation lattice, as its column Hermite basis.
@@ -18,12 +17,12 @@ When the target is finite of exponent E, that lattice contains E * Z^m and
 is cut out by one congruence per coordinate slot of the target, read off
 the rows of its Smith form; the basis is then lifted one prime factor of
 E at a time (``linalg.congruence_kernel``), each unknown's congruence
-column the map's slot column (below).  A target with Z summands (the
-stable case with free groups) goes through ``integer_kernel`` of
-[F | -R] instead.  The
-Hermite basis of a lattice is unique and the class coordinates come from
-the Smith form of the subquotient's presentation, so the route taken does
-not change a single coordinate.
+column the map's slot column (below).  A target with Z summands goes
+through ``integer_kernel`` of [F | -R] instead; no report reaches it, only
+a public ``kernel_subgroup`` or ``homology_at`` call does.  The Hermite
+basis of a lattice is unique and the class coordinates come from the
+Smith form of the subquotient's presentation, so the route taken does not
+change a single coordinate.
 
 A map converts its sparse columns into the target's coordinate slots
 once (``AbHom.slot_columns``): column j becomes {slot i: u_i . F e_j}
@@ -38,9 +37,13 @@ and accepts exactly what the dense check did.  A map given by its
 canonical key (``AbHom.from_key``) is checked in the target's canonical
 coordinates instead, with no matrix.
 
-Hom and Ext are computed honestly from presentations: Hom(A, B) is the
-kernel of the induced map B^m -> B^r evaluated on A's relations, and Ext
-uses the invariant-factor decomposition, Ext(Z/d, B) = B/dB.
+Hom and Ext are isomorphism types, read off the invariant factors of both
+groups, with no lattice: each is additive in either argument, so it is the
+direct sum over pairs of cyclic factors Z/x of A and Z/y of B, with 0
+standing for Z, of Hom(Z/x, Z/y) = Ext(Z/x, Z/y) = Z/gcd(x, y) (Hilton
+and Stammbach, *A Course in Homological Algebra*, GTM 4, ch. III).  The
+free cases fit the same gcd except two: Hom(Z/x, Z) = 0 for x != 0, and
+Ext(Z, B) = 0.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import SizeBoundError, ValidationError, Violation
 from .linalg import (
@@ -60,7 +63,6 @@ from .linalg import (
     congruence_kernel,
     hstack,
     integer_kernel,
-    kronecker,
     smith_normal_form,
 )
 
@@ -68,7 +70,6 @@ __all__ = [
     "FgAbGroup",
     "AbHom",
     "Subquotient",
-    "HomGroup",
     "CochainComplex",
     "hom_group",
     "ext_group",
@@ -178,10 +179,6 @@ class FgAbGroup:
     @property
     def normal_form(self) -> tuple[int, tuple[int, ...]]:
         return (self.free_rank, self.invariant_factors)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     @property
     def is_finite(self) -> bool:
@@ -316,7 +313,7 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
     The summands' Smith data is merged with no elimination: diagonal slots
     by a stable sort on ``(d == 0, d)``, ties in argument order, and u and
     u^-1 rows shifted into each summand's block.  For copies of one group
-    (cochain groups, Hom's B^m) the merge is a divisibility chain (Newman,
+    (cochain groups) the merge is a divisibility chain (Newman,
     *Integral Matrices*, ch. II); otherwise, as for Z/2 + Z/3, the block
     diagonal gets a Smith form of its own.  Else it is built only if read.
     """
@@ -603,44 +600,27 @@ def kernel_subgroup(f: AbHom) -> Subquotient:
     return Subquotient(f.source.ngens, _preimage_basis(f), f.source.relation_columns)
 
 
-class HomGroup(NamedTuple):
-    """Hom(A, B) in normal form.  ``images`` presents it as a subquotient of
-    B^m, m the generators of A: a homomorphism is the class of its
-    generator images, stacked column by column (None when m = 0)."""
-
-    source: FgAbGroup
-    target: FgAbGroup
-    group: FgAbGroup
-    images: Subquotient | None
+def _cyclic_factors(g: FgAbGroup) -> tuple[int, ...]:
+    """The orders of g's cyclic summands, 0 standing for each Z."""
+    return g.invariant_factors + (0,) * g.free_rank
 
 
-def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
-    """Hom_Z(A, B) computed from presentations.
-
-    Generator images live in B^m (m = generators of A); requiring A's
-    relations to die is the kernel of the evaluation map B^m -> B^r given
-    by the Kronecker matrix of the relation block.  The kernel subquotient
-    machinery then yields the normal form.
+def hom_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
+    """Hom_Z(A, B) by its isomorphism type: the sum over cyclic factors Z/x
+    of A and Z/y of B of Hom(Z/x, Z/y) = Z/gcd(x, y), with 0 for Z.  A pair
+    with y = 0 and x != 0 is left out, since Hom(Z/x, Z) = 0.
     """
-    m = a.ngens
-    if m == 0:
-        return HomGroup(a, b, FgAbGroup.trivial(), None)
-    bm = direct_sum([b] * m)
-    rels = a.presentation
-    br = direct_sum([b] * rels.cols)
-    eval_matrix = kronecker(rels.transpose(), IntMatrix.identity(b.ngens))
-    sub = kernel_subgroup(AbHom(bm, br, eval_matrix))
-    return HomGroup(a, b, sub.group, sub)
+    return FgAbGroup.from_cyclic_factors(
+        [math.gcd(x, y) for x in _cyclic_factors(a) for y in _cyclic_factors(b) if y or not x]
+    )
 
 
 def ext_group(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    """Ext_Z(A, B) via the invariant-factor decomposition of A.
-
-    Free summands contribute nothing; each torsion factor Z/d contributes
-    B/dB.  Always finite for finitely generated inputs.
+    """Ext_Z(A, B) by its isomorphism type: the sum over torsion factors Z/x
+    of A and cyclic factors Z/y of B of Ext(Z/x, Z/y) = Z/gcd(x, y), with 0
+    for Z.  Free summands of A contribute nothing, so it is always finite.
     """
-    pieces = [b.modulo(d) for d in a.invariant_factors]
-    return direct_sum(pieces)
+    return FgAbGroup.from_cyclic_factors([math.gcd(x, y) for x in a.invariant_factors for y in _cyclic_factors(b)])
 
 
 class CochainComplex:

@@ -299,8 +299,7 @@ def render_moduli(report: ModuliReport) -> str:
         "homotopy groups at every basepoint:",
     ]
     for row in report.pi_rows:
-        cell = _group_cell(row.group) if row.group is not None else row.description
-        lines.append(f"  pi_{row.index} = {cell}   [{row.provenance}]")
+        lines.append(f"  pi_{row.index} = {_group_cell(row.group)}   [{row.provenance}]")
     lines.append("")
     lines.append("basepoints:")
     for i, block in enumerate(report.basepoints, start=1):

@@ -60,7 +60,6 @@ __all__ = [
     "integer_kernel",
     "congruence_kernel",
     "column_hermite",
-    "kronecker",
     "block_diag",
 ]
 
@@ -217,16 +216,6 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError(f"row count mismatch: {a.shape} vs {b.shape}")
     return IntMatrix._of(a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.data, b.data)))
-
-
-def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product, blocks a[i][j] * b."""
-    flat = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                flat.extend(a.data[i][j] * x for x in b.data[k])
-    return IntMatrix(a.rows * b.rows, a.cols * b.cols, flat)
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:

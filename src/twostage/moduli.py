@@ -94,9 +94,8 @@ class PiRow:
     """One homotopy group of the moduli space, with its origin."""
 
     index: int
-    description: str
     provenance: str
-    group: FgAbGroup | None = None
+    group: FgAbGroup
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ def moduli_case_a(
     pi_rows = [
         PiRow(
             index=n,
-            description=der.symbol(),
             provenance="Der(A_1, A_n): crossed homomorphisms A_1 -> A_n",
             group=der,
         )
@@ -176,7 +174,6 @@ def moduli_case_a(
         pi_rows.append(
             PiRow(
                 index=i,
-                description=g.symbol(),
                 provenance=f"H^{n + 1 - i}(A_1; A_n)",
                 group=g,
             )
@@ -237,7 +234,7 @@ def moduli_case_b(
     symbolic description instead of failing.
     """
     an, an1 = algebra.an, algebra.an1
-    hom = hom_group(an, an1).group
+    hom = hom_group(an, an1)
     ext = ext_group(an, an1)
     _require(ext.is_finite, "Ext of finitely generated groups must be finite")
     aut = pi_aut(algebra, max_endos=max_endos)
@@ -248,7 +245,6 @@ def moduli_case_b(
     pi_rows = (
         PiRow(
             index=2,
-            description=hom.symbol(),
             provenance="Hom(A_n, A_n+1)",
             group=hom,
         ),
@@ -266,7 +262,7 @@ def moduli_case_b(
         kernel_provenance="Ext(A_n, A_n+1)",
         quotient_description=f"Aut(A) = {aut_desc}" if symbolic else "Aut(A): all automorphisms are realizable",
         quotient_order=aut_order,
-        order=(ext.order * aut_order) if (aut_order is not None and ext.is_finite) else None,
+        order=(ext.order * aut_order) if aut_order is not None else None,
         extension_class="unknown",
     )
     blocks = (

@@ -12,7 +12,7 @@ import itertools
 from math import gcd, lcm
 from typing import NamedTuple
 
-from twostage.abelian import AbHom, FgAbGroup, hom_group, kernel_subgroup
+from twostage.abelian import AbHom, FgAbGroup, Subquotient, direct_sum, kernel_subgroup
 from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
 from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, _greedy_generators, automorphism_group
@@ -721,7 +721,7 @@ def enumerate_homs_bruteforce(a, b) -> set:
 
     Tries every assignment of generator images and keeps those that kill
     every relation of A.  Completely independent of the kernel-lattice
-    route used by hom_group.
+    route of ``reference_hom`` and of the closed form of ``hom_group``.
     """
     import itertools as _it
 
@@ -900,11 +900,11 @@ def cokernel(f: AbHom) -> FgAbGroup:
 
 
 def is_surjective(f: AbHom) -> bool:
-    return cokernel(f).is_trivial
+    return cokernel(f).normal_form == (0, ())
 
 
 def is_injective(f: AbHom) -> bool:
-    return kernel_subgroup(f).group.is_trivial
+    return kernel_subgroup(f).group.normal_form == (0, ())
 
 
 def is_isomorphic(a: FgAbGroup, b: FgAbGroup) -> bool:
@@ -935,8 +935,19 @@ def element_map(f: AbHom) -> tuple[int, ...]:
     that order: the definition the package's element maps are checked
     against.  Every element is mapped, reduced in the target and looked
     up by its coordinates."""
-    position = {c: i for i, c in enumerate(f.target.element_coords())}
-    return tuple(position[f.target.reduce(f(x))] for x in f.source.elements())
+    return element_maps([f])[0]
+
+
+def element_maps(maps) -> list[tuple[int, ...]]:
+    """``element_map`` of each of ``maps``, which share one source and one
+    target: the source's elements and the target's positions are listed
+    once, and every element is still mapped by each map's matrix."""
+    source, target = maps[0].source, maps[0].target
+    if not all(f.source.same_presentation(source) and f.target.same_presentation(target) for f in maps):
+        raise ValueError("maps do not share one source and one target")
+    elements = source.elements()
+    position = {c: i for i, c in enumerate(target.element_coords())}
+    return [tuple(position[target.reduce(f(x))] for x in elements) for f in maps]
 
 
 def hom_inverse(f: AbHom) -> AbHom:
@@ -995,36 +1006,62 @@ def transport_quadratic(q: QuadraticMap, psi_n: AbHom, psi_n1: AbHom) -> Quadrat
     return QuadraticMap(q.source, q.target, values, max_order=q.source.order)
 
 
-def hom_at(h, coords) -> AbHom:
-    """The homomorphism with canonical coordinates ``coords`` in
-    ``h.group``, for h = hom_group(A, B): its generator images unstacked
-    from ``h.images``."""
-    a, b = h.source, h.target
-    if h.images is None:
-        if any(coords):
-            raise ValueError("nonzero coordinates in a trivial Hom group")
-        return AbHom.zero(a, b)
-    flat = h.images.representative(coords)
+def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product, blocks a[i][j] * b."""
+    flat = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            for j in range(a.cols):
+                flat.extend(a.data[i][j] * x for x in b.data[k])
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, flat)
+
+
+def reference_hom(a: FgAbGroup, b: FgAbGroup) -> Subquotient:
+    """Hom_Z(A, B) computed from presentations, the reference for the
+    closed form of ``hom_group``: the kernel of the evaluation map
+    B^m -> B^r (m generators and r relations of A), given by the Kronecker
+    matrix of A's relation block.  A homomorphism is the class of its
+    generator images, stacked column by column."""
+    bm = direct_sum([b] * a.ngens)
+    br = direct_sum([b] * a.presentation.cols)
+    return kernel_subgroup(AbHom(bm, br, kronecker(a.presentation.transpose(), IntMatrix.identity(b.ngens))))
+
+
+def reference_ext(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
+    """Ext_Z(A, B) by the invariant-factor decomposition of A: each torsion
+    factor Z/d contributes B/dB, free summands nothing."""
+    return direct_sum([b.modulo(d) for d in a.invariant_factors])
+
+
+def _hom_of_images(a: FgAbGroup, b: FgAbGroup, flat) -> AbHom:
     # Column-stacked layout: entry (i, j) of the matrix sits at j*rows + i.
     return AbHom(a, b, IntMatrix(b.ngens, a.ngens, [flat[j * b.ngens + i] for i in range(b.ngens) for j in range(a.ngens)]))
 
 
-def all_homs(h, limit: int | None = None) -> list:
-    """Every homomorphism of h = hom_group(A, B), in the order of
-    ``h.group.element_coords``; refused above ``limit`` of them."""
-    return [hom_at(h, c) for c in h.group.element_coords(limit)]
+def hom_at(a: FgAbGroup, b: FgAbGroup, coords) -> AbHom:
+    """The homomorphism A -> B with canonical coordinates ``coords`` in
+    ``reference_hom(a, b).group``: its generator images unstacked."""
+    return _hom_of_images(a, b, reference_hom(a, b).representative(coords))
 
 
-def hom_generators(h) -> list:
-    """The homomorphisms at the canonical generators of ``h.group``."""
-    width = len(h.group.coordinate_moduli())
-    return [hom_at(h, [int(i == j) for j in range(width)]) for i in range(width)]
+def all_homs(a: FgAbGroup, b: FgAbGroup, limit: int | None = None) -> list:
+    """Every homomorphism A -> B, in the order of
+    ``reference_hom(a, b).group.element_coords``; refused above ``limit``
+    of them."""
+    h = reference_hom(a, b)
+    return [_hom_of_images(a, b, h.representative(c)) for c in h.group.element_coords(limit)]
+
+
+def hom_generators(a: FgAbGroup, b: FgAbGroup) -> list:
+    """The homomorphisms at the canonical generators of
+    ``reference_hom(a, b).group``."""
+    return [_hom_of_images(a, b, rep) for rep in reference_hom(a, b).generator_representatives()]
 
 
 def reference_abelian_automorphisms(group, max_endos: int = 4096) -> list:
     """Automorphisms of a finite abelian group by the Smith-form test:
     the endomorphisms whose cokernel and kernel are trivial."""
-    endos = all_homs(hom_group(group, group), max_endos)
+    endos = all_homs(group, group, max_endos)
     return sorted((f for f in endos if is_bijective(f)), key=lambda f: f.canonical_key())
 
 

@@ -36,6 +36,8 @@ from helpers import (
     is_surjective,
     random_unimodular,
     reference_column_hermite,
+    reference_ext,
+    reference_hom,
     reference_integer_kernel,
     reference_smith_normal_form,
 )
@@ -71,7 +73,7 @@ class TestNormalForm:
         assert not g.is_finite
 
     def test_trivial(self):
-        assert FgAbGroup.trivial().is_trivial
+        assert FgAbGroup.trivial().normal_form == (0, ())
         assert FgAbGroup.cyclic(1).normal_form == (0, ())
         assert FgAbGroup.trivial().symbol() == "0"
 
@@ -185,7 +187,7 @@ class TestReplayedCoordinates:
         monkeypatch.setattr(twostage.abelian, "smith_normal_form", recording)
         g = FgAbGroup(IntMatrix.from_rows([[2, 4, 0], [6, 8, 0], [0, 0, 0]]))
         assert g.reduce(g.lift((1, 1, 5))) == (1, 1, 5)
-        hom_group(g, FgAbGroup.cyclic(4))
+        reference_hom(g, FgAbGroup.cyclic(4))
         assert len(seen) > 1
         for dec in seen:
             assert not {"s", "u", "v", "u_inv"} & vars(dec).keys()
@@ -226,24 +228,32 @@ class TestAbHom:
 
 class TestHomGroup:
     def test_hom_z4_z2(self):
-        h = hom_group(FgAbGroup.cyclic(4), FgAbGroup.cyclic(2))
-        assert h.group.normal_form == (0, (2,))
-        homs = all_homs(h)
+        a, b = FgAbGroup.cyclic(4), FgAbGroup.cyclic(2)
+        assert hom_group(a, b).normal_form == (0, (2,))
+        assert reference_hom(a, b).group.normal_form == (0, (2,))
+        homs = all_homs(a, b)
         assert len(homs) == 2
         keys = {f.canonical_key() for f in homs}
-        assert keys == enumerate_homs_bruteforce(h.source, h.target)
+        assert keys == enumerate_homs_bruteforce(a, b)
 
     def test_hom_from_free(self):
-        assert hom_group(FgAbGroup.free(1), FgAbGroup.cyclic(3)).group.normal_form == (0, (3,))
-        assert hom_group(FgAbGroup.free(2), FgAbGroup.free(1)).group.normal_form == (2, ())
+        for a, b, expected in [
+            (FgAbGroup.free(1), FgAbGroup.cyclic(3), (0, (3,))),
+            (FgAbGroup.free(2), FgAbGroup.free(1), (2, ())),
+        ]:
+            assert hom_group(a, b).normal_form == expected
+            assert reference_hom(a, b).group.normal_form == expected
 
     def test_hom_into_free_from_torsion(self):
-        assert hom_group(FgAbGroup.cyclic(3), FgAbGroup.free(1)).group.is_trivial
+        a, b = FgAbGroup.cyclic(3), FgAbGroup.free(1)
+        assert hom_group(a, b).normal_form == (0, ())
+        assert reference_hom(a, b).group.normal_form == (0, ())
 
     def test_hom_from_trivial(self):
-        h = hom_group(FgAbGroup.trivial(), FgAbGroup.cyclic(5))
-        assert h.group.is_trivial
-        assert hom_at(h, ()).is_zero_map()
+        a, b = FgAbGroup.trivial(), FgAbGroup.cyclic(5)
+        assert hom_group(a, b).normal_form == (0, ())
+        assert reference_hom(a, b).group.normal_form == (0, ())
+        assert hom_at(a, b, ()).is_zero_map()
 
     def test_matches_bruteforce_on_small_pairs(self):
         pool = [
@@ -255,19 +265,18 @@ class TestHomGroup:
             FgAbGroup(IntMatrix.from_columns([[2, 2], [0, 2]], rows=2)),
         ]
         for a, b in itertools.product(pool, repeat=2):
-            h = hom_group(a, b)
             expected = enumerate_homs_bruteforce(a, b)
-            got = {f.canonical_key() for f in all_homs(h)}
+            got = {f.canonical_key() for f in all_homs(a, b)}
             assert got == expected, (a.symbol(), b.symbol())
 
     def test_generators_generate(self):
         a = FgAbGroup.from_cyclic_factors([2, 4])
         b = FgAbGroup.from_cyclic_factors([4])
-        h = hom_group(a, b)
+        h = reference_hom(a, b)
         moduli = h.group.coordinate_moduli()
-        generators = hom_generators(h)
+        generators = hom_generators(a, b)
         for coords in h.group.element_coords():
-            f = hom_at(h, coords)
+            f = hom_at(a, b, coords)
             acc = IntMatrix.zeros(b.ngens, a.ngens)
             for c, gen in zip(coords, generators):
                 acc = IntMatrix(acc.rows, acc.cols, [x + c * y for ra, rb in zip(acc.data, gen.matrix.data) for x, y in zip(ra, rb)])
@@ -275,12 +284,41 @@ class TestHomGroup:
         assert len(moduli) == len(generators)
 
 
+def closed_form_pool() -> list[FgAbGroup]:
+    """Every divisibility chain of order at most 16, with 0, 1 or 2 free
+    summands in turn, on its diagonal presentation and on a random
+    unimodular change of generators and of relation basis."""
+    rng = random.Random(29)
+    pool = []
+    for k, chain in enumerate(divisibility_chains(16)):
+        group = FgAbGroup.from_cyclic_factors(chain + (0,) * (k % 3))
+        rels = group.presentation
+        pool.append(group)
+        pool.append(FgAbGroup(random_unimodular(rng, rels.rows) @ rels @ random_unimodular(rng, rels.cols)))
+    return pool
+
+
+class TestClosedForms:
+    """``hom_group`` and ``ext_group`` read the type off invariant factors;
+    the references compute each from presentations."""
+
+    def test_hom_and_ext_match_the_presentation_references(self):
+        for a, b in itertools.product(closed_form_pool(), repeat=2):
+            assert hom_group(a, b).normal_form == reference_hom(a, b).group.normal_form, (a.symbol(), b.symbol())
+            assert ext_group(a, b).normal_form == reference_ext(a, b).normal_form, (a.symbol(), b.symbol())
+
+    def test_finite_hom_orders_match_the_bruteforce_count(self):
+        pool = [g for g in closed_form_pool() if g.is_finite and g.order <= 8]
+        for a, b in itertools.product(pool, repeat=2):
+            assert hom_group(a, b).order == len(enumerate_homs_bruteforce(a, b)), (a.symbol(), b.symbol())
+
+
 class TestExtGroup:
     def test_ext_z2_z4(self):
         assert ext_group(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)).normal_form == (0, (2,))
 
     def test_free_source_vanishes(self):
-        assert ext_group(FgAbGroup.free(3), FgAbGroup.cyclic(8)).is_trivial
+        assert ext_group(FgAbGroup.free(3), FgAbGroup.cyclic(8)).normal_form == (0, ())
 
     def test_mixed(self):
         a = FgAbGroup.from_cyclic_factors([2, 4])
@@ -289,7 +327,7 @@ class TestExtGroup:
 
     def test_gcd_identity_spot_checks(self):
         for a, b in [(2, 2), (4, 6), (9, 12), (5, 7)]:
-            h = hom_group(FgAbGroup.cyclic(a), FgAbGroup.cyclic(b)).group
+            h = hom_group(FgAbGroup.cyclic(a), FgAbGroup.cyclic(b))
             e = ext_group(FgAbGroup.cyclic(a), FgAbGroup.cyclic(b))
             assert h.order == gcd(a, b)
             assert e.order == gcd(a, b)
@@ -300,7 +338,7 @@ class TestModulo:
         assert FgAbGroup.cyclic(6).modulo(2).normal_form == (0, (2,))
 
     def test_coprime_collapses(self):
-        assert FgAbGroup.cyclic(3).modulo(2).is_trivial
+        assert FgAbGroup.cyclic(3).modulo(2).normal_form == (0, ())
 
     def test_free_mod(self):
         assert FgAbGroup.free(2).modulo(3).normal_form == (0, (3, 3))
@@ -331,7 +369,7 @@ class TestCochainComplex:
         doubling = AbHom(z, z, IntMatrix.from_rows([[2]]))
         c = CochainComplex([z, z], [doubling])
         assert homology_at(c, 1).group.normal_form == (0, (2,))
-        assert homology_at(c, 0).group.is_trivial
+        assert homology_at(c, 0).group.normal_form == (0, ())
 
     def test_section_properties(self):
         g8 = FgAbGroup.cyclic(8)
@@ -340,11 +378,11 @@ class TestCochainComplex:
         c = CochainComplex([g8, g8, g8], [quadrupling, doubling])
         h = homology_at(c, 1)
         # ker(x2) = {0, 4}, im(x4) = {0, 4}: middle homology vanishes
-        assert h.group.is_trivial
+        assert h.group.normal_form == (0, ())
         c2 = CochainComplex([g8, g8, g8], [doubling, quadrupling])
         h2 = homology_at(c2, 1)
         # ker(x4) = {0, 2, 4, 6}, im(x2) = {0, 2, 4, 6}
-        assert h2.group.is_trivial
+        assert h2.group.normal_form == (0, ())
 
     def test_class_coords_and_representatives(self):
         z = FgAbGroup.free(1)
@@ -379,10 +417,8 @@ class TestCochainComplex:
         built = 0
         while built < 40:
             g0, g1, g2 = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            h01 = hom_group(g0, g1)
-            h12 = hom_group(g1, g2)
-            d0 = hom_at(h01, rng.choice(h01.group.element_coords()))
-            candidates = [f for f in all_homs(h12) if (f @ d0).is_zero_map()]
+            d0 = rng.choice(all_homs(g0, g1))
+            candidates = [f for f in all_homs(g1, g2) if (f @ d0).is_zero_map()]
             d1 = rng.choice(candidates)
             c = CochainComplex([g0, g1, g2], [d0, d1])
             for k in range(3):
@@ -460,7 +496,7 @@ class TestModularNumerator:
         rng = random.Random(0)
         z2 = FgAbGroup.cyclic(2)
         sub = kernel_subgroup(AbHom(FgAbGroup.free(0), z2, IntMatrix.zeros(1, 0)))
-        assert sub.basis.shape == (0, 0) and sub.group.is_trivial
+        assert sub.basis.shape == (0, 0) and sub.group.normal_form == (0, ())
         sub = kernel_subgroup(AbHom(FgAbGroup.free(3), FgAbGroup.trivial(), IntMatrix.zeros(0, 3)))
         assert sub.basis == IntMatrix.identity(3)
         sub = kernel_subgroup(AbHom.zero(FgAbGroup.free(2), FgAbGroup.cyclic(12)))
@@ -475,7 +511,7 @@ class TestDirectSum:
         assert g.ngens == 2
 
     def test_empty(self):
-        assert direct_sum([]).is_trivial
+        assert direct_sum([]).normal_form == (0, ())
 
     @staticmethod
     def _random_summand(rng):

@@ -214,7 +214,7 @@ def suite_hom_ext_gcd():
         za = FgAbGroup.cyclic(a)
         zb = FgAbGroup.cyclic(b)
         expected = gcd(a, b)
-        assert hom_group(za, zb).group.order == expected, (a, b)
+        assert hom_group(za, zb).order == expected, (a, b)
         cases += 1
         assert ext_group(za, zb).order == expected, (a, b)
         cases += 1

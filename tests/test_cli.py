@@ -48,6 +48,9 @@ MODULI_SAMPLES = [
     # y -> 2x + y through one factor
     "c2c2_z2x3_shear",
     "c2c2_z4z2_shear",
+    # case B's closed forms on Z summands and on a non-diagonal relation
+    # basis: Hom(Z/2, Z) = 0, Hom(Z, Z/4) and Ext(Z/2, Z)
+    "stable_mixed_free",
 ]
 
 # A sample with no golden: the parent of the mod p route could not finish it,

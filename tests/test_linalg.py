@@ -10,7 +10,6 @@ from twostage.linalg import (
     congruence_kernel,
     hstack,
     integer_kernel,
-    kronecker,
     smith_normal_form,
 )
 
@@ -18,6 +17,7 @@ from helpers import (
     det_leibniz,
     in_span_small,
     kernel_vectors_in_box,
+    kronecker,
     minor_gcd_diagonal,
     random_unimodular,
     rank_fraction_free,

@@ -226,9 +226,9 @@ def test_orbits_match_the_polynomial_model(r, s):
 def test_coprime_orders_give_single_type():
     report = moduli_case_a(case_a(2, 3, n=3))
     assert report.pi0 == 1
-    assert all(row.group.is_trivial for row in report.pi_rows)
+    assert all(row.group.normal_form == (0, ()) for row in report.pi_rows)
     [block] = report.basepoints
-    assert block.pi1.kernel.is_trivial
+    assert block.pi1.kernel.normal_form == (0, ())
     assert block.pi1.order == report.aut_order == 2
 
 
@@ -237,7 +237,7 @@ def test_zero_coefficients_leave_only_group_automorphisms():
     report = moduli_case_a(alg)
     assert report.pi0 == 1
     assert report.basepoints[0].pi1.order == 2  # |Aut(Z/4)|
-    assert report.basepoints[0].pi1.kernel.is_trivial
+    assert report.basepoints[0].pi1.kernel.normal_form == (0, ())
 
 
 def test_higher_dimension_rows():
@@ -323,7 +323,7 @@ def test_stable_report_free_groups_symbolic():
     assert report.pi0 == 1
     assert report.pi_rows[0].group.normal_form == (1, ())  # Hom(Z, Z) = Z
     pointed, full = report.basepoints
-    assert pointed.pi1.kernel.is_trivial
+    assert pointed.pi1.kernel.normal_form == (0, ())
     assert pointed.pi1.order == 1
     assert full.pi1.order is None
     assert report.aut_order is None
