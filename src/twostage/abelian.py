@@ -34,8 +34,9 @@ relations into relations (``AbHom``), that d∘d vanishes
 it touches and reduced mod the diagonal.  Such a check costs
 O(nonzeros), not the rank of the source times the rank of the target,
 and accepts exactly what the dense check did.  A map given by its
-canonical key (``AbHom.from_key``) is checked in the target's canonical
-coordinates instead, with no matrix.
+canonical key (``AbHom.from_keys``, for a batch of maps) is checked in
+the target's canonical coordinates instead, with no matrix, one relation
+at a time over the whole batch.
 
 Hom and Ext are isomorphism types, read off the invariant factors of both
 groups, with no lattice: each is additive in either argument, so it is the
@@ -154,17 +155,26 @@ class FgAbGroup:
 
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
-        return cls(IntMatrix.zeros(rank, 0))
+        return cls._diagonal([0] * rank, IntMatrix.zeros(rank, 0))
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
-        return cls(IntMatrix.zeros(0, 0))
+        return cls._diagonal([], IntMatrix.zeros(0, 0))
 
     @classmethod
     def cyclic(cls, d: int) -> "FgAbGroup":
         if d < 1:
             raise ValueError("cyclic order must be positive")
-        return cls(IntMatrix.from_rows([[d]]))
+        return cls._diagonal([d], IntMatrix.from_rows([[d]]))
+
+    @classmethod
+    def _diagonal(cls, diag, presentation) -> "FgAbGroup":
+        # A presentation already in Smith form, u = v = 1: its Smith data
+        # is set directly, with no elimination.
+        group = cls.__new__(cls)
+        group._set_smith(diag, presentation, ())
+        group._u_rows = group._uinv_rows = tuple(((i, 1),) if d != 1 else () for i, d in enumerate(diag))
+        return group
 
     @classmethod
     def from_cyclic_factors(cls, factors: Sequence[int]) -> "FgAbGroup":
@@ -347,7 +357,7 @@ class AbHom:
     and then read by every check (``kills``) and every kernel.  A map given
     by its columns alone (``matrix`` None, as the bar differentials are)
     builds its matrix when read; a map given by its ``canonical_key``
-    alone (``from_key``) builds both when read.
+    alone (``from_keys``) builds both when read.
     """
 
     __slots__ = ("source", "target", "_matrix", "_columns", "_slot_columns", "_key")
@@ -414,36 +424,53 @@ class AbHom:
         return cls(group, group, IntMatrix.identity(group.ngens))
 
     @classmethod
-    def from_key(cls, source: FgAbGroup, target: FgAbGroup, key: Sequence[Sequence[int]]) -> "AbHom":
-        """The map sending generator j to the element with canonical
-        coordinates key[j]; ``key`` is its ``canonical_key``.
+    def from_keys(cls, source: FgAbGroup, target: FgAbGroup, keys: Sequence[Sequence[Sequence[int]]]) -> list["AbHom"]:
+        """The maps sending generator j to the element with canonical
+        coordinates key[j], one per key; ``key`` is the map's
+        ``canonical_key``.  A single map is a batch of one.
 
-        The key is checked in the target's canonical coordinates: the map
-        is well defined when every source relation r gives sum_j r_j key[j]
+        A key is checked in the target's canonical coordinates: its map is
+        well defined when every source relation r gives sum_j r_j key[j]
         = 0 in each coordinate, mod its modulus.  ``reduce`` kills exactly
         the relation lattice and ``reduce(lift(y)) = y``, so this is the
-        constructor's check on the lifted matrix, with the same refusal.
-        ``matrix`` and ``columns`` are lifted only when read."""
-        key = tuple(map(tuple, key))
-        if len(key) != source.ngens:
-            shape = (target.ngens, len(key))
-            raise ValueError(f"matrix shape {shape} does not match map {source.ngens} gens -> {target.ngens} gens")
+        constructor's check on the lifted matrix.  The check runs relation
+        by relation over the whole batch, each coordinate as one list over
+        the keys; a batch with a failing key is refused as the first such
+        key alone would be, at its first failing relation.  ``matrix`` and
+        ``columns`` are lifted only when read."""
+        keys = [tuple(map(tuple, key)) for key in keys]
         moduli = target.coordinate_moduli()
-        for y in key:
-            if len(y) != len(moduli):
-                raise ValueError(f"expected {len(moduli)} coordinates, got {len(y)}")
-        f = cls.__new__(cls)
-        f.source = source
-        f.target = target
-        f._matrix = f._columns = f._slot_columns = None
-        f._key = key
+        homs = []
+        for key in keys:
+            if len(key) != source.ngens:
+                shape = (target.ngens, len(key))
+                raise ValueError(f"matrix shape {shape} does not match map {source.ngens} gens -> {target.ngens} gens")
+            for y in key:
+                if len(y) != len(moduli):
+                    raise ValueError(f"expected {len(moduli)} coordinates, got {len(y)}")
+            f = cls.__new__(cls)
+            f.source = source
+            f.target = target
+            f._matrix = f._columns = f._slot_columns = None
+            f._key = key
+            homs.append(f)
+        failed = {}  # the first failing relation of each failing key
         for j, rel in enumerate(source.relation_columns):
-            w = [0] * len(moduli)
-            for g, r in rel:
-                w = [a + r * y for a, y in zip(w, key[g])]
-            if any(a % m if m else a for a, m in zip(w, moduli)):
-                f._refuse(j)
-        return f
+            for l, m in enumerate(moduli):
+                # coordinate l of sum_g r_g key[g], over the batch
+                w = [0] * len(keys)
+                for g, r in rel:
+                    w = [a + r * key[g][l] for a, key in zip(w, keys)]
+                if m:
+                    w = [a % m for a in w]
+                if any(w):
+                    for t, a in enumerate(w):
+                        if a:
+                            failed.setdefault(t, j)
+        if failed:
+            t = min(failed)
+            homs[t]._refuse(failed[t])
+        return homs
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "AbHom":

@@ -11,9 +11,10 @@ quadratic function on elements when n = 2.
 ``abelian_automorphisms`` builds Aut of a finite abelian stage one
 generator image at a time, pruning images dependent on the socle, instead
 of filtering End.  Each automorphism is held in canonical coordinates: its
-key is checked there (``AbHom.from_key``), its element map is built along
-the search tree, and its matrix on the presentation's generators is lifted
-only where it is read (the transport of case A's generating pairs).
+element map is built along the search tree, its key is read off that map
+and checked there with every other key in one batch (``AbHom.from_keys``),
+and its matrix on the presentation's generators is lifted only where it is
+read (the transport of case A's generating pairs).
 ``pi_aut`` computes the group of compatible automorphism pairs, each held
 as one permutation of the stages' elements (read off the built images and,
 for the module's action, off ``GModule.canonical_action``), so that
@@ -365,15 +366,15 @@ def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) 
     each with its element map: the positions, in ``element_coords()``
     order, of the images of the elements in that order.
 
-    They are built, not filtered out of End (``_automorphism_images``).
+    They are built, not filtered out of End (``_automorphism_maps``).
     With invariant factors d_1 | ... | d_k, f(e_i) is one of the
     prod_l gcd(d_i, d_l) elements killed by d_i; ``max_endos`` bounds
     |End|, the product over i, before anything is listed.  Each
-    automorphism's ``canonical_key`` is read off its images of the e_i
-    through the presentation's generators' sparse canonical coordinates,
-    and checked by ``AbHom.from_key`` in canonical coordinates; its matrix
-    on the generators is lifted only if read.  Its element map is built
-    along the search.
+    automorphism's ``canonical_key`` is read off its element map: the
+    image of a presentation generator x_g is the element at
+    ``points[position(reduce(x_g))]``.  The keys are checked as one batch
+    by ``AbHom.from_keys`` in canonical coordinates; a matrix on the
+    generators is lifted only if read.
     """
     if not group.is_finite:
         raise SizeBoundError("cannot enumerate automorphisms of an infinite group")
@@ -381,73 +382,76 @@ def abelian_automorphisms(group: FgAbGroup, max_endos: int = DEFAULT_MAX_ENDOS) 
     endos = math.prod(math.gcd(a, b) for a in factors for b in factors)
     if endos > max_endos:
         raise SizeBoundError("group too large to enumerate", requested=endos, bound=max_endos)
-    # each generator of the presentation as (canonical generator, coefficient) pairs
-    coords = [[(i, c) for i, c in enumerate(group.reduce(e)) if c] for e in IntMatrix.identity(group.ngens).data]
-    built = []
-    for images, points in _automorphism_images(group):
-        # the canonical key: the images of the presentation's generators;
-        # images are reduced, so a generator that is some e_i keeps its image
-        key = tuple(
-            images[terms[0][0]]
-            if len(terms) == 1 and terms[0][1] == 1
-            else tuple(sum(c * images[i][l] for i, c in terms) % d for l, d in enumerate(factors))
-            for terms in coords
-        )
-        built.append((key, points))
-    built.sort()
-    return [(AbHom.from_key(group, group, key), points) for key, points in built]
+    # the position of each generator of the presentation
+    generators = [group.position(group.reduce(e)) for e in IntMatrix.identity(group.ngens).data]
+    elements = group.element_coords()
+    built = sorted((tuple([elements[points[p]] for p in generators]), points) for points in _automorphism_maps(group))
+    homs = AbHom.from_keys(group, group, [key for key, _ in built])
+    return [(f, points) for f, (_, points) in zip(homs, built)]
 
 
-def _automorphism_images(group: FgAbGroup) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    """Each automorphism of a finite Z/d_1 x ... x Z/d_k as its images of the
-    canonical generators e_i, in canonical coordinates, with its element
-    map (``FgAbGroup.element_map`` of the images).  An endomorphism of a
-    finite group is bijective when it is injective on the socle: for each
-    prime p, the (d_i/p) f(e_i) with p | d_i are independent over F_p.
-    Images are chosen generator by generator, each socle vector reduced
-    against an echelon basis of the earlier ones (each row zero at the
-    earlier rows' pivots); a choice reducing to 0 is pruned.
+def _automorphism_maps(group: FgAbGroup) -> list[tuple[int, ...]]:
+    """The element map of each automorphism of a finite Z/d_1 x ... x Z/d_k
+    (``FgAbGroup.element_map`` of its images of the canonical generators
+    e_i).  An endomorphism of a finite group is bijective when it is
+    injective on the socle: for each prime p, the (d_i/p) f(e_i) with
+    p | d_i are independent over F_p.  Images are chosen generator by
+    generator.  The candidates for f(e_i) are listed once per depth: the x
+    killed by d_i whose socle vector (d_i/p) x is nonzero for every
+    p | d_i.  A node holds, for each prime, the span of the socle vectors
+    chosen so far, and a candidate with a vector in its prime's span is
+    pruned there.
 
     The element maps are built along the same search.  A node that has
     chosen f(e_1), ..., f(e_j) holds, for each coordinate l, the l-th
     coordinate times its stride of sum_{i <= j} c_i f(e_i) for every
     (c_1, ..., c_j) in mixed-radix order; a child extends these lists by
     its image, so every automorphism below a node shares its lists.  At a
-    leaf the strided coordinates add up to the positions."""
+    leaf the strided coordinate lists add up to the positions."""
     factors = group.invariant_factors
     if not factors:
-        return [((), (0,))]
+        return [(0,)]
     strides = group.strides
-    # (images so far, per prime: echelon rows as (pivot, row), strided coordinate lists)
-    level = [((), {}, tuple([0] for _ in factors))]
+    exponent = factors[-1]
+    primes = [p for p in range(2, exponent + 1) if exponent % p == 0 and all(p % q for q in range(2, p))]
+    # (per prime: the span of the socle vectors chosen so far, strided coordinate lists)
+    level = [({p: {tuple(0 for m in factors if m % p == 0)} for p in primes}, tuple([0] for _ in factors))]
     for depth, d in enumerate(factors):
         leaf = depth + 1 == len(factors)
-        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
-        grown = []
+        dividing = [p for p in primes if d % p == 0]
+        candidates = []
         for x in itertools.product(*(range(0, m, m // math.gcd(d, m)) for m in factors)):
             # (d/p) x on the basis (m/p) e_l of the socle, p | m
-            vectors = [[(d // p * c % m) // (m // p) for c, m in zip(x, factors) if m % p == 0] for p in primes]
+            vectors = [tuple([(d // p * c % m) // (m // p) for c, m in zip(x, factors) if m % p == 0]) for p in dividing]
+            if all(map(any, vectors)):
+                candidates.append((x, list(zip(dividing, vectors))))
+        grown = []
+        for x, vectors in candidates:
             # per coordinate: the multiples c x_l (c < d) times the stride, and the strided modulus
             offsets = [([k * c * s for k in range(d)], m * s) for c, m, s in zip(x, factors, strides)]
-            for chosen, bases, lists in level:
-                rows = {}
-                for p, v in zip(primes, vectors):
-                    for pivot, row in bases.get(p, ()):
-                        v = [(a * row[pivot] - v[pivot] * b) % p for a, b in zip(v, row)]
-                    if not any(v):
+            for spans, lists in level:
+                for p, v in vectors:
+                    if v in spans[p]:
                         break
-                    rows[p] = bases.get(p, ()) + ((next(j for j, a in enumerate(v) if a), v),)
                 else:
-                    lists = tuple(
+                    lists = [
                         [(a + o) % m for a in lst for o in offs] if offs[-1] else [a for a in lst for _ in offs]
                         for lst, (offs, m) in zip(lists, offsets)
-                    )
+                    ]
                     if leaf:
-                        grown.append((chosen + (x,), tuple(map(sum, zip(*lists)))))
+                        points = lists[0]
+                        for lst in lists[1:]:
+                            points = [a + b for a, b in zip(points, lst)]
+                        grown.append(tuple(points))
                     else:
-                        grown.append((chosen + (x,), {**bases, **rows}, lists))
+                        grown.append(({**spans, **{p: _span_with(spans[p], v, p) for p, v in vectors}}, lists))
         level = grown
     return level
+
+
+def _span_with(span: set, v: tuple[int, ...], p: int) -> set:
+    """The F_p span of the vectors in ``span`` and v."""
+    return {tuple([(a + c * b) % p for a, b in zip(s, v)]) for s in span for c in range(p)}
 
 
 def pi_aut(

@@ -77,6 +77,26 @@ class TestNormalForm:
         assert FgAbGroup.cyclic(1).normal_form == (0, ())
         assert FgAbGroup.trivial().symbol() == "0"
 
+    def test_cyclic_free_and_trivial_match_the_smith_route(self, monkeypatch):
+        # each is given by its Smith data, with no elimination; that data,
+        # and the coordinates read off it, are the Smith form's
+        cases = [(lambda d=d: FgAbGroup.cyclic(d), IntMatrix.from_rows([[d]])) for d in range(1, 65)]
+        cases += [(lambda r=r: FgAbGroup.free(r), IntMatrix.zeros(r, 0)) for r in range(4)]
+        cases.append((FgAbGroup.trivial, IntMatrix.zeros(0, 0)))
+        rng = random.Random(5)
+        for build, presentation in cases:
+            want = FgAbGroup(presentation)
+            with monkeypatch.context() as m:
+                m.setattr(twostage.abelian, "smith_normal_form", None)
+                got = build()
+            for name in ("_diag", "_u_rows", "_uinv_rows", "invariant_factors", "relation_columns", "presentation"):
+                assert getattr(got, name) == getattr(want, name), (presentation, name)
+            for _ in range(5):
+                v = [rng.randint(-200, 200) for _ in range(got.ngens)]
+                assert got.reduce(v) == want.reduce(v)
+                c = [rng.randint(-200, 200) for _ in got.coordinate_moduli()]
+                assert got.lift(c) == want.lift(c)
+
     def test_presentation_invariance(self):
         # same quotient of Z^2, redundant and shuffled relations
         g1 = FgAbGroup(IntMatrix.from_columns([[2, 0], [0, 4]], rows=2))

@@ -51,6 +51,9 @@ MODULI_SAMPLES = [
     # case B's closed forms on Z summands and on a non-diagonal relation
     # basis: Hom(Z/2, Z) = 0, Hom(Z, Z/4) and Ext(Z/2, Z)
     "stable_mixed_free",
+    # Aut(C6 x C6) on a non-diagonal relation basis: the socle search runs
+    # over two primes, 2 and 3, at each depth
+    "stable_z6z6_rebased_q",
 ]
 
 # A sample with no golden: the parent of the mod p route could not finish it,

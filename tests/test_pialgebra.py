@@ -567,20 +567,61 @@ def test_from_key_matches_the_lifted_matrix_on_random_presentations(chain, targe
     # every automorphism's key, and random keys that mostly break a relation
     keys = [f.canonical_key() for f, _ in abelian_automorphisms(source)][:50]
     keys = [(source, source, key) for key in keys]
-    for _ in range(20):
-        key = [tuple(rng.randrange(d) for d in target.invariant_factors) for _ in range(source.ngens)]
-        keys.append((source, target, key))
+    for b in (source, target):
+        for _ in range(20):
+            key = [tuple(rng.randrange(d) for d in b.invariant_factors) for _ in range(source.ngens)]
+            keys.append((source, b, key))
     for a, b, key in keys:
         want = violations_of(lambda: lifted_hom(a, b, key))
-        assert violations_of(lambda: AbHom.from_key(a, b, key)) == want
+        assert violations_of(lambda: AbHom.from_keys(a, b, [key])[0]) == want
         if want is not None:
             assert want[0][0] == "hom.matrix" and "relation_column" in want[0][2]
             continue
-        lazy, eager = AbHom.from_key(a, b, key), lifted_hom(a, b, key)
+        lazy, eager = AbHom.from_keys(a, b, [key])[0], lifted_hom(a, b, key)
         assert lazy._matrix is None and lazy._columns is None
         assert lazy.canonical_key() == eager.canonical_key() == tuple(map(tuple, key))
         assert lazy.columns == eager.columns
         assert lazy.matrix == eager.matrix
+    # as batches, in random order: refused as the first invalid key alone
+    # is, and otherwise key by key the maps of batches of one and of the
+    # lifted route
+    for b in (source, target):
+        batch = [key for _, b_, key in keys if b_ is b]
+        rng.shuffle(batch)
+        wants = [violations_of(lambda: lifted_hom(source, b, key)) for key in batch]
+        first = next((want for want in wants if want is not None), None)
+        assert violations_of(lambda: AbHom.from_keys(source, b, batch)) == first
+        valid = [key for key, want in zip(batch, wants) if want is None]
+        lazy = AbHom.from_keys(source, b, valid)
+        assert len(lazy) == len(valid)
+        for f, key in zip(lazy, valid):
+            one, eager = AbHom.from_keys(source, b, [key])[0], lifted_hom(source, b, key)
+            assert f._matrix is None and f._columns is None
+            assert f.canonical_key() == one.canonical_key() == eager.canonical_key()
+            assert f.columns == one.columns == eager.columns
+            assert f.matrix == eager.matrix
+
+
+def test_from_keys_refuses_at_the_first_invalid_key_not_the_first_relation():
+    # on Z/2 x Z/2 -> Z/4, key 0 breaks only relation 1 (2 x_1) and key 1
+    # only relation 0 (2 x_0): the batch is refused as key 0 is, at relation 1
+    source, target = FgAbGroup(IntMatrix.from_rows([[2, 0], [0, 2]])), FgAbGroup.cyclic(4)
+    batch = [[(0,), (1,)], [(1,), (0,)]]
+    want = [
+        (
+            "hom.matrix",
+            "matrix does not send source relations into target relations",
+            {"relation_column": 1, "relation": (0, 2)},
+        )
+    ]
+    assert violations_of(lambda: lifted_hom(source, target, batch[0])) == want
+    assert violations_of(lambda: lifted_hom(source, target, batch[1]))[0][2]["relation_column"] == 0
+    assert violations_of(lambda: AbHom.from_keys(source, target, batch)) == want
+    assert AbHom.from_keys(source, target, []) == []
+    with pytest.raises(ValueError, match="does not match map"):
+        AbHom.from_keys(source, target, [[(0,), (2,)], [(0,)]])
+    with pytest.raises(ValueError, match="expected 1 coordinates"):
+        AbHom.from_keys(source, target, [[(0,), (2,)], [(0,), (1, 0)]])
 
 
 def test_from_key_refuses_a_relation_sent_outside_the_lattice():
@@ -596,11 +637,11 @@ def test_from_key_refuses_a_relation_sent_outside_the_lattice():
             {"relation_column": 1, "relation": (2, 2)},
         )
     ]
-    assert violations_of(lambda: AbHom.from_key(group, group, key)) == want
+    assert violations_of(lambda: AbHom.from_keys(group, group, [key])[0]) == want
     with pytest.raises(ValueError, match="does not match map"):
-        AbHom.from_key(group, group, key[:1])
+        AbHom.from_keys(group, group, [key[:1]])
     with pytest.raises(ValueError, match="expected 2 coordinates"):
-        AbHom.from_key(group, group, [(0,), (1,)])
+        AbHom.from_keys(group, group, [[(0,), (1,)]])
 
 
 def test_automorphism_counts_match_the_closed_form():
@@ -757,7 +798,8 @@ def test_pi_aut_refuses_a_large_stage_before_listing_its_elements(alg, monkeypat
     def refuse(*args):
         raise AssertionError("listed the elements of a stage before the max_endos bound")
 
-    monkeypatch.setattr(pialgebra, "_automorphism_images", refuse)
+    monkeypatch.setattr(pialgebra, "_automorphism_maps", refuse)
     monkeypatch.setattr(FgAbGroup, "elements", refuse)
+    monkeypatch.setattr(FgAbGroup, "element_coords", refuse)
     with pytest.raises(SizeBoundError):
         pi_aut(alg)
