@@ -276,9 +276,9 @@ class FgAbGroup:
         ranges = [range(d) for d in self.invariant_factors]
         return [tuple(c) for c in itertools.product(*ranges)]
 
-    def elements(self, limit: int | None = None) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         """Generator-coordinate representatives, aligned with element_coords."""
-        return [self.lift(c) for c in self.element_coords(limit)]
+        return [self.lift(c) for c in self.element_coords()]
 
     @property
     def strides(self) -> tuple[int, ...]:

@@ -80,6 +80,12 @@ def _expect_object(value, path: str) -> dict:
     return value
 
 
+def _expect_fields(desc: dict, path: str, allowed) -> None:
+    extra = set(desc) - set(allowed)
+    if extra:
+        raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+
+
 def _expect_int(value, path: str, minimum=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputFormatError(f"{path}: expected an integer, got {type(value).__name__}")
@@ -115,9 +121,7 @@ def _build_finite_group(desc, path: str, bounds: Bounds) -> FiniteGroup:
         raise InputFormatError(
             f"{path}: give exactly one of cyclic_factors, permutations, table"
         )
-    extra = set(desc) - {keys[0]}
-    if extra:
-        raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+    _expect_fields(desc, path, keys)
     kind = keys[0]
     if kind == "cyclic_factors":
         factors = _expect_int_list(desc[kind], f"{path}.cyclic_factors", minimum=1)
@@ -147,15 +151,11 @@ def _build_finite_group(desc, path: str, bounds: Bounds) -> FiniteGroup:
 def _build_abelian(desc, path: str) -> FgAbGroup:
     desc = _expect_object(desc, path)
     if "cyclic_factors" in desc:
-        extra = set(desc) - {"cyclic_factors"}
-        if extra:
-            raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+        _expect_fields(desc, path, ["cyclic_factors"])
         factors = _expect_int_list(desc["cyclic_factors"], f"{path}.cyclic_factors", minimum=0)
         return FgAbGroup.from_cyclic_factors(factors)
     if "generators" in desc:
-        extra = set(desc) - {"generators", "relations"}
-        if extra:
-            raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+        _expect_fields(desc, path, ["generators", "relations"])
         ngens = _expect_int(desc["generators"], f"{path}.generators", minimum=0)
         relations = desc.get("relations", [])
         if not isinstance(relations, list):
@@ -176,9 +176,7 @@ def _build_module(desc, path: str, group: FiniteGroup) -> GModule:
     desc = _expect_object(desc, path)
     if "coefficients" not in desc:
         raise InputFormatError(f"{path}.coefficients: missing")
-    extra = set(desc) - {"coefficients", "action"}
-    if extra:
-        raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+    _expect_fields(desc, path, ["coefficients", "action"])
     base = _build_abelian(desc["coefficients"], f"{path}.coefficients")
     action_desc = desc.get("action", "trivial")
     if action_desc == "trivial":
@@ -202,9 +200,7 @@ def _build_q(desc, path: str, n: int, an: FgAbGroup, an1: FgAbGroup):
         return None
     desc = _expect_object(desc, path)
     if "matrix" in desc:
-        extra = set(desc) - {"matrix"}
-        if extra:
-            raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+        _expect_fields(desc, path, ["matrix"])
         if n == 2:
             raise InputFormatError(
                 f"{path}: n = 2 needs an element_table, not a matrix"
@@ -212,9 +208,7 @@ def _build_q(desc, path: str, n: int, an: FgAbGroup, an1: FgAbGroup):
         matrix = _expect_matrix(desc["matrix"], f"{path}.matrix", an1.ngens, an.ngens)
         return AbHom(an.modulo(2), an1, matrix)
     if "element_table" in desc:
-        extra = set(desc) - {"element_table"}
-        if extra:
-            raise InputFormatError(f"{path}.{sorted(extra)[0]}: unexpected field")
+        _expect_fields(desc, path, ["element_table"])
         if n != 2:
             raise InputFormatError(f"{path}: element tables are for n = 2 only; use a matrix")
         table = desc["element_table"]

@@ -42,7 +42,6 @@ from .abelian import (
     Subquotient,
     direct_sum,
     homology_at,
-    kernel_subgroup,
     rank_mod_p,
 )
 from .errors import InternalConsistencyError, SizeBoundError
@@ -339,10 +338,8 @@ class Derivations:
 
 
 def derivations(module: GModule, max_rank: int = DEFAULT_MAX_RANK) -> Derivations:
-    """The group of derivations (1-cocycles) with representatives."""
-    complex_ = bar_complex(module, 2, max_rank=max_rank)
-    sub = kernel_subgroup(complex_.maps[1])
-    return Derivations(module, sub)
+    """Derivations, Z^1 with representatives, read off the cohomology ladder."""
+    return Derivations(module, cohomology_range(module, 1, max_rank=max_rank)[1].cocycles())
 
 
 # -- enumeration oracle ----------------------------------------------------

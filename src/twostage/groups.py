@@ -7,8 +7,9 @@ Latin-square property, two-sided inverses, and associativity by Light's
 test against a generating set, equivalent to the cubic check but fast
 enough for tables in the hundreds.  Groups built from permutation
 generators get a deterministic element order: breadth first over
-products, generators applied in input order.  Automorphisms are images
-of a generating set, checked on the edges of the Cayley graph.
+products, generators applied in input order.  One walk of the Cayley
+graph, ``_span``, closes the generating set that Light's test reads and
+checks automorphisms, images of that set, on the graph's edges.
 """
 
 from __future__ import annotations
@@ -157,31 +158,19 @@ class FiniteGroup:
             k += 1
         return k
 
-    def generators(self) -> tuple[int, ...]:
-        return _greedy_generators(self.table)
-
     def __repr__(self):
         return f"FiniteGroup(order {self.order})"
 
 
 def _greedy_generators(table) -> tuple[int, ...]:
-    """Small generating set: repeatedly adjoin the lowest element not yet
-    generated.  At most log2(n) generators."""
+    """Small generating set: repeatedly adjoin the lowest element outside
+    the ``_span`` of the generators so far.  At most log2(n) generators."""
     n = len(table)
-    closure = {0}
+    closure = {0: 0}
     gens = []
     while len(closure) < n:
-        new_gen = next(i for i in range(n) if i not in closure)
-        gens.append(new_gen)
-        frontier = [new_gen]
-        closure.add(new_gen)
-        while frontier:
-            x = frontier.pop()
-            for y in list(closure):
-                for z in (table[x][y], table[y][x]):
-                    if z not in closure:
-                        closure.add(z)
-                        frontier.append(z)
+        gens.append(next(i for i in range(n) if i not in closure))
+        closure = _span(table, gens, gens)
     return tuple(gens)
 
 

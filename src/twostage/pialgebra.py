@@ -90,14 +90,8 @@ class QuadraticMap:
 
     __slots__ = ("source", "target", "values")
 
-    def __init__(
-        self,
-        source: FgAbGroup,
-        target: FgAbGroup,
-        values: Sequence[Sequence[int]],
-        max_order: int = DEFAULT_MAX_QUADRATIC_ORDER,
-    ):
-        _check_enumerable(source, max_order)
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, values: Sequence[Sequence[int]]):
+        _check_enumerable(source)
         if len(values) != source.order:
             raise ValidationError(
                 Violation(
@@ -119,9 +113,9 @@ class QuadraticMap:
         self._check_cross_effect()
 
     @classmethod
-    def zero(cls, source: FgAbGroup, target: FgAbGroup, max_order: int = DEFAULT_MAX_QUADRATIC_ORDER) -> "QuadraticMap":
-        _check_enumerable(source, max_order)
-        return cls(source, target, [(0,) * target.ngens] * source.order, max_order=max_order)
+    def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "QuadraticMap":
+        _check_enumerable(source)
+        return cls(source, target, [(0,) * target.ngens] * source.order)
 
     def __call__(self, vec: Sequence[int]) -> tuple[int, ...]:
         """q(x) in target generator coordinates; x in source generator coordinates."""
@@ -160,13 +154,15 @@ class QuadraticMap:
         return f"QuadraticMap({self.source.symbol()} -> {self.target.symbol()})"
 
 
-def _check_enumerable(source: FgAbGroup, max_order: int):
+def _check_enumerable(source: FgAbGroup):
     """Refuse a source that exhaustive validation of q cannot go through."""
     if not source.is_finite:
         raise ValidationError(Violation("q.source", "quadratic maps require a finite source group"))
-    if source.order > max_order:
+    if source.order > DEFAULT_MAX_QUADRATIC_ORDER:
         raise SizeBoundError(
-            "source too large for exhaustive quadratic validation", requested=source.order, bound=max_order
+            "source too large for exhaustive quadratic validation",
+            requested=source.order,
+            bound=DEFAULT_MAX_QUADRATIC_ORDER,
         )
 
 

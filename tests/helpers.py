@@ -933,21 +933,33 @@ def element_map(f: AbHom) -> tuple[int, ...]:
     """A homomorphism of finite groups as the positions, in the target's
     ``element_coords()`` order, of the images of the source's elements in
     that order: the definition the package's element maps are checked
-    against.  Every element is mapped, reduced in the target and looked
-    up by its coordinates."""
+    against.  Every element is evaluated from the map's canonical key."""
     return element_maps([f])[0]
 
 
 def element_maps(maps) -> list[tuple[int, ...]]:
     """``element_map`` of each of ``maps``, which share one source and one
-    target: the source's elements and the target's positions are listed
-    once, and every element is still mapped by each map's matrix."""
+    target.  Each element x, in the source's generator coordinates, is
+    evaluated one target coordinate at a time from the images of the
+    source's generators (the canonical key): f(x)_l = sum_j x_j key[j][l]
+    mod d_l, times the stride of coordinate l."""
     source, target = maps[0].source, maps[0].target
     if not all(f.source.same_presentation(source) and f.target.same_presentation(target) for f in maps):
         raise ValueError("maps do not share one source and one target")
     elements = source.elements()
-    position = {c: i for i, c in enumerate(target.element_coords())}
-    return [tuple(position[target.reduce(f(x))] for x in elements) for f in maps]
+    columns = list(zip(*elements))  # x_j for every element x
+    coordinates = list(enumerate(zip(target.invariant_factors, target.strides)))
+    out = []
+    for f in maps:
+        key = f.canonical_key()
+        points = [0] * len(elements)
+        for l, (d, stride) in coordinates:
+            terms = [[x * c for x in xs] for xs, c in zip(columns, [y[l] for y in key])] or [[0] * len(elements)]
+            values = terms[0] if len(terms) == 1 else [sum(t) for t in zip(*terms)]
+            coordinate = [v % d * stride for v in values]
+            points = coordinate if l == 0 else [p + c for p, c in zip(points, coordinate)]
+        out.append(tuple(points))
+    return out
 
 
 def hom_inverse(f: AbHom) -> AbHom:
@@ -1003,7 +1015,7 @@ def transport_quadratic(q: QuadraticMap, psi_n: AbHom, psi_n1: AbHom) -> Quadrat
     source and target."""
     inv = hom_inverse(psi_n)
     values = [psi_n1(q(inv(q.source.lift(c)))) for c in q.source.element_coords()]
-    return QuadraticMap(q.source, q.target, values, max_order=q.source.order)
+    return QuadraticMap(q.source, q.target, values)
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:

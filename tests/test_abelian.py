@@ -140,7 +140,7 @@ class TestElements:
 
     def test_limit_enforced(self):
         with pytest.raises(SizeBoundError):
-            FgAbGroup.cyclic(100).elements(limit=10)
+            FgAbGroup.cyclic(100).element_coords(limit=10)
 
     def test_trivial_group_has_one_element(self):
         assert FgAbGroup.trivial().elements() == [()]

@@ -23,6 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ROOT / "samples"
 GOLDEN = SAMPLES / "golden"
 
+# CI's "Golden reports under a time limit" step makes every golden run below
+# again, each in a fresh process under `timeout 60`, and runs the two samples
+# without a golden; a comment beside an entry says what its time limit pins.
 MODULI_SAMPLES = [
     "two_types_z2",
     "orbits_z3",
@@ -33,35 +36,62 @@ MODULI_SAMPLES = [
     "stable_free",
     "stable_reduction_q",
     "stable_quadratic",
+    # (C2 x C2, (Z/2)^2): Aut(A) of order 36 acting on 256 k-invariant
+    # classes must not hang
     "c2c2_z2z2",
+    # (C6, (Z/2)^2) on the non-diagonal relation basis [[-2, 0], [2, 2]]:
+    # its cochain groups must take their Smith data from the coefficients',
+    # not from a Smith form of each block-diagonal presentation
     "c6_z2z2_rebased",
+    # (C8, Z/2): the Smith forms of its cocycle subquotients (up to
+    # 343 x 392) must run on sparse rows, with the dense form's pivots
     "c8_z2",
+    # (C2^3, Z/2): Aut(A) of order 168 must act through its generators
+    # alone, not one transport per pair
     "c2x3_z2",
+    # (C2 x C2, (Z/2)^3): Aut(A) of order 1008 on 4096 classes must not
+    # build a composition table of |Aut(A)|^2 cells
     "c2c2_z2x3",
     "stable_rebased_q",
+    # ((Z/2)^4 -> Z/2, max_endos raised to 65536): the 20160 automorphisms
+    # of (Z/2)^4 must be built with no generator matrix; their keys are
+    # read off their element maps and checked as one batch in canonical
+    # coordinates
     "stable_z2x4_z2_q",
+    # (C9, Z/3) and (C6, Z/4, n = 3): their cocycle lattices (up to 512
+    # unknowns and 4096 congruences mod 3, and 625 unknowns and 3125
+    # congruences mod 4) must come from row reduction mod p and p-adic
+    # lifting, not from column operations on [C; I]
     "c9_z3",
     "c6_z4_n3",
+    # (S3, Z/2), the only moduli golden with a nonabelian A_1: Aut(S3)
+    # through the span search, and compatible pairs over a nonabelian group
     "perm_group_cohomology",
     # non-diagonal actions on coefficients with several generators:
     # C2 x C2 on (Z/2)^3 by two commuting shears, and on Z/4 x Z/2 by
-    # y -> 2x + y through one factor
+    # y -> 2x + y through one factor; they pin the bar differentials'
+    # action blocks and the k-invariant transport by block index, where
+    # psi mixes the coordinates of a block
     "c2c2_z2x3_shear",
     "c2c2_z4z2_shear",
     # case B's closed forms on Z summands and on a non-diagonal relation
     # basis: Hom(Z/2, Z) = 0, Hom(Z, Z/4) and Ext(Z/2, Z)
     "stable_mixed_free",
     # Aut(C6 x C6) on a non-diagonal relation basis: the socle search runs
-    # over two primes, 2 and 3, at each depth
+    # over two primes, 2 and 3, at each depth; Aut has order 288, and 192
+    # pairs commute with q = (3, 0)
     "stable_z6z6_rebased_q",
 ]
 
 # A sample with no golden: the parent of the mod p route could not finish it,
-# so its report is checked against closed forms instead.
+# so its report is checked against closed forms instead.  CI requires exit 0
+# within 60 s.
 NO_GOLDEN_SAMPLE = "c8_z4_n3.json"
 
 # A sample refused by a bound, so it has no report: ((Z/2)^6, Z/2) at n = 2
 # with a zero element table, whose |End((Z/2)^6)| = 2^36 is over max_endos.
+# CI requires exit 4 within 10 s, so the 64-element table must be checked
+# without the cubic loop over all triples.
 REFUSED_SAMPLE = "stable_z2x6_zero_q.json"
 
 GOLDEN_RUNS = [
@@ -74,7 +104,13 @@ GOLDEN_RUNS = [
         "perm_group_cohomology.cohomology.txt",
         ["cohomology", "perm_group_cohomology.json", "--degrees", "0..2", "--oracle"],
     ),
+    # (C4, Z/4) under --oracle and check decides all 4^9 = 262144 degree-2
+    # cochains: the oracle searches them depth first, dropping each prefix
+    # at the first coboundary row it completes, and must not hang
     ("c4_z4.cohomology.txt", ["cohomology", "c4_z4.json", "--degrees", "0..2", "--oracle"]),
+    # (C8, Z/2) in degrees 0..4: each type comes off F_p ranks (up to a
+    # 16807 x 2401 differential mod 2), not off a Smith form of Z^k / B^k
+    # (up to 2401 x 2744)
     ("c8_z2.cohomology.txt", ["cohomology", "c8_z2.json", "--degrees", "0..4"]),
     ("negation_action.check.txt", ["check", "negation_action.json"]),
     ("stable_quadratic.check.txt", ["check", "stable_quadratic.json"]),
@@ -101,6 +137,12 @@ def case_a_doc(**overrides):
         "group": {"cyclic_factors": [2]},
         "module": {"coefficients": {"cyclic_factors": [2]}, "action": "trivial"},
     }
+    doc.update(overrides)
+    return doc
+
+
+def case_b_doc(**overrides):
+    doc = {"case": "B", "n": 2, "an": {"cyclic_factors": [2]}, "an1": {"cyclic_factors": [2]}, "q": "zero"}
     doc.update(overrides)
     return doc
 
@@ -176,6 +218,14 @@ def test_every_sample_and_golden_is_exercised():
     assert goldens_used == {p.name for p in GOLDEN.glob("*.txt")}
 
 
+def test_ci_reads_its_golden_runs_from_this_file():
+    # The workflow's golden step prints its runs from GOLDEN_RUNS,
+    # NO_GOLDEN_SAMPLE and REFUSED_SAMPLE and names no sample itself.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert "from test_cli import GOLDEN_RUNS, NO_GOLDEN_SAMPLE, REFUSED_SAMPLE" in workflow
+    assert not any(p.stem in workflow for p in SAMPLES.glob("*.json"))
+
+
 def test_reports_are_deterministic(capsys):
     argv = ["moduli", SAMPLES / "orbits_z3.json"]
     _, first, _ = run_cli(argv, capsys)
@@ -238,6 +288,24 @@ class TestParseErrors:
         status, _, err = run_cli(["moduli", path], capsys)
         assert status == 2
         assert "surplus" in err
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            (case_a_doc(group={"cyclic_factors": [2], "zeta": 1, "alpha": 1}), "group.alpha"),
+            (case_a_doc(module={"coefficients": {"cyclic_factors": [2]}, "weights": 1}), "module.weights"),
+            (case_a_doc(module={"coefficients": {"cyclic_factors": [2], "order": 2}}), "module.coefficients.order"),
+            (case_b_doc(an={"generators": 1, "relations": [[2]], "name": "x"}), "an.name"),
+            (case_b_doc(n=3, q={"matrix": [[1]], "note": ""}), "q.note"),
+            (case_b_doc(q={"element_table": [[0], [1]], "note": ""}), "q.note"),
+        ],
+        ids=["group", "module", "cyclic_factors", "generators", "matrix", "element_table"],
+    )
+    def test_nested_unexpected_field_is_named_with_its_path(self, doc, field, tmp_path, capsys):
+        # the first extra key in sorted order
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, doc)], capsys)
+        assert (status, out) == (2, "")
+        assert err == f"error[E_PARSE]: {field}: unexpected field\n"
 
     def test_group_needs_exactly_one_description(self, tmp_path, capsys):
         doc = case_a_doc(group={"cyclic_factors": [2], "table": [[0]]})

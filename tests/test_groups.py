@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twostage import pialgebra
 from twostage.abelian import AbHom, FgAbGroup
 from twostage.errors import SizeBoundError, ValidationError
-from twostage.groups import FiniteGroup, GModule, automorphism_group
+from twostage.groups import FiniteGroup, GModule, _greedy_generators, automorphism_group
 from twostage.linalg import IntMatrix
 
 from helpers import (
@@ -129,6 +130,28 @@ REFERENCE_GROUPS = [
     ("D4xC2", direct_product(D4, C2)),
     ("Q8xC2", direct_product(quaternion_group(), C2)),
 ]
+
+
+def generated_subgroup(table, gens) -> set[int]:
+    """The subgroup ``gens`` generate: the identity and ``gens`` closed
+    under products of any two elements reached."""
+    closure = {0, *gens}
+    while True:
+        new = {table[x][y] for x in closure for y in closure} - closure
+        if not new:
+            return closure
+        closure |= new
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_GROUPS), st.randoms(use_true_random=False))
+def test_greedy_generators_are_the_lowest_elements_outside_the_span_so_far(named, rng):
+    _, group = named
+    g = relabel(group, [0] + rng.sample(range(1, group.order), group.order - 1))
+    gens = _greedy_generators(g.table)
+    for k, x in enumerate(gens):
+        assert x == min(set(range(g.order)) - generated_subgroup(g.table, gens[:k]))
+    assert generated_subgroup(g.table, gens) == set(range(g.order))
 
 
 class TestAutomorphismGroup:

@@ -166,8 +166,13 @@ def test_quadratic_map_evaluation_and_zero():
 
 
 def test_quadratic_map_size_bound():
+    # the module's bound, checked before a value is listed or read
+    with pytest.raises(SizeBoundError) as exc:
+        QuadraticMap.zero(FgAbGroup.cyclic(100), FgAbGroup.cyclic(2))
+    assert (exc.value.requested, exc.value.bound) == (100, 64)
     with pytest.raises(SizeBoundError):
-        QuadraticMap.zero(FgAbGroup.cyclic(100), FgAbGroup.cyclic(2), max_order=64)
+        QuadraticMap(FgAbGroup.cyclic(65), FgAbGroup.cyclic(2), [])
+    assert QuadraticMap.zero(FgAbGroup.cyclic(64), FgAbGroup.cyclic(2)).is_zero_map()
 
 
 def test_quadratic_value_table_shape_checked():
