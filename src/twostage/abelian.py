@@ -298,10 +298,19 @@ class FgAbGroup:
     def element_map(self, images: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """The positions of f(x) for every x, both in ``element_coords()``
         order, where f sends the i-th canonical generator to ``images[i]``
-        (canonical coordinates).  Adding each image, one factor at a time,
-        lists every f(x); each coordinate is listed in turn.  f is an
-        endomorphism when each image's order divides its generator's."""
+        (canonical coordinates).  f is an endomorphism when each image's
+        order divides its generator's.  On (Z/2)^r a position is a bit
+        string and f(x + e_i) = f(x) XOR f(e_i), so the map doubles from
+        [f(0)], last generator first.  Otherwise adding each image, one
+        factor at a time, lists every f(x); each coordinate is listed in
+        turn, and its place value read off ``strides``."""
         factors = self.invariant_factors
+        if all(d == 2 for d in factors):
+            positions = [0]
+            for image in reversed(images):
+                y = self.position([c & 1 for c in image])
+                positions += [q ^ y for q in positions]
+            return tuple(positions)
         positions = [0] * math.prod(factors)
         for i, (m, stride) in enumerate(zip(factors, self.strides)):
             coord = [0]

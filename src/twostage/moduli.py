@@ -21,8 +21,9 @@ traversal over their permutations, and each stabilizer order is
 - Schreier relations: every pair's action, a product of generators along
   the Schreier tree of Aut(A), obeys s.j for every generator s and pair
   j, so the generators' permutations are an action of Aut(A);
-- Burnside: the fixed classes of every pair, each |coker(A - I)| of its
-  matrix A on H's coordinates, sum to pi_0 |Aut(A)|.
+- Burnside: the fixed classes of every pair, each |ker(A - I)| for its
+  matrix A on H's coordinates, sum to pi_0 |Aut(A)|.  For H = (Z/p)^r,
+  p prime, that is p^(r - rank_p(A - I)); otherwise |coker(A - I)|.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, ext_group, hom_group
-from .cohomology import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_RANK, cohomology_range
+from .cohomology import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_RANK, _prime_exponent, cohomology_range
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
 from .linalg import _xgcd
@@ -158,7 +159,7 @@ def moduli_case_a(
     orbits = _orbits(classes, perms, aut.order)
     _require(sum(o.size for o in orbits) == len(classes), "orbit sizes do not sum to |H^(n+1)|")
     _require(orbits[0].representative == classes[0], "zero class is not the first orbit representative")
-    fixed_total = sum(_fixed_count(i, top.group) for i in images)
+    fixed_total = sum(_fixed_counts(images, top.group))
     _require(fixed_total == len(orbits) * aut.order, "Burnside count disagrees with orbit count")
 
     h_n = ladder[n].group
@@ -342,9 +343,49 @@ def _orbits(classes, perms, order: int) -> tuple[Orbit, ...]:
     return tuple(orbits)
 
 
+def _fixed_counts(images: list, group: FgAbGroup) -> list[int]:
+    """The classes each pair fixes, from its images of the canonical
+    generators of H = ``group`` (``_action_along_tree``): p^(r - rank_p(A -
+    I)) for H = (Z/p)^r, p prime, else ``_fixed_count``."""
+    p = _prime_exponent(group)
+    if p is None:
+        return [_fixed_count(i, group) for i in images]
+    strides = group.strides
+    return [p ** (len(strides) - _rank_mod_p(i, strides, p)) for i in images]
+
+
+def _rank_mod_p(images: tuple[int, ...], strides: tuple[int, ...], p: int) -> int:
+    """rank_p(A - I), A sending the j-th generator of (Z/p)^r (position
+    ``strides[j]``) to position ``images[j]``, its columns read off the
+    base-p digits.  A column is cleared at its leading entry by the pivot
+    there, if any, else becomes one.  Over F_2 column j is the int
+    ``images[j] ^ strides[j]``, led by its top bit."""
+    pivots = {}
+    if p == 2:
+        for y, s in zip(images, strides):
+            c = y ^ s
+            while c.bit_length() in pivots:
+                c ^= pivots[c.bit_length()]
+            if c:
+                pivots[c.bit_length()] = c
+        return len(pivots)
+    for j, y in enumerate(images):
+        c = [(y // s - (i == j)) % p for i, s in enumerate(strides)]
+        for k in range(len(c)):
+            if c[k] and k in pivots:
+                t = c[k]
+                c = [(u - t * v) % p for u, v in zip(c, pivots[k])]
+            elif c[k]:
+                t = pow(c[k], -1, p)
+                pivots[k] = [u * t % p for u in c]
+                break
+    return len(pivots)
+
+
 def _fixed_count(images: tuple[int, ...], group: FgAbGroup) -> int:
     """The classes a pair fixes, from the positions ``images`` of its images
-    of the canonical generators of H = ``group`` = Z/d_1 + ... + Z/d_r.
+    of the canonical generators of H = ``group`` = Z/d_1 + ... + Z/d_r, for
+    any finite H; the reference for ``_rank_mod_p``.
 
     With A the matrix of those images' coordinates, |Fix| = |ker(A - I)| =
     |coker(A - I)|, the index in Z^r of the lattice L spanned by the

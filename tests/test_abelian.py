@@ -24,6 +24,7 @@ from twostage.linalg import IntMatrix, block_diag, hstack, smith_normal_form
 from helpers import (
     all_homs,
     divisibility_chains,
+    element_map,
     enumerate_homs_bruteforce,
     hom_at,
     hom_generators,
@@ -152,6 +153,25 @@ class TestElements:
             assert [g.position(c) for c in coords] == list(range(g.order)), chain
             units = [tuple(int(i == j) for j in range(len(chain))) for i in range(len(chain))]
             assert list(g.strides) == [coords.index(e) for e in units], chain
+
+    @pytest.mark.parametrize("factors", [(2,) * r for r in range(13)] + [(2, 4), (3, 3)])
+    def test_element_map_matches_the_definition(self, factors):
+        # (Z/2)^r doubles by XOR; Z/2 + Z/4 and (Z/3)^2 take the
+        # per-coordinate pass.  Zero, repeated (non-injective), random and
+        # unreduced images, each against helpers.element_map.
+        g = FgAbGroup.from_cyclic_factors(list(factors))
+        rng = random.Random(len(factors))
+        # a generator of order d goes to an element of order dividing d
+        randoms = [[[rng.randrange(gcd(m, d)) * (m // gcd(m, d)) for m in factors] for d in factors] for _ in range(3)]
+        cases = [
+            [[0] * len(factors) for _ in factors],
+            randoms[0][:1] * len(factors),
+            *randoms,
+            [[c + m * rng.randrange(-2, 3) for c, m in zip(image, factors)] for image in randoms[0]],
+        ]
+        for images in cases:
+            f = AbHom.from_keys(g, g, [images])[0]
+            assert g.element_map(images) == element_map(f), images
 
 
 @st.composite

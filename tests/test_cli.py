@@ -12,6 +12,8 @@ import pytest
 
 import twostage.abelian
 import twostage.linalg
+import twostage.moduli
+from twostage.abelian import FgAbGroup
 from twostage.cli import EXIT_CODES, main, parse_input
 from twostage.errors import InputFormatError
 from twostage.linalg import smith_normal_form
@@ -173,12 +175,15 @@ def test_golden_smith_forms_match_the_reference(golden_name, argv, capsys, monke
         assert (got.s, got.u, got.v, got.u_inv) == (want.s, want.u, want.v, want.u_inv)
 
 
+def _elementary(factors) -> bool:
+    """Whether invariant factors ``factors`` are those of (Z/p)^r, p prime."""
+    factors = set(factors)
+    return not factors or (len(factors) == 1 and all(p % q for p in factors for q in range(2, p)))
+
+
 def _elementary_case_a(sample: str) -> bool:
     algebra, _ = parse_input((SAMPLES / sample).read_text(encoding="utf-8"))
-    if not isinstance(algebra, TwoStageDim1N):
-        return False
-    factors = set(algebra.an.base.invariant_factors)
-    return not factors or (len(factors) == 1 and all(p % q for p in factors for q in range(2, p)))
+    return isinstance(algebra, TwoStageDim1N) and _elementary(algebra.an.base.invariant_factors)
 
 
 ELEMENTARY_RUNS = [(g, argv) for g, argv in GOLDEN_RUNS if _elementary_case_a(argv[1])]
@@ -199,6 +204,56 @@ def test_elementary_goldens_build_a_subquotient_only_for_the_top_degree(golden_n
     status, _, _ = run_cli([argv[0], SAMPLES / argv[1], *argv[2:]], capsys)
     assert status == 0
     assert len(built) == (1 if argv[0] == "moduli" else 0)
+
+
+CASE_A_MODULI_SAMPLES = [
+    argv[1]
+    for _, argv in GOLDEN_RUNS
+    if argv[0] == "moduli" and json.loads((SAMPLES / argv[1]).read_text(encoding="utf-8"))["case"] == "A"
+]
+
+
+@pytest.mark.parametrize("sample", CASE_A_MODULI_SAMPLES + ["c4_z4.json"])
+def test_the_k_invariant_action_keeps_its_routes(sample, capsys, monkeypatch):
+    # H^(n+1) = (Z/p)^r: Burnside's count reads each pair's F_p rank and
+    # never runs the gcd fold, and for p = 2 H's element maps double by
+    # XOR and never take the per-coordinate pass, the only part of
+    # element_map that reads strides.  Any other H, as H^3(C4; Z/4) = Z/4,
+    # keeps the fold.  The top H is what counts: (C2 x C2, Z/4 x Z/2) has
+    # H^3 = (Z/2)^4.
+    tops, folds, passes, mapping = [], [], [], []
+    counts, fold = twostage.moduli._fixed_counts, twostage.moduli._fixed_count
+    element_map, strides = FgAbGroup.element_map, FgAbGroup.strides
+
+    def recording_counts(images, group):
+        tops.append(group.invariant_factors)
+        return counts(images, group)
+
+    def recording_fold(images, group):
+        folds.append(group)
+        return fold(images, group)
+
+    def recording_map(self, images):
+        mapping.append(self)
+        try:
+            return element_map(self, images)
+        finally:
+            mapping.pop()
+
+    def recording_strides(self):
+        if mapping and mapping[-1] is self:
+            passes.append(self.invariant_factors)
+        return strides.fget(self)
+
+    monkeypatch.setattr(twostage.moduli, "_fixed_counts", recording_counts)
+    monkeypatch.setattr(twostage.moduli, "_fixed_count", recording_fold)
+    monkeypatch.setattr(FgAbGroup, "element_map", recording_map)
+    monkeypatch.setattr(FgAbGroup, "strides", property(recording_strides))
+    status, _, _ = run_cli(["moduli", SAMPLES / sample], capsys)
+    assert status == 0
+    (top,) = tops
+    assert bool(folds) != _elementary(top)
+    assert (top in passes) != (set(top) <= {2})
 
 
 def test_sample_without_golden_finishes(capsys):

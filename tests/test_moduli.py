@@ -16,7 +16,7 @@ from twostage.cohomology import cohomology_range
 from twostage.errors import InternalConsistencyError, SizeBoundError
 from twostage.groups import FiniteGroup, GModule
 from twostage.linalg import IntMatrix
-from twostage.moduli import _action_along_tree, _fixed_count, _orbits, moduli_case_a, moduli_case_b
+from twostage.moduli import _action_along_tree, _fixed_count, _fixed_counts, _orbits, moduli_case_a, moduli_case_b
 from twostage.pialgebra import (
     QuadraticMap,
     TwoStageDim1N,
@@ -175,7 +175,7 @@ def test_burnside_count_matches_the_traversal(name):
     perms = [act_on_kinvariants(algebra, aut.elements[g], top) for g in aut.generators]
     images = _action_along_tree(aut, perms, top.group.strides)
     orbits = _orbits(top.classes(), perms, aut.order)
-    fixed = [_fixed_count(i, top.group) for i in images]
+    fixed = _fixed_counts(images, top.group)
     assert sum(fixed) == len(orbits) * aut.order
     if top.group.order * aut.order <= 200_000:
         # every pair's fixed classes counted one by one
@@ -185,10 +185,13 @@ def test_burnside_count_matches_the_traversal(name):
         assert fixed == [sum(1 for x, y in enumerate(full[k]) if x == y) for k in range(aut.order)]
 
 
-@pytest.mark.parametrize("factors", [(2, 2, 2), (2, 4), (4, 8), (3, 9), (2, 4, 4), (6,), (2, 2, 4, 8)])
+@pytest.mark.parametrize(
+    "factors",
+    [(2, 2, 2), (2, 4), (4, 8), (3, 9), (2, 4, 4), (6,), (2, 2, 4, 8), (3, 3), (3, 3, 3), (5, 5), (2,) * 6, ()],
+)
 def test_fixed_count_matches_enumeration(factors):
     # random endomorphisms of Z/d_1 + ... + Z/d_r, invertible or not,
-    # their fixed elements counted one by one
+    # their fixed elements counted one by one; (Z/p)^r takes the F_p rank
     group = FgAbGroup.from_cyclic_factors(list(factors))
     factors = group.invariant_factors
     strides = group.strides
@@ -202,6 +205,30 @@ def test_fixed_count_matches_enumeration(factors):
             fixed += list(x) == y
         positions = tuple(sum(c * s for c, s in zip(image, strides)) for image in images)
         assert _fixed_count(positions, group) == fixed
+        assert _fixed_counts([positions], group) == [fixed]
+
+
+@pytest.mark.parametrize("p, r", [(2, 20), (3, 6)])
+def test_rank_route_matches_the_gcd_fold(p, r):
+    # Endomorphisms of (Z/p)^r too large to enumerate: invertible ones,
+    # from the identity by column operations, and singular ones, a column
+    # a combination of the others; the gcd fold is the reference.
+    group = FgAbGroup.from_cyclic_factors([p] * r)
+    strides = group.strides
+    rng = random.Random(r)
+    cases = []
+    for t in range(50):
+        cols = [[int(i == j) for i in range(r)] for j in range(r)]
+        for _ in range(rng.randrange(3 * r)):
+            a, b, c = rng.randrange(r), rng.randrange(r), rng.randrange(1, p)
+            if a != b:
+                cols[a] = [(u + c * v) % p for u, v in zip(cols[a], cols[b])]
+        if t % 2:
+            a, b, c = rng.sample(range(r), 3)
+            cols[a] = [(rng.randrange(p) * u + rng.randrange(p) * v) % p for u, v in zip(cols[b], cols[c])]
+        cases.append(tuple(sum(x * s for x, s in zip(col, strides)) for col in cols))
+    assert _fixed_counts(cases, group) == [_fixed_count(i, group) for i in cases]
+    assert len(set(_fixed_counts(cases, group))) > 2
 
 
 # (Z/2)^r acting trivially on (Z/2)^s: H^3 is the cubic part of
