@@ -13,30 +13,26 @@ elimination, and builds its block-diagonal presentation only when read.
 
 Kernels and homology share one numerator: the lattice of vectors a map
 sends into the target's relation lattice, as its column Hermite basis.
-When the target is finite of exponent E, that lattice contains E * Z^m and
-is cut out by one congruence per coordinate slot of the target, read off
-the rows of its Smith form; the basis is then lifted one prime factor of
-E at a time (``linalg.congruence_kernel``), each unknown's congruence
-column the map's slot column (below).  A target with Z summands goes
-through ``integer_kernel`` of [F | -R] instead; no report reaches it, only
-a public ``kernel_subgroup`` or ``homology_at`` call does.  The Hermite
-basis of a lattice is unique and the class coordinates come from the
-Smith form of the subquotient's presentation, so the route taken does not
-change a single coordinate.
+For a finite target of exponent E it contains E * Z^m and is cut out by
+one congruence per coordinate slot of the target, each unknown's column
+the map's slot column (below), and is lifted one prime factor of E at a
+time (``linalg.congruence_kernel``).  A target with Z summands, reached
+only by a public ``kernel_subgroup`` or ``homology_at`` call, goes through
+``integer_kernel`` of [F | -R].  The Hermite basis is unique, so the route
+taken does not change a single class coordinate.
 
-A map converts its sparse columns into the target's coordinate slots
-once (``AbHom.slot_columns``): column j becomes {slot i: u_i . F e_j}
-over the slots whose Smith row reads it.  The congruences of
-``_preimage_basis`` and ``rank_mod_p``, the check that a map sends
-relations into relations (``AbHom``), that d∘d vanishes
-(``CochainComplex``) and that a cochain is a cocycle all read them
-(``AbHom.kills``): a vector's slot values are summed off the slot columns
-it touches and reduced mod the diagonal.  Such a check costs
-O(nonzeros), not the rank of the source times the rank of the target,
-and accepts exactly what the dense check did.  A map given by its
-canonical key (``AbHom.from_keys``, for a batch of maps) is checked in
-the target's canonical coordinates instead, with no matrix, one relation
-at a time over the whole batch.
+A map converts its sparse columns into the target's coordinate slots in
+one pass (``AbHom.slot_columns``): column j becomes the pairs (slot i,
+u_i . F e_j) over the slots whose Smith row reads it.  The congruences of
+``_preimage_basis`` and ``rank_mod_p`` read them, and so does the one
+batched check, ``AbHom.first_nonzero``: it sums each vector's slot values
+off the slot columns the vector touches, reduces them mod the diagonal
+and returns the first vector not killed, in O(nonzeros) per vector.  It
+checks that relations map into relations (``AbHom``), that d∘d = 0
+(``CochainComplex``) and cocycles (``kills``, a batch of one).  A map
+given by its key (``AbHom.from_keys``) is checked in canonical coordinates.
+A subquotient solves its denominator columns straight into the sparse
+rows of its presentation, which its Smith form eliminates as they are.
 
 Hom and Ext are isomorphism types, read off the invariant factors of both
 groups, with no lattice: each is additive in either argument, so it is the
@@ -59,6 +55,7 @@ from .linalg import (
     IntMatrix,
     _kernel_mod_p,
     _matrix_of_columns,
+    _SparseMatrix,
     block_diag,
     column_hermite,
     congruence_kernel,
@@ -94,7 +91,6 @@ class FgAbGroup:
         "free_rank",
         "_u_rows",
         "_uinv_rows",
-        "_slots_reading",
         "_relation_columns",
     )
 
@@ -126,7 +122,6 @@ class FgAbGroup:
         self._coord_slots = tuple(i for i, d in enumerate(diag) if d != 1)
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
-        self._slots_reading = None
         self._relation_columns = None
 
     @property
@@ -138,9 +133,8 @@ class FgAbGroup:
 
     @property
     def relation_columns(self) -> tuple:
-        """The presentation's columns as their ``(generator, entry)`` pairs
-        with nonzero entry; built on first read, a direct sum's from its
-        summands' shifted into their blocks."""
+        """The presentation's nonzero columns as ``(generator, entry)`` pairs,
+        built on first read, a direct sum's from its summands' blocks."""
         if self._relation_columns is None:
             if self._presentation is None:
                 offsets = itertools.accumulate((g.ngens for g in self._summands), initial=0)
@@ -237,22 +231,6 @@ class FgAbGroup:
     def is_zero(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce(vec))
 
-    def _slot_values(self, vec) -> dict[int, int]:
-        """``{slot: u_slot . x}`` over the coordinate slots whose u row reads
-        a generator of x, for x given by ``(generator, value)`` pairs."""
-        if self._slots_reading is None:
-            # For each generator, the (slot, u entry) pairs of the u rows reading it.
-            reading = [[] for _ in range(self.ngens)]
-            for i in self._coord_slots:
-                for j, c in self._u_rows[i]:
-                    reading[j].append((i, c))
-            self._slots_reading = reading
-        out = {}
-        for j, x in vec:
-            for i, c in self._slots_reading[j]:
-                out[i] = out.get(i, 0) + c * x
-        return out
-
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         """A generator-coordinate representative of canonical coordinates."""
         if len(coords) != len(self._coord_slots):
@@ -330,28 +308,32 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
     """Direct sum; generator blocks appear in argument order.
 
     The summands' Smith data is merged with no elimination: diagonal slots
-    by a stable sort on ``(d == 0, d)``, ties in argument order, and u and
-    u^-1 rows shifted into each summand's block.  For copies of one group
+    in the order of ``(d == 0, d)``, ties in argument order, each distinct
+    entry d a run of positions that its slots take in turn, and u and u^-1
+    rows shifted into each summand's block.  For copies of one group
     (cochain groups) the merge is a divisibility chain (Newman,
     *Integral Matrices*, ch. II); otherwise, as for Z/2 + Z/3, the block
     diagonal gets a Smith form of its own.  Else it is built only if read.
     """
-    slots = sorted(
-        ((g._diag[i], k, i) for k, g in enumerate(groups) for i in range(g.ngens)),
-        key=lambda slot: (slot[0] == 0, slot[0]),
-    )
-    chain = [d for d, _, _ in slots]
+    entries = sorted({d for g in groups for d in g._diag}, key=lambda d: (d == 0, d))
     # Zeros sort last, so a chain needs a | b only for nonzero a.
-    if any(a and b % a for a, b in zip(chain, chain[1:])):
+    if any(a and b % a for a, b in zip(entries, entries[1:])):
         return FgAbGroup(block_diag([g.presentation for g in groups]))
-    offsets = list(itertools.accumulate((g.ngens for g in groups), initial=0))
-    position = {(k, i): t for t, (_, k, i) in enumerate(slots)}
+    start, size = {}, 0
+    for d in entries:
+        start[d], size = size, size + sum(g._diag.count(d) for g in groups)
+    chain, u_rows, uinv_rows, offset = [0] * size, [()] * size, [], 0
+    for g in groups:
+        position = []
+        for d, row in zip(g._diag, g._u_rows):
+            t = start[d]
+            start[d], chain[t], u_rows[t] = t + 1, d, tuple([(offset + j, c) for j, c in row])
+            position.append(t)
+        uinv_rows += [tuple([(position[j], c) for j, c in row]) for row in g._uinv_rows]
+        offset += g.ngens
     total = FgAbGroup.__new__(FgAbGroup)
     total._set_smith(chain, None, tuple(groups))
-    total._u_rows = tuple(tuple((offsets[k] + j, c) for j, c in groups[k]._u_rows[i]) for _, k, i in slots)
-    total._uinv_rows = tuple(
-        tuple((position[k, j], c) for j, c in row) for k, g in enumerate(groups) for row in g._uinv_rows
-    )
+    total._u_rows, total._uinv_rows = tuple(u_rows), tuple(uinv_rows)
     return total
 
 
@@ -362,11 +344,10 @@ class AbHom:
     constructor verifies that every source relation maps into the target
     relation lattice, so the map is well defined on the quotients.
     ``columns`` holds the matrix's nonzero columns and ``slot_columns``
-    the same columns in the target's coordinate slots, built on first read
-    and then read by every check (``kills``) and every kernel.  A map given
-    by its columns alone (``matrix`` None, as the bar differentials are)
-    builds its matrix when read; a map given by its ``canonical_key``
-    alone (``from_keys``) builds both when read.
+    the same columns in the target's coordinate slots, read by every check
+    (``first_nonzero``) and every kernel.  A map given by its columns alone
+    (``matrix`` None, as the bar differentials are) builds its matrix when
+    read; one given by its ``canonical_key`` (``from_keys``) builds both.
     """
 
     __slots__ = ("source", "target", "_matrix", "_columns", "_slot_columns", "_key")
@@ -380,16 +361,17 @@ class AbHom:
         self._matrix = matrix
         self._columns = matrix.nonzero_columns() if columns is None else columns
         self._slot_columns = self._key = None
-        for j, rel in enumerate(source.relation_columns):
-            if not self.kills(rel):
-                self._refuse(j)
+        j = self.first_nonzero(source.relation_columns)
+        if j is not None:
+            self._refuse(j)
 
     def _refuse(self, j: int):
+        relation = dict(self.source.relation_columns[j])
         raise ValidationError(
             Violation(
                 "hom.matrix",
                 "matrix does not send source relations into target relations",
-                {"relation_column": j, "relation": self.source.presentation.column(j)},
+                {"relation_column": j, "relation": tuple(relation.get(i, 0) for i in range(self.source.ngens))},
             )
         )
 
@@ -410,23 +392,41 @@ class AbHom:
 
     @property
     def slot_columns(self) -> tuple:
-        """Each column in the target's coordinate slots, ``{slot: u_slot . column}``
-        over the slots whose u row reads the column; built once per map."""
+        """Each column in the target's coordinate slots, ``(slot, u_slot . column)``
+        pairs over the slots whose u row reads it; one pass, once per map."""
         if self._slot_columns is None:
-            self._slot_columns = tuple(map(self.target._slot_values, self.columns))
+            target, out = self.target, []
+            reading = [[] for _ in range(target.ngens)]  # generator -> (slot, u entry) pairs
+            for i in target._coord_slots:
+                for j, c in target._u_rows[i]:
+                    reading[j].append((i, c))
+            for col in self.columns:
+                values = {}
+                for j, x in col:
+                    for i, c in reading[j]:
+                        values[i] = values.get(i, 0) + c * x
+                out.append(tuple(values.items()))
+            self._slot_columns = tuple(out)
         return self._slot_columns
 
+    def first_nonzero(self, vectors) -> int | None:
+        """The index of the first of ``vectors`` (``(generator, value)`` pairs)
+        that f does not kill, or None: a vector's slot values, summed off
+        ``slot_columns``, vanish mod the diagonal when f kills it."""
+        slots, diag = self.slot_columns, self.target._diag
+        for t, vec in enumerate(vectors):
+            out = {}
+            for j, x in vec:
+                for i, y in slots[j]:
+                    out[i] = out.get(i, 0) + x * y
+            for i, w in out.items():
+                if w % diag[i] if diag[i] else w:
+                    return t
+        return None
+
     def kills(self, vec) -> bool:
-        """Whether f(x) = 0 in the target, for x given by ``(generator, value)``
-        pairs: its slot values, summed off ``slot_columns``, vanish mod the
-        target's diagonal, and a slot no column reads is zero."""
-        slots = self.slot_columns
-        out = {}
-        for j, x in vec:
-            for i, y in slots[j].items():
-                out[i] = out.get(i, 0) + x * y
-        diag = self.target._diag
-        return not any(w % diag[i] if diag[i] else w for i, w in out.items())
+        """Whether f(x) = 0 in the target: ``first_nonzero`` on a batch of one."""
+        return self.first_nonzero((vec,)) is None
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "AbHom":
@@ -519,14 +519,13 @@ class Subquotient:
     ambient vector.  Together these are the sections that make cohomology
     classes and k-invariant transport concrete.
 
-    The basis comes from ``_preimage_basis`` (computed mod the exponent
-    when the target is finite, over Z otherwise) or is the identity, and is
-    in Hermite form either way.  Coordinates in the basis come from forward
-    substitution on the Hermite pivots: each column is zero above its pivot
-    row, so the pivot rows a vector reaches, taken top down, fix the
-    coefficients one at a time.  The columns are independent, so this is
-    the one solution any exact solver finds, and the presentation of
-    ``group`` does not depend on how it was found.
+    The basis, a Hermite basis from ``_preimage_basis`` or the identity, is
+    read as its sparse columns.  Coordinates in it come from forward
+    substitution on its pivots: each column is zero above its pivot row, so
+    the pivot rows a vector reaches, taken top down, fix the coefficients one
+    at a time, the one solution any exact solver finds.  Each denominator
+    column's solution goes straight into the sparse rows of ``group``'s
+    presentation, which its Smith form eliminates as they are.
     """
 
     __slots__ = ("ambient_rank", "basis", "group", "_columns", "_pivots")
@@ -538,25 +537,27 @@ class Subquotient:
         self.basis = basis
         self._columns = basis.nonzero_columns()
         self._pivots = {col[0][0]: k for k, col in enumerate(self._columns)}
-        rel_cols = []
-        for col in denominator:
-            c = self._solve(dict(col))
-            if c is None:
+        rows = [[] for _ in self._columns]  # row k: basis column k's coefficient in each denominator column
+        for c, col in enumerate(denominator):
+            coeffs = self._solve(dict(col), {})
+            if coeffs is None:
                 raise ValueError("denominator lattice is not contained in the numerator lattice")
-            rel_cols.append(c)
-        self.group = FgAbGroup(IntMatrix._of(len(rel_cols), basis.cols, tuple(rel_cols)).transpose())
+            for k, x in coeffs.items():
+                rows[k].append((c, x))
+        self.group = FgAbGroup(_SparseMatrix(len(rows), len(denominator), tuple(map(tuple, rows))))
 
     def coefficients(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """The c with basis @ c == vec, or None when vec is not in L."""
         if len(vec) != self.ambient_rank:
             raise ValueError(f"vector of length {len(vec)} outside ambient rank {self.ambient_rank}")
-        return self._solve({i: x for i, x in enumerate(vec) if x})
+        c = [0] * len(self._columns)
+        return None if self._solve({i: x for i, x in enumerate(vec) if x}, c) is None else tuple(c)
 
-    def _solve(self, rest: dict) -> tuple[int, ...] | None:
-        """``coefficients`` of {row: entry}, consumed top row first: that
-        row must be a pivot row, whose column clears it and reaches only
-        rows below it."""
-        coeffs = [0] * len(self._columns)
+    def _solve(self, rest: dict, coeffs):
+        """``coefficients`` of {row: entry}, written into ``coeffs`` (a list,
+        or a dict of the nonzero ones) and returned, or None: rows are
+        consumed top first, and each must be a pivot row, whose column
+        clears it and reaches only rows below it."""
         todo = sorted(-row for row in rest)  # rows negated, so pop() gives the top one
         while todo:
             row = -todo.pop()
@@ -575,7 +576,7 @@ class Subquotient:
                 if i not in rest:
                     bisect.insort(todo, -i)
                 rest[i] = rest.get(i, 0) - c * y
-        return tuple(coeffs)
+        return coeffs
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         c = self.coefficients(vec)
@@ -611,7 +612,7 @@ def _preimage_basis(f: AbHom) -> IntMatrix:
     target = f.target
     if target.is_finite:
         # Slots with d_i = 1 are read by no column and give no congruence.
-        return congruence_kernel([col.items() for col in f.slot_columns], target._diag)
+        return congruence_kernel(f.slot_columns, target._diag)
     full = integer_kernel(hstack(f.matrix, -target.presentation))
     return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
 
@@ -622,7 +623,7 @@ def rank_mod_p(f: AbHom, p: int) -> int:
     solves, with no lattice built.  The image has p^rank elements."""
     rows = {}
     for j, col in enumerate(f.slot_columns):
-        for i, x in col.items():
+        for i, x in col:
             rows.setdefault(i, {})[j] = x
     return len(_kernel_mod_p(rows.values(), p))
 
@@ -673,15 +674,11 @@ class CochainComplex:
             if not f.source.same_presentation(groups[k]) or not f.target.same_presentation(groups[k + 1]):
                 raise ValueError(f"map {k} does not connect group {k} to group {k + 1}")
         for k in range(len(maps) - 1):
-            for j, col in enumerate(maps[k].columns):
-                if not maps[k + 1].kills(col):
-                    raise ValidationError(
-                        Violation(
-                            "complex.maps",
-                            f"d{k + 1} after d{k} is nonzero",
-                            {"position": k, "generator": j},
-                        )
-                    )
+            j = maps[k + 1].first_nonzero(maps[k].columns)
+            if j is not None:
+                raise ValidationError(
+                    Violation("complex.maps", f"d{k + 1} after d{k} is nonzero", {"position": k, "generator": j})
+                )
         self.groups = groups
         self.maps = maps
 

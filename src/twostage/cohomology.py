@@ -237,13 +237,13 @@ class CohomologyGroup:
         return direct_sum([FgAbGroup.cyclic(self._prime)] * dimension if dimension else [])
 
     def _subquotient(self) -> Subquotient:
-        """Z^k / B^k, built on first read.  For M = (Z/p)^r the Hermite
-        basis of Z^k has pivots 1 and p, and [Z^N : Z^k] = p^(rank_p d_k),
-        so its pivots equal to p give rank_p d_k with no second reduction."""
+        """Z^k / B^k, built on first read.  For M = (Z/p)^r the pivots of Z^k's
+        sparse Hermite columns are 1 and p and [Z^N : Z^k] = p^(rank_p d_k),
+        so the pivots equal to p give rank_p d_k with no second reduction."""
         if self._sub is None:
             sub = homology_at(self._complex, self.degree)
             if self._prime is not None:
-                self._rank = sum(row[i] != 1 for i, row in enumerate(sub.basis.data))
+                self._rank = sum(col[0][1] != 1 for col in sub._columns)
                 want = self.group.invariant_factors
                 if sub.group.normal_form != (0, want):
                     got = list(sub.group.invariant_factors)
@@ -270,9 +270,8 @@ class CohomologyGroup:
         return Cocycle(self.module, self.degree, self._subquotient().representative(coords))
 
     def cocycles(self) -> Subquotient:
-        """Z^k, the kernel of the differential, as a subquotient of C^k:
-        the Hermite basis of H^k's numerator over C^k's relations alone,
-        with no coboundaries and no second kernel computation."""
+        """Z^k, the kernel of the differential, as a subquotient of C^k: H^k's
+        numerator, its Hermite columns reused, over C^k's relations alone."""
         sub = self._subquotient()
         return Subquotient(sub.ambient_rank, sub.basis, self.differential.source.relation_columns)
 

@@ -35,7 +35,8 @@ Conventions:
   ``congruence_kernel(columns, moduli)`` return the column Hermite basis
   of a lattice (positive pivots in strictly increasing rows, entries left
   of each pivot in [0, pivot)).  A lattice has one Hermite basis, so every
-  route to it gives the same bytes.  Over Z, a sparse lower echelon of
+  route to it gives the same bytes, kept as sparse columns and dense only
+  when read (``_SparseMatrix``).  Over Z, a sparse lower echelon of
   the generating columns (``_echelon``) is reduced by ``_hermite``.  A
   congruence lattice contains E * Z^n, E the lcm of its moduli, so no
   entry need grow past E: it is lifted one prime factor of E at a time,
@@ -204,6 +205,29 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
+
+
+class _SparseMatrix(IntMatrix):
+    """An ``IntMatrix`` kept as its nonzero rows, or columns if ``by_columns``,
+    as ``(index, entry)`` pairs in order; dense ``data`` is built when read."""
+
+    __slots__ = ("_lines", "_by_columns", "_data")
+
+    def __init__(self, rows: int, cols: int, lines: tuple, by_columns: bool = False):
+        self.rows, self.cols, self._lines, self._by_columns, self._data = rows, cols, lines, by_columns, None
+
+    @property
+    def data(self) -> tuple:
+        if self._data is None:
+            dense = _dense(map(dict, self._lines), self.rows if self._by_columns else self.cols)
+            self._data = IntMatrix._of(self.cols, self.rows, dense).transpose().data if self._by_columns else dense
+        return self._data
+
+    def nonzero_rows(self) -> tuple:
+        return IntMatrix.nonzero_rows(self) if self._by_columns else self._lines
+
+    def nonzero_columns(self) -> tuple:
+        return self._lines if self._by_columns else IntMatrix.nonzero_columns(self)
 
 
 def _nonzero(lines, width: int) -> tuple:
@@ -509,7 +533,7 @@ def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequ
     same column operations.  Most kernels are mod 2, where a row is an int
     with a bit per unknown and one XOR adds two.  For composite E one
     ``_hermite`` pass mod E ends it; for prime E the one step's basis is
-    already reduced.  A lattice has one Hermite basis, whatever the route.
+    already reduced.  The one Hermite basis is returned as sparse columns.
     """
     for d in moduli:
         if d < 1:
@@ -642,7 +666,7 @@ def _hermite(basis: list[dict], e: int) -> list[dict]:
 
 
 def _matrix_of_columns(columns: list[dict], rows: int) -> IntMatrix:
-    return IntMatrix._of(len(columns), rows, _dense(columns, rows)).transpose()
+    return _SparseMatrix(rows, len(columns), tuple(tuple(sorted(col.items())) for col in columns), True)
 
 
 def _axpy(target: dict, f: int, source: dict, e: int) -> None:

@@ -12,7 +12,7 @@ import itertools
 from math import gcd, lcm
 from typing import NamedTuple
 
-from twostage.abelian import AbHom, FgAbGroup, Subquotient, direct_sum, kernel_subgroup
+from twostage.abelian import AbHom, FgAbGroup, Subquotient, _preimage_basis, direct_sum, kernel_subgroup
 from twostage.cohomology import DEFAULT_MAX_ENUMERATION, Cocycle
 from twostage.errors import SizeBoundError, ValidationError
 from twostage.groups import FiniteGroup, GModule, _greedy_generators, automorphism_group
@@ -458,6 +458,58 @@ def reference_congruence_kernel(columns, moduli) -> IntMatrix:
             if q:
                 _ref_axpy(bj, -q, bi, e)
     return IntMatrix.from_columns([[col.get(i, 0) for i in range(len(columns))] for col in kernel], rows=len(columns))
+
+
+def reference_slot_values(group: FgAbGroup, vector) -> list[tuple[int, int]]:
+    """A vector, given by ``(generator, value)`` pairs, in every coordinate
+    slot i of ``group``: the pairs (i, u_i . x), zeros kept, with x the
+    dense vector and u_i the slot's row of the group's Smith transform."""
+    x = [0] * group.ngens
+    for j, v in vector:
+        x[j] += v
+    return [(i, sum(c * x[j] for j, c in group._u_rows[i])) for i in group._coord_slots]
+
+
+def reference_first_nonzero(f: AbHom, vectors) -> int | None:
+    """The index of the first of ``vectors`` (``(generator, value)`` pairs)
+    that f does not kill, or None: each vector made dense, multiplied by
+    f's dense matrix, and reduced by the target, one vector at a time."""
+    for t, vector in enumerate(vectors):
+        x = [0] * f.source.ngens
+        for j, v in vector:
+            x[j] += v
+        if any(f.target.reduce(f.matrix.apply(x))):
+            return t
+    return None
+
+
+def reference_subquotient_presentation(complex_, k: int) -> IntMatrix:
+    """The presentation of ``homology_at(complex_, k)``'s group, for k below
+    the top of the complex, the way the package built it before the path
+    from the kernel to the Smith form stayed sparse: the Hermite basis of
+    ker d_k read as a dense matrix, each denominator column (the relations
+    of C^k, then the columns of d_(k-1)) solved against it by forward
+    substitution on dense vectors, and the solutions, one column each,
+    transposed into the rows the Smith form eliminates."""
+    group = complex_.groups[k]
+    columns = _preimage_basis(complex_.maps[k]).transpose().to_rows()
+    pivots = [next(i for i, x in enumerate(col) if x) for col in columns]
+    denominator = list(group.relation_columns) + (list(complex_.maps[k - 1].columns) if k else [])
+    solutions = []
+    for sparse in denominator:
+        v = [0] * group.ngens
+        for i, x in sparse:
+            v[i] = x
+        c = []
+        for p, col in zip(pivots, columns):
+            q, r = divmod(v[p], col[p])
+            assert r == 0, "denominator column outside the numerator lattice"
+            if q:
+                v = [a - q * b for a, b in zip(v, col)]
+            c.append(q)
+        assert not any(v), "denominator column outside the numerator lattice"
+        solutions.append(c)
+    return IntMatrix.from_rows(solutions, cols=len(columns)).transpose()
 
 
 def _ref_axpy(target: dict, f: int, source: dict, e: int) -> None:

@@ -39,6 +39,7 @@ from helpers import (
     reference_column_hermite,
     reference_ext,
     reference_hom,
+    reference_first_nonzero,
     reference_integer_kernel,
     reference_smith_normal_form,
 )
@@ -264,6 +265,81 @@ class TestAbHom:
         # the representative of the nonzero kernel class is killed by f
         rep = ker.representative((1,))
         assert g4.is_zero(doubling(rep))
+
+
+    def test_a_refused_map_reads_its_relation_off_the_sparse_columns(self):
+        # three copies of Z/2 x Z/2 on the relation basis [[-2, 0], [2, 2]]
+        # into Z/4: generator 4 -> 1 sends relation column 4 to -2, not 0;
+        # the detail is that column of the block diagonal, which the
+        # direct sum never builds
+        base = FgAbGroup(IntMatrix.from_rows([[-2, 0], [2, 2]]))
+        source = direct_sum([base] * 3)
+        with pytest.raises(ValidationError) as info:
+            AbHom(source, FgAbGroup.cyclic(4), IntMatrix.from_rows([[0, 0, 0, 0, 1, 0]]))
+        (violation,) = info.value.violations
+        assert violation.field == "hom.matrix"
+        assert violation.witness == {"relation_column": 4, "relation": (0, 0, 0, 0, -2, 2)}
+        assert violation.witness["relation"] == block_diag([base.presentation] * 3).column(4)
+        assert source._presentation is None
+
+
+@st.composite
+def maps_and_vectors(draw):
+    """A map and a list of vectors, as ``(generator, value)`` pairs, some of
+    them killed.  The target is a random presentation, cyclic factors (0 for
+    Z) on a scrambled basis, a zero group, or a sum of two copies of one;
+    the map goes from a free group by any matrix, or from the target to
+    itself by k + R A, R its relations, which sends relations into them."""
+    rng = draw(st.randoms(use_true_random=False))
+    factors = draw(st.lists(st.sampled_from([0, 2, 3, 4, 6]), min_size=1, max_size=3))
+    scrambled = random_unimodular(rng, len(factors)) @ IntMatrix.from_rows(
+        [[d * (i == j) for j in range(len(factors))] for i, d in enumerate(factors)]
+    ) @ random_unimodular(rng, len(factors))
+    relations = draw(st.one_of(presentations(), st.just(scrambled), st.integers(0, 2).map(IntMatrix.identity)))
+    target = direct_sum([FgAbGroup(relations)] * draw(st.integers(1, 2)))
+    relations, m = target.presentation, target.ngens
+    if draw(st.booleans()):
+        a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(m)] for _ in range(relations.cols)], cols=m)
+        k, ra = rng.randint(-3, 3), (relations @ a).data
+        matrix = IntMatrix.from_rows([[k * (i == j) + ra[i][j] for j in range(m)] for i in range(m)], cols=m)
+        f = AbHom(target, target, matrix)
+    else:
+        n = rng.randint(0, 4)
+        matrix = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], cols=n)
+        f = AbHom(FgAbGroup.free(n), target, matrix)
+    exponent = 1
+    for d in target.invariant_factors:
+        exponent = exponent * d // gcd(exponent, d)
+    vectors = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.randrange(3)
+        if kind == 2 and f.source.relation_columns:
+            rel = rng.choice(f.source.relation_columns)
+            vectors.append([(j, rng.randint(-2, 2) * x) for j, x in rel])
+            continue
+        scale = exponent if kind == 1 and target.is_finite else 1
+        size = rng.randint(0, 4) if f.source.ngens else 0
+        vectors.append([(rng.randrange(f.source.ngens), scale * rng.randint(-4, 4)) for _ in range(size)])
+    return f, vectors
+
+
+class TestFirstNonzero:
+    """``AbHom.first_nonzero`` is the one check behind relations, d∘d and
+    cocycles; ``kills`` is a batch of one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(maps_and_vectors())
+    @example((AbHom.zero(FgAbGroup.free(2), FgAbGroup.trivial()), [[(0, 1)], [(1, -3), (0, 2)]]))
+    # a free slot's nonzero value is not killed: Z -> Z + Z/2, 1 -> (1, 1), on 2
+    @example(
+        (AbHom(FgAbGroup.free(1), FgAbGroup.from_cyclic_factors([0, 2]), IntMatrix.from_rows([[1], [1]])), [[(0, 2)]])
+    )
+    def test_first_nonzero_matches_the_dense_reference(self, case):
+        f, vectors = case
+        want = reference_first_nonzero(f, vectors)
+        assert f.first_nonzero(vectors) == want
+        assert [f.kills(v) for v in vectors] == [reference_first_nonzero(f, [v]) is None for v in vectors]
+        assert (want is None) == all(f.kills(v) for v in vectors)
 
 
 class TestHomGroup:

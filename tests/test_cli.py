@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import twostage.abelian
+import twostage.cohomology
 import twostage.linalg
 import twostage.moduli
 from twostage.abelian import FgAbGroup
@@ -19,7 +20,7 @@ from twostage.errors import InputFormatError
 from twostage.linalg import smith_normal_form
 from twostage.pialgebra import TwoStageDim1N
 
-from helpers import cyclic_periodic_cohomology, reference_smith_normal_form
+from helpers import cyclic_periodic_cohomology, reference_smith_normal_form, reference_subquotient_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ROOT / "samples"
@@ -254,6 +255,38 @@ def test_the_k_invariant_action_keeps_its_routes(sample, capsys, monkeypatch):
     (top,) = tops
     assert bool(folds) != _elementary(top)
     assert (top in passes) != (set(top) <= {2})
+
+
+@pytest.mark.parametrize("sample", CASE_A_MODULI_SAMPLES)
+def test_subquotient_smith_inputs_match_the_dense_route(sample, capsys, monkeypatch):
+    # Each subquotient's presentation, the top one's among them, reaches its
+    # Smith form as the sparse rows its solves produce.  They must be the
+    # dense route's rows (dense Hermite basis, dense solves, one transpose)
+    # entry for entry and pair for pair: the pair order is the order the
+    # Smith form reads each row in, so this pins its operation sequence and
+    # with it the k-invariant labels.
+    smith_inputs, built = [], []
+    homology_at = twostage.cohomology.homology_at
+
+    def recording_smith(m):
+        smith_inputs.append(m)
+        return smith_normal_form(m)
+
+    def recording_homology(complex_, k):
+        built.append((complex_, k, homology_at(complex_, k)))
+        return built[-1][2]
+
+    monkeypatch.setattr(twostage.abelian, "smith_normal_form", recording_smith)
+    monkeypatch.setattr(twostage.cohomology, "homology_at", recording_homology)
+    status, _, _ = run_cli(["moduli", SAMPLES / sample], capsys)
+    assert status == 0
+    n = parse_input((SAMPLES / sample).read_text(encoding="utf-8"))[0].n
+    assert max(k for _, k, _ in built) == n + 1
+    for complex_, k, sub in built:
+        (m,) = [m for m in smith_inputs if m is sub.group.presentation]
+        want = reference_subquotient_presentation(complex_, k)
+        assert m == want, (sample, k)
+        assert m.nonzero_rows() == want.nonzero_rows(), (sample, k)
 
 
 def test_sample_without_golden_finishes(capsys):
