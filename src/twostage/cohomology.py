@@ -50,7 +50,6 @@ from .groups import GModule
 __all__ = [
     "Cocycle",
     "CohomologyGroup",
-    "Derivations",
     "bar_complex",
     "cohomology_range",
     "derivations",
@@ -108,20 +107,22 @@ def bar_complex(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) ->
 
     C^k is a direct sum of (|G|-1)^k copies of the coefficient group, one
     block per tuple, blocks in lexicographic tuple order.  Raises when any
-    cochain group would exceed ``max_rank`` generators.
+    cochain group, or all of them together, would exceed ``max_rank``
+    generators, degree by degree before anything is built.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     n = module.group.order
     mb = module.base.ngens
-    counts = [(n - 1) ** k for k in range(kmax + 1)]
-    for k, c in enumerate(counts):
-        if c * mb > max_rank:
-            raise SizeBoundError(
-                f"cochain group in degree {k} is too large",
-                requested=c * mb,
-                bound=max_rank,
-            )
+    counts, total = [], 0
+    for k in range(kmax + 1):
+        counts.append((n - 1) ** k)
+        rank = counts[k] * mb
+        total += rank
+        if rank > max_rank:
+            raise SizeBoundError(f"cochain group in degree {k} is too large", requested=rank, bound=max_rank)
+        if total > max_rank:
+            raise SizeBoundError(f"cochain groups in degrees 0..{k} are too large", requested=total, bound=max_rank)
     groups = [direct_sum([module.base] * c) for c in counts]
     maps = []
     for k in range(kmax):
@@ -320,25 +321,12 @@ def _prime_exponent(base: FgAbGroup) -> int | None:
     return p if q == p else None
 
 
-class Derivations:
-    """Z^1(G; M): crossed homomorphisms d(gh) = g.d(h) + d(g), presented
-    with explicit representatives.  This is the full cocycle group, not
-    its quotient by principal derivations."""
-
-    __slots__ = ("module", "group", "representatives")
-
-    def __init__(self, module: GModule, sub: Subquotient):
-        self.module = module
-        self.group = sub.group
-        self.representatives = tuple(Cocycle(module, 1, v) for v in sub.generator_representatives())
-
-    def __repr__(self):
-        return f"Derivations({self.group.symbol()})"
-
-
-def derivations(module: GModule, max_rank: int = DEFAULT_MAX_RANK) -> Derivations:
-    """Derivations, Z^1 with representatives, read off the cohomology ladder."""
-    return Derivations(module, cohomology_range(module, 1, max_rank=max_rank)[1].cocycles())
+def derivations(module: GModule, max_rank: int = DEFAULT_MAX_RANK) -> Subquotient:
+    """Derivations, Z^1(G; M): the crossed homomorphisms d(gh) = g.d(h) +
+    d(g), all of them, not their quotient by the principal ones.  They are
+    the ladder's cocycle subquotient in degree 1, with its ``group`` and
+    ``generator_representatives()``."""
+    return cohomology_range(module, 1, max_rank=max_rank)[1].cocycles()
 
 
 # -- enumeration oracle ----------------------------------------------------

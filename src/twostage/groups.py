@@ -89,9 +89,7 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
-        if n < 1:
-            raise ValueError("order must be positive")
-        return cls([[(i + j) % n for j in range(n)] for i in range(n)])
+        return cls.from_cyclic_factors([n])
 
     @classmethod
     def from_cyclic_factors(cls, factors: Sequence[int]) -> "FiniteGroup":

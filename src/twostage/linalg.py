@@ -589,21 +589,11 @@ def _kernel_mod_p(rows: Iterable[dict], p: int) -> dict:
     zero at every other pivot; its length is the rank mod p.  Shortest row
     first, a row is cleared at the pivots so far, pivots at its largest
     unknown, and is cleared from the other pivot rows (LaMacchia and
-    Odlyzko 1990); over F_2 a row is an int with a bit per unknown, added
-    by XOR.
+    Odlyzko 1990); over F_2 the rows go to ``_kernel_mod_2`` as ints.
     """
-    pivots, mask = {}, 0
     if p == 2:
-        for r in sorted((sum(1 << k for k, x in r.items() if x & 1) for r in rows), key=int.bit_count):
-            while r & mask:
-                r ^= pivots[(r & mask).bit_length() - 1]
-            if r:
-                b = r.bit_length() - 1
-                for u, s in pivots.items():
-                    if s >> b & 1:
-                        pivots[u] = s ^ r
-                pivots[b], mask = r, mask | 1 << b
-        return pivots
+        return _kernel_mod_2(sum(1 << k for k, x in r.items() if x & 1) for r in rows)
+    pivots = {}
     for r in sorted(({k: x % p for k, x in r.items() if x % p} for r in rows), key=len):
         for u in [u for u in r if u in pivots]:
             _axpy(r, -r[u], pivots[u], p)
@@ -614,6 +604,22 @@ def _kernel_mod_p(rows: Iterable[dict], p: int) -> dict:
                 if b in s:
                     _axpy(s, -s[b], r, p)
             pivots[b] = r
+    return pivots
+
+
+def _kernel_mod_2(rows: Iterable[int]) -> dict:
+    """``_kernel_mod_p`` over F_2, each row an int with a bit per unknown,
+    added by XOR; the pivot rows are ints too."""
+    pivots, mask = {}, 0
+    for r in sorted(rows, key=int.bit_count):
+        while r & mask:
+            r ^= pivots[(r & mask).bit_length() - 1]
+        if r:
+            b = r.bit_length() - 1
+            for u, s in pivots.items():
+                if s >> b & 1:
+                    pivots[u] = s ^ r
+            pivots[b], mask = r, mask | 1 << b
     return pivots
 
 

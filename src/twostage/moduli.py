@@ -34,7 +34,7 @@ from .abelian import FgAbGroup, ext_group, hom_group
 from .cohomology import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_RANK, _prime_exponent, cohomology_range
 from .errors import InternalConsistencyError
 from .groups import DEFAULT_MAX_AUT_ORDER
-from .linalg import _xgcd
+from .linalg import _kernel_mod_2, _kernel_mod_p, _xgcd
 from .pialgebra import (
     DEFAULT_MAX_ENDOS,
     PiAut,
@@ -346,46 +346,28 @@ def _orbits(classes, perms, order: int) -> tuple[Orbit, ...]:
 def _fixed_counts(images: list, group: FgAbGroup) -> list[int]:
     """The classes each pair fixes, from its images of the canonical
     generators of H = ``group`` (``_action_along_tree``): p^(r - rank_p(A -
-    I)) for H = (Z/p)^r, p prime, else ``_fixed_count``."""
+    I)) for H = (Z/p)^r, p prime, else ``_fixed_count``.  Column j of A - I
+    is read off the base-p digits of ``images[j]``, over F_2 as the int
+    ``images[j] ^ strides[j]``, and the rank is the pivot count of the one
+    row reduction mod p, ``_kernel_mod_p``."""
     p = _prime_exponent(group)
     if p is None:
         return [_fixed_count(i, group) for i in images]
     strides = group.strides
-    return [p ** (len(strides) - _rank_mod_p(i, strides, p)) for i in images]
-
-
-def _rank_mod_p(images: tuple[int, ...], strides: tuple[int, ...], p: int) -> int:
-    """rank_p(A - I), A sending the j-th generator of (Z/p)^r (position
-    ``strides[j]``) to position ``images[j]``, its columns read off the
-    base-p digits.  A column is cleared at its leading entry by the pivot
-    there, if any, else becomes one.  Over F_2 column j is the int
-    ``images[j] ^ strides[j]``, led by its top bit."""
-    pivots = {}
     if p == 2:
-        for y, s in zip(images, strides):
-            c = y ^ s
-            while c.bit_length() in pivots:
-                c ^= pivots[c.bit_length()]
-            if c:
-                pivots[c.bit_length()] = c
-        return len(pivots)
-    for j, y in enumerate(images):
-        c = [(y // s - (i == j)) % p for i, s in enumerate(strides)]
-        for k in range(len(c)):
-            if c[k] and k in pivots:
-                t = c[k]
-                c = [(u - t * v) % p for u, v in zip(c, pivots[k])]
-            elif c[k]:
-                t = pow(c[k], -1, p)
-                pivots[k] = [u * t % p for u in c]
-                break
-    return len(pivots)
+        ranks = [len(_kernel_mod_2([y ^ s for y, s in zip(i, strides)])) for i in images]
+    else:
+        ranks = [
+            len(_kernel_mod_p([{k: y // s - (k == j) for k, s in enumerate(strides)} for j, y in enumerate(i)], p))
+            for i in images
+        ]
+    return [p ** (len(strides) - rank) for rank in ranks]
 
 
 def _fixed_count(images: tuple[int, ...], group: FgAbGroup) -> int:
     """The classes a pair fixes, from the positions ``images`` of its images
     of the canonical generators of H = ``group`` = Z/d_1 + ... + Z/d_r, for
-    any finite H; the reference for ``_rank_mod_p``.
+    any finite H; the reference for the rank route of ``_fixed_counts``.
 
     With A the matrix of those images' coordinates, |Fix| = |ker(A - I)| =
     |coker(A - I)|, the index in Z^r of the lattice L spanned by the

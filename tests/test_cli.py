@@ -6,6 +6,7 @@ change to report rendering shows up as a diff here.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,22 @@ class TestSizeErrors:
         status, out, err = run_cli(["moduli", write_doc(tmp_path, doc)], capsys)
         assert (status, out) == (4, "")
         assert err == f"error[E_SIZE]: group too large to enumerate (requested {2 ** 30}, bound {2 ** 20})\n"
+
+    @pytest.mark.parametrize(
+        "order, n, message",
+        [
+            (8, 60000, "cochain group in degree 6 is too large (requested 117649, bound 20000)"),
+            (2, 20000, "cochain groups in degrees 0..20000 are too large (requested 20001, bound 20000)"),
+        ],
+    )
+    def test_large_n_is_refused_before_the_complex_is_sized_in_full(self, order, n, message, tmp_path, capsys):
+        # The cochain ranks are checked degree by degree: (C8, Z/2) stops at
+        # degree 6 of its 60002, not after 7^60002, and (C2, Z/2), with one
+        # generator per degree, by their total.
+        start = time.perf_counter()
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, case_a_doc(n=n, group={"cyclic_factors": [order]}))], capsys)
+        assert (status, out, err) == (4, "", f"error[E_SIZE]: {message}\n")
+        assert time.perf_counter() - start < 1
 
     def test_max_group_order_flag_tightens_bound(self, capsys):
         argv = ["moduli", SAMPLES / "orbits_z3.json", "--max-group-order", "2"]

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from twostage.abelian import FgAbGroup, _preimage_basis, hom_group, homology_at, kernel_subgroup
 from twostage.cohomology import (
     Cocycle,
-    Derivations,
     _differential_columns,
     bar_complex,
     cohomology_range,
@@ -204,6 +203,18 @@ def test_bar_complex_size_bound():
     m = GModule.trivial(FiniteGroup.cyclic(5), FgAbGroup.cyclic(2))
     with pytest.raises(SizeBoundError):
         bar_complex(m, 6, max_rank=100)
+    # The total over the degrees is bounded too: C^0..C^3 of (C4, (Z/2)^2)
+    # have 2, 6, 18 and 54 generators, 80 in all.
+    m = GModule.trivial(FiniteGroup.cyclic(4), FgAbGroup.from_cyclic_factors([2, 2]))
+    assert [g.ngens for g in bar_complex(m, 3, max_rank=80).groups] == [2, 6, 18, 54]
+    with pytest.raises(SizeBoundError) as info:
+        bar_complex(m, 3, max_rank=79)
+    assert (info.value.requested, info.value.bound) == (80, 79)
+    assert str(info.value) == "cochain groups in degrees 0..3 are too large (requested 80, bound 79)"
+    # A single degree over the bound keeps its own message and size.
+    with pytest.raises(SizeBoundError) as info:
+        bar_complex(m, 3, max_rank=53)
+    assert str(info.value) == "cochain group in degree 3 is too large (requested 54, bound 53)"
 
 
 # -- representatives are honest cocycles ----------------------------------
@@ -250,7 +261,8 @@ def test_derivation_representatives_satisfy_crossed_homomorphism_law():
     ]
     for m in cases:
         der = derivations(m)
-        for d in der.representatives:
+        for v in der.generator_representatives():
+            d = Cocycle(m, 1, v)
             for g in range(m.group.order):
                 for h in range(m.group.order):
                     gh = m.group.table[g][h]
@@ -473,10 +485,11 @@ def test_oracle_refuses_before_enumerating(monkeypatch):
     def no_product(*args, **kwargs):
         raise AssertionError("enumeration started before the size check")
 
+    # FiniteGroup.cyclic lists its elements with itertools.product.
+    m = GModule.trivial(FiniteGroup.cyclic(3), FgAbGroup.cyclic(2))
     monkeypatch.setattr(itertools, "product", no_product)
     monkeypatch.setattr(twostage.cohomology, "_cocycle_search", no_product)
     monkeypatch.setattr(twostage.cohomology, "_coboundary_stencil", no_product)
-    m = GModule.trivial(FiniteGroup.cyclic(3), FgAbGroup.cyclic(2))
     with pytest.raises(SizeBoundError) as info:
         oracle_cohomology(m, 12, max_enumeration=2 ** 20)
     assert info.value.requested == 2 ** (2 ** 12)
@@ -746,7 +759,6 @@ def test_derivations_from_a_ladder_differential_match_derivations():
     for m in modules:
         ladder = cohomology_range(m, 3)
         want = derivations(m)
-        for sub in (kernel_subgroup(ladder[1].differential), kernel_subgroup(bar_complex(m, 2).maps[1])):
-            got = Derivations(m, sub)
+        for got in (kernel_subgroup(ladder[1].differential), kernel_subgroup(bar_complex(m, 2).maps[1])):
             assert got.group.same_presentation(want.group)
-            assert [z.vector for z in got.representatives] == [z.vector for z in want.representatives]
+            assert got.generator_representatives() == want.generator_representatives()

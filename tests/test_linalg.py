@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from twostage.linalg import (
     IntMatrix,
+    _kernel_mod_2,
+    _kernel_mod_p,
     block_diag,
     column_hermite,
     congruence_kernel,
@@ -306,6 +308,22 @@ class TestCongruenceKernel:
         for row in (1, -1):
             with pytest.raises(ValueError):
                 congruence_kernel([[(0, 1)], [(row, 1)]], [2])
+
+
+def test_kernel_mod_2_on_bit_rows_matches_the_dict_rows():
+    # _kernel_mod_p takes dict rows and _kernel_mod_2 int rows, one bit per
+    # unknown; odd entries, negative ones among them, set a bit.  Each
+    # pivot row leads at its key, and no other pivot row has that bit.
+    rng = random.Random(2)
+    for _ in range(200):
+        width = rng.randint(1, 12)
+        rows = [{k: rng.randint(-3, 3) for k in rng.sample(range(width), rng.randint(0, width))} for _ in range(rng.randint(0, 10))]
+        bits = [sum(1 << k for k, x in r.items() if x % 2) for r in rows]
+        pivots = _kernel_mod_2(bits)
+        assert pivots == _kernel_mod_p(rows, 2)
+        for b, row in pivots.items():
+            assert row.bit_length() - 1 == b
+            assert all(s >> b & 1 == 0 for u, s in pivots.items() if u != b)
 
 
 class TestHermite:

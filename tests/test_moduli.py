@@ -208,7 +208,7 @@ def test_fixed_count_matches_enumeration(factors):
         assert _fixed_counts([positions], group) == [fixed]
 
 
-@pytest.mark.parametrize("p, r", [(2, 20), (3, 6)])
+@pytest.mark.parametrize("p, r", [(2, 20), (3, 6), (5, 4), (7, 3)])
 def test_rank_route_matches_the_gcd_fold(p, r):
     # Endomorphisms of (Z/p)^r too large to enumerate: invertible ones,
     # from the identity by column operations, and singular ones, a column
