@@ -24,7 +24,7 @@ taken does not change a single class coordinate.
 A map converts its sparse columns into the target's coordinate slots in
 one pass (``AbHom.slot_columns``): column j becomes the pairs (slot i,
 u_i . F e_j) over the slots whose Smith row reads it.  The congruences of
-``_preimage_basis`` and ``rank_mod_p`` read them, and so does the one
+``_preimage_basis`` and ``echelon_mod_p`` read them, and so does the one
 batched check, ``AbHom.first_nonzero``: it sums each vector's slot values
 off the slot columns the vector touches, reduces them mod the diagonal
 and returns the first vector not killed, in O(nonzeros) per vector.  It
@@ -73,7 +73,7 @@ __all__ = [
     "ext_group",
     "homology_at",
     "kernel_subgroup",
-    "rank_mod_p",
+    "echelon_mod_p",
     "direct_sum",
 ]
 
@@ -350,7 +350,7 @@ class AbHom:
     read; one given by its ``canonical_key`` (``from_keys``) builds both.
     """
 
-    __slots__ = ("source", "target", "_matrix", "_columns", "_slot_columns", "_key")
+    __slots__ = ("source", "target", "_matrix", "_columns", "_slot_columns", "_key", "_echelon")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix | None, columns=None):
         shape = (target.ngens, len(columns)) if matrix is None else matrix.shape
@@ -360,7 +360,7 @@ class AbHom:
         self.target = target
         self._matrix = matrix
         self._columns = matrix.nonzero_columns() if columns is None else columns
-        self._slot_columns = self._key = None
+        self._slot_columns = self._key = self._echelon = None
         j = self.first_nonzero(source.relation_columns)
         if j is not None:
             self._refuse(j)
@@ -460,7 +460,7 @@ class AbHom:
             f = cls.__new__(cls)
             f.source = source
             f.target = target
-            f._matrix = f._columns = f._slot_columns = None
+            f._matrix = f._columns = f._slot_columns = f._echelon = None
             f._key = key
             homs.append(f)
         failed = {}  # the first failing relation of each failing key
@@ -612,20 +612,24 @@ def _preimage_basis(f: AbHom) -> IntMatrix:
     target = f.target
     if target.is_finite:
         # Slots with d_i = 1 are read by no column and give no congruence.
-        return congruence_kernel(f.slot_columns, target._diag)
+        return congruence_kernel(f.slot_columns, target._diag, f._echelon)
     full = integer_kernel(hstack(f.matrix, -target.presentation))
     return column_hermite(IntMatrix.from_rows(full.to_rows()[: f.source.ngens], cols=full.cols))
 
 
-def rank_mod_p(f: AbHom, p: int) -> int:
-    """The rank over F_p of f, for a target of exponent p (or 1): the pivot
-    count of a row reduction mod p of the congruences ``_preimage_basis``
-    solves, with no lattice built.  The image has p^rank elements."""
-    rows = {}
-    for j, col in enumerate(f.slot_columns):
-        for i, x in col:
-            rows.setdefault(i, {})[j] = x
-    return len(_kernel_mod_p(rows.values(), p))
+def echelon_mod_p(f: AbHom, p: int) -> dict:
+    """The congruences ``_preimage_basis`` solves, for a target of exponent
+    p (or 1), in reduced row echelon form mod p (``_kernel_mod_p``), with
+    no lattice built: its length is the rank of f over F_p, and the image
+    has p^rank elements.  It is kept on f, and ``_preimage_basis`` starts
+    from it."""
+    if f._echelon is None:
+        rows = {}
+        for j, col in enumerate(f.slot_columns):
+            for i, x in col:
+                rows.setdefault(i, {})[j] = x
+        f._echelon = _kernel_mod_p(rows.values(), p)
+    return f._echelon
 
 
 def kernel_subgroup(f: AbHom) -> Subquotient:

@@ -15,10 +15,10 @@ F_p-vector spaces and dim H^k = dim C^k - rank_p d_k - rank_p d_(k-1), each
 rank the pivot count of a row reduction mod p, with no lattice and no
 Smith form.  Otherwise H^k is the subquotient Z^k / B^k over Z, and the
 Smith form of its presentation gives the type.  Class coordinates and
-honest cocycle representatives always come from that subquotient; for
-M = (Z/p)^r it is built only in a degree whose coordinates are read (in
-a moduli run, the k-invariant degree), and there the two routes must
-agree.
+honest cocycle representatives come from that subquotient, built for
+M = (Z/p)^r only in a degree whose coordinates are read (in a moduli
+run, the k-invariant degree), where the two routes must agree; if that
+degree's F_p type is 0 or Z/2, they come from reductions mod p instead.
 
 ``oracle_cohomology`` recomputes the same groups by deciding every
 cochain function and counting cosets, with no matrices anywhere: the
@@ -41,11 +41,12 @@ from .abelian import (
     FgAbGroup,
     Subquotient,
     direct_sum,
+    echelon_mod_p,
     homology_at,
-    rank_mod_p,
 )
 from .errors import InternalConsistencyError, SizeBoundError
 from .groups import GModule
+from .linalg import _kernel_mod_2
 
 __all__ = [
     "Cocycle",
@@ -108,7 +109,8 @@ def bar_complex(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) ->
     C^k is a direct sum of (|G|-1)^k copies of the coefficient group, one
     block per tuple, blocks in lexicographic tuple order.  Raises when any
     cochain group, or all of them together, would exceed ``max_rank``
-    generators, degree by degree before anything is built.
+    generators, degree by degree before anything is built; the total
+    counts a degree with no generators (|G| = 1 or M = 0) as one.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
@@ -118,12 +120,12 @@ def bar_complex(module: GModule, kmax: int, max_rank: int = DEFAULT_MAX_RANK) ->
     for k in range(kmax + 1):
         counts.append((n - 1) ** k)
         rank = counts[k] * mb
-        total += rank
+        total += max(rank, 1)
         if rank > max_rank:
             raise SizeBoundError(f"cochain group in degree {k} is too large", requested=rank, bound=max_rank)
         if total > max_rank:
             raise SizeBoundError(f"cochain groups in degrees 0..{k} are too large", requested=total, bound=max_rank)
-    groups = [direct_sum([module.base] * c) for c in counts]
+    groups = [direct_sum([module.base] * c) if mb else module.base for c in counts]
     maps = []
     for k in range(kmax):
         maps.append(AbHom(groups[k], groups[k + 1], None, _differential_columns(module, k)))
@@ -138,10 +140,13 @@ def _differential_columns(module: GModule, k: int) -> tuple:
     r: the tail s[1:] is r % m^k, the dropped last coordinate r // m, and
     a merge of s_i s_(i+1) replaces the two digits at i.  A row's terms are
     summed before its entries are appended, so every column comes out
-    sorted by row."""
+    sorted by row.  With no generators in C^k or C^(k+1) there is no
+    tuple to walk."""
     n = module.group.order
     m = n - 1
     mb = module.base.ngens
+    if not m ** (k + 1) * mb:
+        return ((),) * (m ** k * mb)
     table = module.group.table
     acts = [a.nonzero_rows() for a in module.action]
     # the place value of digit i + 1 of a k-tuple, m^(k-1-i), at i
@@ -181,22 +186,16 @@ class CohomologyGroup:
     instead, dim H^k = dim C^k - rank_p d_k - rank_p d_(k-1) (Brown,
     *Cohomology of Groups*, GTM 87), each ``rank()`` the pivot count of a
     row reduction mod p; the subquotient is built only when coordinates or
-    representatives are read, and its invariant factors must agree.
-    ``group``, ``representatives`` and ``rank()`` are computed on first
-    read and kept.  ``below`` is degree k - 1.
+    representatives are read, and its invariant factors must agree.  If
+    that type is 0 or Z/2, ``classes``, ``representatives`` and
+    ``class_of`` read reductions mod p instead (``_nonzero_class``,
+    ``_cobounds``).  ``group``, ``representatives`` and ``rank()`` are
+    computed on first read and kept.  ``below`` is degree k - 1.
     """
 
     __slots__ = (
-        "module",
-        "degree",
-        "differential",
-        "_complex",
-        "_below",
-        "_prime",
-        "_rank",
-        "_group",
-        "_representatives",
-        "_sub",
+        "module", "degree", "differential", "_complex", "_below", "_prime",
+        "_rank", "_boundaries", "_group", "_representatives", "_sub",
     )
 
     def __init__(self, module: GModule, degree: int, complex_: CochainComplex, below, prime: int | None):
@@ -206,10 +205,7 @@ class CohomologyGroup:
         self._complex = complex_
         self._below = below
         self._prime = prime
-        self._rank = None
-        self._group = None
-        self._representatives = None
-        self._sub = None
+        self._rank = self._boundaries = self._group = self._representatives = self._sub = None
         if prime is None:
             self._subquotient()
 
@@ -222,14 +218,18 @@ class CohomologyGroup:
     @property
     def representatives(self) -> tuple[Cocycle, ...]:
         if self._representatives is None:
-            vectors = self._subquotient().generator_representatives()
+            if not self._small():
+                vectors = self._subquotient().generator_representatives()
+            else:
+                vectors = [self._nonzero_class()] if self.group.order == 2 else []
             self._representatives = tuple(Cocycle(self.module, self.degree, v) for v in vectors)
         return self._representatives
 
     def rank(self) -> int:
-        """rank_p d_k, for M = (Z/p)^r."""
+        """rank_p d_k, for M = (Z/p)^r: the length of d_k's reduced row
+        echelon form mod p (``echelon_mod_p``)."""
         if self._rank is None:
-            self._rank = rank_mod_p(self.differential, self._prime)
+            self._rank = len(echelon_mod_p(self.differential, self._prime))
         return self._rank
 
     def _elementary(self, ranks: int) -> FgAbGroup:
@@ -237,14 +237,42 @@ class CohomologyGroup:
         dimension = len(self.differential.source.invariant_factors) - ranks
         return direct_sum([FgAbGroup.cyclic(self._prime)] * dimension if dimension else [])
 
+    def _small(self) -> bool:
+        """Whether M = (Z/p)^r and H^k is 0 or Z/2, by its F_p type."""
+        return self._prime is not None and self.group.order <= 2
+
+    def _nonzero_class(self) -> list[int]:
+        """A cocycle of H^k = Z/2's nonzero class: the first null vector mod 2
+        of d_k, e_f plus the pivots whose echelon row reads the free unknown
+        f, f ascending, that is not in B^k."""
+        reduced, ngens = echelon_mod_p(self.differential, 2), self.differential.source.ngens
+        for f in range(ngens):
+            if f not in reduced:
+                bits = sum((1 << b for b, row in reduced.items() if row >> f & 1), 1 << f)
+                vector = [bits >> j & 1 for j in range(ngens)]
+                if not self._cobounds(vector):
+                    return vector
+        raise InternalConsistencyError(f"H^{self.degree}: every null vector mod 2 of d_{self.degree} is a coboundary")
+
+    def _cobounds(self, vector: Sequence[int]) -> bool:
+        """Whether a cocycle lies in B^k mod 2: its canonical coordinates, a
+        bit per coordinate slot of C^k, reduce to 0 against the echelon
+        form of d_(k-1)'s slot columns mod 2, built once."""
+        if self._boundaries is None:
+            columns = self._below.differential.slot_columns if self._below else ()
+            self._boundaries = _kernel_mod_2(sum(1 << i for i, x in col if x & 1) for col in columns)
+        cochains = self.differential.source
+        bits = sum(1 << i for i in cochains._coord_slots if sum(c * vector[j] for j, c in cochains._u_rows[i]) & 1)
+        for b, row in self._boundaries.items():
+            if bits >> b & 1:
+                bits ^= row
+        return not bits
+
     def _subquotient(self) -> Subquotient:
-        """Z^k / B^k, built on first read.  For M = (Z/p)^r the pivots of Z^k's
-        sparse Hermite columns are 1 and p and [Z^N : Z^k] = p^(rank_p d_k),
-        so the pivots equal to p give rank_p d_k with no second reduction."""
+        """Z^k / B^k, built on first read."""
         if self._sub is None:
             sub = homology_at(self._complex, self.degree)
             if self._prime is not None:
-                self._rank = sum(col[0][1] != 1 for col in sub._columns)
                 want = self.group.invariant_factors
                 if sub.group.normal_form != (0, want):
                     got = list(sub.group.invariant_factors)
@@ -265,6 +293,8 @@ class CohomologyGroup:
             raise ValueError("cocycle does not belong to this cohomology group")
         if not self.is_cocycle(z):
             raise ValueError("not a cocycle: differential does not vanish")
+        if self._small():
+            return () if self.group.order == 1 else (int(not self._cobounds(z.vector)),)
         return self._subquotient().class_coords(z.vector)
 
     def cocycle_at(self, coords: Sequence[int]) -> Cocycle:
@@ -283,8 +313,10 @@ class CohomologyGroup:
         return self._elementary(self.rank())
 
     def classes(self, limit: int | None = None) -> list[tuple[int, ...]]:
-        """Every class by its canonical coordinates, so the subquotient is built."""
-        return self._subquotient().group.element_coords(limit)
+        """Every class by its canonical coordinates: off the F_p type when it
+        is 0 or Z/2, else off the subquotient, which is then built."""
+        group = self.group if self._small() else self._subquotient().group
+        return group.element_coords(limit)
 
     def __repr__(self):
         return f"CohomologyGroup(H^{self.degree} = {self.group.symbol()})"

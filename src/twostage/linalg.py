@@ -519,7 +519,7 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     return _matrix_of_columns(_hermite(basis, 0), m.cols)
 
 
-def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequence[int]) -> IntMatrix:
+def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequence[int], pivots=None) -> IntMatrix:
     """Column Hermite basis of {x in Z^n : sum_j x_j c_j = 0 mod d_i in every row i}.
 
     ``columns`` holds c_1, ..., c_n, one sparse column per unknown as its
@@ -534,13 +534,15 @@ def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequ
     with a bit per unknown and one XOR adds two.  For composite E one
     ``_hermite`` pass mod E ends it; for prime E the one step's basis is
     already reduced.  The one Hermite basis is returned as sparse columns.
+    ``pivots``, for a prime E, is that step's ``_kernel_mod_p`` if known,
+    and then no row is built.
     """
     for d in moduli:
         if d < 1:
             raise ValueError(f"congruence modulus must be positive, got {d}")
     exponent, top, n = math.lcm(*moduli), len(moduli), len(columns)
     rows = [{} for _ in moduli]
-    for j, col in enumerate(columns):
+    for j, col in enumerate(columns if pivots is None else ()):
         for i, x in col:
             if not 0 <= i < top:
                 raise ValueError(f"congruence row {i} outside the {top} moduli")
@@ -557,7 +559,7 @@ def congruence_kernel(columns: Sequence[Sequence[tuple[int, int]]], moduli: Sequ
         # In place: a pivot's column is read before it is replaced.  Row b
         # says x_b = -sum x * x_f over free unknowns f < b, so the e_f - sum
         # x e_b and the p e_b are a lower triangular basis of its kernel.
-        for b, row in _kernel_mod_p(system, p).items():
+        for b, row in (_kernel_mod_p(system, p) if pivots is None else pivots).items():
             column, image = basis[b], images[b]
             if p == 2:
                 row = {f: 1 for f, c in enumerate(reversed(bin(row))) if c == "1"}

@@ -24,6 +24,8 @@ traversal over their permutations, and each stabilizer order is
 - Burnside: the fixed classes of every pair, each |ker(A - I)| for its
   matrix A on H's coordinates, sum to pi_0 |Aut(A)|.  For H = (Z/p)^r,
   p prime, that is p^(r - rank_p(A - I)); otherwise |coker(A - I)|.
+When H is 0 or Z/2, read off reductions mod p with no subquotient, both
+hold trivially on its one or two classes, but the transport still runs.
 """
 
 from __future__ import annotations

@@ -541,9 +541,9 @@ def act_on_kinvariants(
     for g, image in enumerate(pair.phi):
         phi_inv[image] = g
     # the block of phi^{-1}(t) for each tuple t of the degree, in product
-    # order, the same for every generator
+    # order, the same for every generator; none when H = 0
     sources = [0]
-    for _ in range(coh.degree):
+    for _ in range(coh.degree if coh.representatives else 0):
         sources = [b * (n - 1) + phi_inv[g] - 1 for b in sources for g in range(1, n)]
     psi_rows = pair.psi.matrix.nonzero_rows()
     factors = coh.group.invariant_factors

@@ -71,6 +71,10 @@ MODULI_SAMPLES = [
     # (S3, Z/2), the only moduli golden with a nonabelian A_1: Aut(S3)
     # through the span search, and compatible pairs over a nonabelian group
     "perm_group_cohomology",
+    # (C6, Z/2, n = 4): H^5 = Z/2, so its run must not build the top
+    # subquotient, whose Smith form (3125 cochain generators) took about
+    # 15 s; its classes come from reductions mod 2
+    "c6_z2_n4",
     # non-diagonal actions on coefficients with several generators:
     # C2 x C2 on (Z/2)^3 by two commuting shears, and on Z/4 x Z/2 by
     # y -> 2x + y through one factor; they pin the bar differentials'
@@ -191,10 +195,33 @@ def _elementary_case_a(sample: str) -> bool:
 ELEMENTARY_RUNS = [(g, argv) for g, argv in GOLDEN_RUNS if _elementary_case_a(argv[1])]
 
 
+# The case A moduli goldens whose H^(n+1) is 0 or Z/2: their classes,
+# representatives and class coordinates come from reductions mod p, and
+# no subquotient is built at all.
+SMALL_TOP_SAMPLES = {
+    "two_types_z2.json",
+    "coprime_vanishing.json",
+    "zero_coefficients.json",
+    "negation_action.json",
+    "c8_z2.json",
+    "perm_group_cohomology.json",
+    "c6_z2_n4.json",
+}
+
+
+def _top_type(sample: str) -> str:
+    """H^(n+1) as the sample's moduli golden prints it."""
+    n = json.loads((SAMPLES / sample).read_text(encoding="utf-8"))["n"]
+    golden = (GOLDEN / sample.replace(".json", ".moduli.txt")).read_text(encoding="utf-8")
+    (line,) = [line for line in golden.splitlines() if line.startswith(f"  H^{n + 1} = ")]
+    return line.split(" = ")[1]
+
+
 @pytest.mark.parametrize("golden_name,argv", ELEMENTARY_RUNS, ids=[g for g, _ in ELEMENTARY_RUNS])
 def test_elementary_goldens_build_a_subquotient_only_for_the_top_degree(golden_name, argv, capsys, monkeypatch):
     # Coefficients (Z/p)^r: every type comes from F_p ranks, and only the
-    # k-invariant degree of a moduli run reads class coordinates.
+    # k-invariant degree of a moduli run reads class coordinates, from its
+    # subquotient unless that degree is 0 or Z/2.
     built = []
     construct = twostage.abelian.Subquotient.__init__
 
@@ -205,7 +232,9 @@ def test_elementary_goldens_build_a_subquotient_only_for_the_top_degree(golden_n
     monkeypatch.setattr(twostage.abelian.Subquotient, "__init__", recording)
     status, _, _ = run_cli([argv[0], SAMPLES / argv[1], *argv[2:]], capsys)
     assert status == 0
-    assert len(built) == (1 if argv[0] == "moduli" else 0)
+    if argv[0] == "moduli":
+        assert (argv[1] in SMALL_TOP_SAMPLES) == (_top_type(argv[1]) in ("0", "C2"))
+    assert len(built) == (1 if argv[0] == "moduli" and argv[1] not in SMALL_TOP_SAMPLES else 0)
 
 
 CASE_A_MODULI_SAMPLES = [
@@ -265,7 +294,8 @@ def test_subquotient_smith_inputs_match_the_dense_route(sample, capsys, monkeypa
     # dense route's rows (dense Hermite basis, dense solves, one transpose)
     # entry for entry and pair for pair: the pair order is the order the
     # Smith form reads each row in, so this pins its operation sequence and
-    # with it the k-invariant labels.
+    # with it the k-invariant labels.  A top H^(n+1) of 0 or Z/2 builds
+    # none.
     smith_inputs, built = [], []
     homology_at = twostage.cohomology.homology_at
 
@@ -282,12 +312,45 @@ def test_subquotient_smith_inputs_match_the_dense_route(sample, capsys, monkeypa
     status, _, _ = run_cli(["moduli", SAMPLES / sample], capsys)
     assert status == 0
     n = parse_input((SAMPLES / sample).read_text(encoding="utf-8"))[0].n
+    if sample in SMALL_TOP_SAMPLES:
+        assert built == [] and _top_type(sample) in ("0", "C2")
+        return
     assert max(k for _, k, _ in built) == n + 1
     for complex_, k, sub in built:
         (m,) = [m for m in smith_inputs if m is sub.group.presentation]
         want = reference_subquotient_presentation(complex_, k)
         assert m == want, (sample, k)
         assert m.nonzero_rows() == want.nonzero_rows(), (sample, k)
+
+
+@pytest.mark.parametrize("sample", [s for s in CASE_A_MODULI_SAMPLES if _elementary_case_a(s)])
+def test_the_f_p_types_match_the_smith_types(sample):
+    # The package checks its F_p rank types against a Smith form only in a
+    # degree whose subquotient it builds, which a top H^(n+1) of 0 or Z/2
+    # no longer is.  Here every degree 0..n+1 is checked on one complex,
+    # except the top of (C6, Z/2, n = 4), whose Smith form takes about 15 s:
+    # its golden, written by the Smith route, pins that type.
+    algebra, _ = parse_input((SAMPLES / sample).read_text(encoding="utf-8"))
+    n = algebra.n
+    ladder = twostage.cohomology.cohomology_range(algebra.an, n + 1)
+    complex_ = twostage.cohomology.bar_complex(algebra.an, n + 2)
+    for k in range(n + 1 if sample == "c6_z2_n4.json" else n + 2):
+        assert ladder[k].group.normal_form == twostage.abelian.homology_at(complex_, k).group.normal_form, k
+
+
+def test_a_non_diagonal_z2_keeps_the_diagonal_report(tmp_path, capsys, monkeypatch):
+    # (C4, Z/2) presented on two generators by the relations [[2, 0], [1, 1]]:
+    # its H^3 = Z/2 is read off canonical coordinate slots, not generators,
+    # and gives the diagonal presentation's report, byte for byte, with no
+    # subquotient built.
+    module = {"coefficients": {"generators": 2, "relations": [[2, 0], [1, 1]]}, "action": "trivial"}
+    monkeypatch.setattr(twostage.abelian.Subquotient, "__init__", None)
+    status, diagonal, _ = run_cli(["moduli", write_doc(tmp_path, case_a_doc(group={"cyclic_factors": [4]}))], capsys)
+    assert status == 0
+    rebased = write_doc(tmp_path, case_a_doc(group={"cyclic_factors": [4]}, module=module))
+    status, out, err = run_cli(["moduli", rebased], capsys)
+    assert (status, err, out) == (0, "", diagonal)
+    assert "pi_0 = 2 " in out and out.count("orbit size 1, stabilizer order 2") == 2
 
 
 def test_sample_without_golden_finishes(capsys):
@@ -487,16 +550,30 @@ class TestSizeErrors:
         [
             (8, 60000, "cochain group in degree 6 is too large (requested 117649, bound 20000)"),
             (2, 20000, "cochain groups in degrees 0..20000 are too large (requested 20001, bound 20000)"),
+            (1, 20000, "cochain groups in degrees 0..20000 are too large (requested 20001, bound 20000)"),
         ],
     )
     def test_large_n_is_refused_before_the_complex_is_sized_in_full(self, order, n, message, tmp_path, capsys):
         # The cochain ranks are checked degree by degree: (C8, Z/2) stops at
         # degree 6 of its 60002, not after 7^60002, and (C2, Z/2), with one
-        # generator per degree, by their total.
+        # generator per degree, by their total.  (C1, Z/2) has none above
+        # degree 0, and each such degree counts as one.
         start = time.perf_counter()
         status, out, err = run_cli(["moduli", write_doc(tmp_path, case_a_doc(n=n, group={"cyclic_factors": [order]}))], capsys)
         assert (status, out, err) == (4, "", f"error[E_SIZE]: {message}\n")
         assert time.perf_counter() - start < 1
+
+    def test_zero_coefficients_cost_nothing_per_degree(self, tmp_path, capsys):
+        # (C8, 0) at n = 12: every cochain group has rank 0, so no degree
+        # walks its 7^(k+1) tuples, and the 15 degrees are well inside the
+        # bound.
+        doc = case_a_doc(n=12, group={"cyclic_factors": [8]}, module={"coefficients": {"cyclic_factors": []}, "action": "trivial"})
+        start = time.perf_counter()
+        status, out, err = run_cli(["moduli", write_doc(tmp_path, doc)], capsys)
+        assert time.perf_counter() - start < 5
+        assert (status, err) == (0, "")
+        assert [line for line in out.splitlines() if line.startswith("  H^")] == [f"  H^{k} = 0" for k in range(14)]
+        assert "pi_0 = 1 " in out
 
     def test_max_group_order_flag_tightens_bound(self, capsys):
         argv = ["moduli", SAMPLES / "orbits_z3.json", "--max-group-order", "2"]

@@ -426,8 +426,64 @@ def test_rank_route_matches_the_subquotient_route(module, kmax, rng):
     if kmax >= 1:
         der = kernel_subgroup(complex_.maps[1]).group
         assert ladder[1].cocycle_group().normal_form == der.normal_form
-    # Reading coordinates builds the subquotient, checked against the ranks.
+    # Reading coordinates builds the subquotient, checked against the ranks,
+    # unless the type is 0 or Z/2.
     assert len(ladder[kmax].classes()) == ladder[kmax].group.order
+
+
+# Z/2 on the relations 2 e_1 = 0 and e_1 + e_2 = 0: its coordinate slot is
+# not a generator, so the mod 2 class route must read canonical slots.
+REBASED_Z2 = FgAbGroup(IntMatrix.from_columns([[2, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize("relabeled", [False, True])
+@pytest.mark.parametrize(
+    "module",
+    [GModule.trivial(g, m) for g in ELEMENTARY_GROUPS if g.order <= 6 for m in [*ELEMENTARY_COEFFICIENTS, REBASED_Z2]],
+    ids=repr,
+)
+def test_the_mod_2_classes_match_the_subquotient_classes(module, relabeled):
+    # A degree whose F_p type is 0 or Z/2 reads its classes off reductions
+    # mod p, with no subquotient.  The representative must be in the
+    # nonzero class, and it, every coboundary column, every relation of
+    # C^k, and the representative plus each of them must get the
+    # subquotient's coordinates.  Relabeled, C6 puts a coboundary first
+    # among the null vectors mod 2 of d_k.
+    n = module.group.order
+    if relabeled:
+        module = relabel_module(module, [0, *random.Random(n).sample(range(1, n), n - 1)])
+    complex_ = bar_complex(module, 4)
+    for k, h in enumerate(cohomology_range(module, 3)):
+        if h.group.order > 2:
+            continue
+        width = h.differential.source.ngens
+        zeros = [*h.differential.source.relation_columns, *(complex_.maps[k - 1].columns if k else ())]
+        tried = [[0] * width]
+        for col in zeros:
+            tried.append([0] * width)
+            for i, x in col:
+                tried[-1][i] += x
+        tried += [[a + b for a, b in zip(z.vector, v)] for z in h.representatives for v in tried]
+        sub = homology_at(complex_, k)
+        assert [sub.class_coords(z.vector) for z in h.representatives] == [(1,)] * len(h.group.invariant_factors)
+        for v in tried:
+            assert h.class_of(Cocycle(module, k, v)) == sub.class_coords(v), (k, v)
+        assert h._sub is None and len(h.representatives) == len(h.group.invariant_factors)
+
+
+def test_a_kernel_started_from_the_kept_echelon_matches_the_reference():
+    # rank() keeps d_k's echelon form mod p on the map, and the cocycle
+    # kernel then starts from it, not from a second reduction; its basis
+    # must still be the [C; I] route's, entry for entry.
+    for module in elementary_modules():
+        if module.group.order > 6:
+            continue
+        for h in cohomology_range(module, 2):
+            h.rank()
+            f, target = h.differential, h.differential.target
+            assert f._echelon is not None
+            want = reference_congruence_kernel([reference_slot_values(target, col) for col in f.columns], target._diag)
+            assert _preimage_basis(f) == want, (module, h.degree)
 
 
 def test_kunneth_dimensions_of_elementary_abelian_groups():

@@ -57,14 +57,42 @@ def test_two_types_with_z2_coefficients():
 def test_a_rank_route_disagreement_is_refused_naming_the_degree(monkeypatch):
     # With (Z/p)^r coefficients F_p ranks give every type, and the
     # k-invariant degree's subquotient gives its coordinates and, by its
-    # Smith form, a second type.  A row reduction that miscounts by one
-    # makes the two differ, and the report is refused.
+    # Smith form, a second type.  A row reduction that misses one pivot
+    # makes H^3 = Z/2 look like (Z/2)^3, whose subquotient is built, so the
+    # two differ and the report is refused.  (A miscount down to 0 or Z/2
+    # builds no subquotient; test_the_f_p_types_match_the_smith_types
+    # checks those types.)
     import twostage.cohomology
 
-    true_rank = twostage.cohomology.rank_mod_p
-    monkeypatch.setattr(twostage.cohomology, "rank_mod_p", lambda f, p: true_rank(f, p) + 1)
-    with pytest.raises(InternalConsistencyError, match=r"^H\^3: Smith route \[2\] disagrees with F_p rank route \[\]$"):
+    true_echelon = twostage.cohomology.echelon_mod_p
+    monkeypatch.setattr(twostage.cohomology, "echelon_mod_p", lambda f, p: dict(list(true_echelon(f, p).items())[1:]))
+    with pytest.raises(InternalConsistencyError, match=r"^H\^3: Smith route \[2\] disagrees with F_p rank route \[2, 2, 2\]$"):
         moduli_case_a(case_a(4, 2))
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [("leaves the cocycles", "transported representative is not a cocycle; transport is broken"),
+     ("is zero", "transport did not permute the classes")],
+)
+def test_a_broken_transport_is_refused_on_the_mod_2_route(broken, message, monkeypatch):
+    # (C4, Z/2): H^3 = Z/2 reads its classes off reductions mod 2, with no
+    # subquotient, and Aut(A) has one generator to transport.  A transport
+    # whose image is not a cocycle, or is the zero cochain, so that the
+    # nonzero class goes to 0, is refused.
+    import twostage.cohomology
+    import twostage.pialgebra
+    from twostage.cohomology import Cocycle
+
+    algebra = case_a(4, 2)
+    top = cohomology_range(algebra.an, 3)[3]
+    width = len(top.representatives[0].vector)
+    units = (Cocycle(algebra.an, 3, [int(i == j) for i in range(width)]) for j in range(width))
+    moved = next(z for z in units if not top.is_cocycle(z)) if broken == "leaves the cocycles" else Cocycle(algebra.an, 3, [0] * width)
+    monkeypatch.setattr(twostage.pialgebra, "_transport_cocycle", lambda *args: moved)
+    monkeypatch.setattr(twostage.cohomology, "homology_at", None)
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        moduli_case_a(algebra)
 
 
 def test_orbit_decomposition_on_z3():
